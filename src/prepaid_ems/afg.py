@@ -29,6 +29,7 @@ from prepaid_ems.model import (
     DailyAverageDemand,
     LoadSet,
     Tariff,
+    _frozen,
     effective_budget,
 )
 
@@ -36,12 +37,6 @@ from prepaid_ems.model import (
 #: load's threshold above any balance the virtual wallet can reach that
 #: day, unspent balance carried over from earlier days included.
 THRESHOLD_MARGIN = 1e-4
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -87,16 +82,10 @@ class EnablePlan:
 @dataclass(frozen=True)
 class ThresholdPlan:
     """Control setpoints for the wallet simulator: per-day virtual
-    recharges and per-load per-day disable thresholds, in dollars.
-
-    ``latching`` decides whether a load disabled during a day may come
-    back that day (greedy plans latch; threshold plans decoded from the
-    detailed-forecast optimizer re-evaluate every step).
-    """
+    recharges and per-load per-day disable thresholds, in dollars."""
 
     thresholds: np.ndarray  # [load, day], $
     recharges: np.ndarray  # [day], $
-    latching: bool = True
 
     def __post_init__(self):
         thr = np.array(self.thresholds, dtype=float)
@@ -232,7 +221,7 @@ def compute_thresholds(
                 thresholds[k, d] = off[d]
             else:
                 thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
-    return ThresholdPlan(thresholds, recharges, latching=True)
+    return ThresholdPlan(thresholds, recharges)
 
 
 def write_threshold_csv(plan: ThresholdPlan, loads: LoadSet, path) -> None:

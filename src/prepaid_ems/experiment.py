@@ -183,7 +183,6 @@ def _run_dfm(config, view, loads, tariff, budget, truth):
         plan = afg.ThresholdPlan(
             np.clip(thresholds, 0.0, None),
             np.full(view.grid.num_days, budget.initial_balance / view.grid.num_days),
-            latching=False,
         )
         result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
         return result, solution.objective, ""

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from prepaid_ems.model import BUDGET_MARGIN, Budget, DemandSeries, Tariff
+from prepaid_ems.model import Budget, DemandSeries, Tariff
 
 _SENSES = ("<=", ">=", "=")
 
@@ -122,13 +122,11 @@ class MilpConstants:
     ``indicator_eps`` is the smallest balance treated as "money in the
     wallet"; ``neg_big``/``pos_big`` must bracket every balance the
     wallet can reach (``neg_big <= -balance``, ``pos_big >= balance``).
-    ``budget_delta`` is the strict-inequality holdback on budgets.
     """
 
     indicator_eps: float
     neg_big: float
     pos_big: float
-    budget_delta: float = BUDGET_MARGIN
 
     def __post_init__(self):
         if not (math.isfinite(self.indicator_eps) and self.indicator_eps > 0):

@@ -19,6 +19,10 @@ from prepaid_ems.milp.core import MilpConstants, Solution, SolveStatus, default_
 from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, daily_average
 
 
+#: Candidate plans simulated per batch; bounds the memory of one batch.
+CHUNK = 256
+
+
 class InstanceTooLarge(ValueError):
     pass
 
@@ -55,12 +59,10 @@ def solve_dfm_grid(
     pinned_off = recharge + constants.indicator_eps
     active = [recharge * (i + 1) / grid_resolution for i in range(grid_resolution)]
     candidates: list[list[float]] = []
-    cells: list[tuple[int, int]] = []
     count = 1
     for k in range(num_loads):
         for day in range(num_days):
             cell = [0.0, *active, pinned_off] if avg.power[k, day] > 0 else [pinned_off]
-            cells.append((k, day))
             candidates.append(cell)
             count *= len(cell)
             if count > candidate_cap:
@@ -70,22 +72,25 @@ def solve_dfm_grid(
                     f"{grid_resolution})"
                 )
 
-    best_psf = -np.inf
-    best_thresholds = None
-    thresholds = np.zeros((num_loads, num_days))
-    for combo in itertools.product(*candidates):
-        for (k, day), value in zip(cells, combo):
-            thresholds[k, day] = value
-        plan = ThresholdPlan(thresholds, recharges, latching=False)
-        result = sim.simulate_thresholds(plan, demand, loads, tariff, budget)
-        if result.psf > best_psf:
-            best_psf = result.psf
-            best_thresholds = thresholds.copy()
-
-    best_plan = ThresholdPlan(best_thresholds, recharges, latching=False)
+    # Cells run load-major, day-minor, so each combination reshapes to
+    # one [load, day] threshold matrix.
+    plans = np.fromiter(
+        itertools.chain.from_iterable(itertools.product(*candidates)),
+        dtype=float,
+        count=count * len(candidates),
+    ).reshape(count, num_loads, num_days)
+    scores = np.concatenate(
+        [
+            sim.threshold_psf(plans[i : i + CHUNK], recharges, demand, loads, tariff, budget)
+            for i in range(0, count, CHUNK)
+        ]
+    )
+    best = int(np.argmax(scores))
+    best_thresholds = plans[best]
+    best_plan = ThresholdPlan(best_thresholds, recharges)
     values = {
         f"thr_k{k}_d{day}": best_thresholds[k, day]
         for k in range(num_loads)
         for day in range(num_days)
     }
-    return best_plan, Solution(values, float(best_psf), SolveStatus.FEASIBLE)
+    return best_plan, Solution(values, float(scores[best]), SolveStatus.FEASIBLE)

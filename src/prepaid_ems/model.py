@@ -240,28 +240,32 @@ def psf(
     have no meaningful ratio; their service factor is reported as NaN
     and they are excluded from the weighted sum.
 
+    ``actuation`` may stack several plans on a leading axis
+    (``[plan, load, timestep]``); the service factors and PSF then come
+    back per plan, the PSF as an array.
+
     Raises ``ValueError`` if a load is marked served where there was no
     demand -- that is a simulator bug, not a data condition.
     """
     a = np.asarray(actuation)
     d = np.asarray(indicator)
-    if a.shape != d.shape:
+    if a.shape[-2:] != d.shape:
         raise ValueError(f"actuation shape {a.shape} != indicator shape {d.shape}")
-    if a.shape[0] != len(loads):
-        raise ValueError(f"expected {len(loads)} loads, got {a.shape[0]} rows")
+    if d.shape[0] != len(loads):
+        raise ValueError(f"expected {len(loads)} loads, got {d.shape[0]} rows")
     if not np.isin(a, (0, 1)).all():
         raise ValueError("actuation matrix must be binary")
     excess = (a == 1) & (d == 0)
     if excess.any():
-        k, t = np.argwhere(excess)[0]
+        k, t = np.argwhere(excess)[0][-2:]
         raise ValueError(
             f"load {loads.names[k]!r} marked served at step {t} without demand"
         )
-    served = a.sum(axis=1, dtype=float)
+    served = a.sum(axis=-1, dtype=float)
     demanded = d.sum(axis=1, dtype=float)
-    sf = np.full(len(loads), np.nan)
+    sf = np.full(served.shape, np.nan)
     mask = demanded > 0
-    sf[mask] = served[mask] / demanded[mask]
-    value = float((loads.gammas[mask] * sf[mask]).sum())
+    sf[..., mask] = served[..., mask] / demanded[mask]
+    value = (loads.gammas[mask] * sf[..., mask]).sum(axis=-1)
     sf.setflags(write=False)
-    return sf, value
+    return sf, float(value) if a.ndim == 2 else value

@@ -17,6 +17,20 @@ Semantics shared by all entry points:
 Balance traces record start-of-step values, matching the convention
 used by the threshold optimizer's wallet variables; the end-of-horizon
 balances are carried separately.
+
+One kernel runs every entry point, for a stack of plans at once, and
+moves from event to event rather than step by step. It splits the
+horizon into spans: a day for threshold plans, the whole horizon for
+schedules. Within a span the virtual balance never rises, so a load is
+on from the span start until its threshold first trips and stays off
+after it; nothing runs from the first step that starts with a real
+balance <= 0. Between two such events the set of enabled loads is
+fixed, so each step's cost is a column sum over the enabled loads and
+both balances are running differences, paid in step order exactly as a
+step-by-step loop pays them. A step's cost sums the enabled loads left
+to right. numpy sums 8 or more elements pairwise, so with 8 or more
+loads the last bits can differ from a loop that sums the served loads
+with ``ndarray.sum``.
 """
 
 from dataclasses import dataclass
@@ -103,6 +117,70 @@ def _finalize(
     )
 
 
+def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Balances ``[plan, step + 1]`` from ``start`` as ``cost[plan, step]``
+    is paid, subtracted in step order."""
+    return np.subtract.accumulate(
+        np.concatenate([start[:, None], cost], axis=1), axis=1
+    )
+
+
+def _simulate(power, thresholds, recharges, cost_factor, balance):
+    """Simulate a stack of plans at once, event to event.
+
+    ``power[1 or plan, load, step]`` is the demand each plan may serve,
+    ``thresholds[plan, load, span]`` and ``recharges[1 or plan, span]``
+    its virtual wallet; the spans split the horizon evenly. Returns the
+    actuation ``[plan, load, step]`` (bool), the start-of-step real and
+    virtual balances ``[plan, step]``, and the final real balance,
+    virtual balance and spend ``[plan]``.
+    """
+    plans, num_loads, num_spans = thresholds.shape
+    n = power.shape[-1] // num_spans
+    step = np.arange(n)
+    actuation = np.empty((plans, num_loads, n * num_spans), dtype=bool)
+    z_trace = np.empty((plans, n * num_spans))
+    x_trace = np.empty((plans, n * num_spans))
+    real = np.full(plans, float(balance))
+    virtual = np.zeros(plans)
+    spend = np.zeros(plans)
+    for s in range(num_spans):
+        span = slice(s * n, (s + 1) * n)
+        w = power[..., span]
+        thr = thresholds[..., s]
+        virtual = virtual + recharges[:, s]
+        # off[p, k]: the step of the span from which load k stays off
+        off = np.where((virtual[:, None] >= thr) & (real[:, None] > 0), n, 0)
+        while True:
+            on = step < off[..., None]
+            cost = cost_factor * np.where(on, w, 0.0).sum(axis=1)
+            z = _running(real, cost)
+            x = _running(virtual, cost)
+            # Both balances only fall, so counting the steps that pass a
+            # test finds where it first fails: a load's first step below
+            # its threshold, and the first step begun with no money.
+            # Only the earliest of these events per plan is certain; the
+            # ones after it move once its load is off. A load already
+            # off, or an empty wallet with every load off, is no event.
+            cross = (x[:, :n, None] >= thr[:, None, :]).sum(axis=1)
+            cross[cross >= off] = n
+            dark = (z[:, :n] > 0).sum(axis=1)
+            dark[dark >= off.max(axis=1, initial=0)] = n
+            event = np.minimum(cross.min(axis=1, initial=n), dark)
+            if (event == n).all():
+                break
+            hit = (cross == event[:, None]) | (dark == event)[:, None]
+            off = np.where(hit, np.minimum(off, event[:, None]), off)
+        actuation[..., span] = on & (w > 0)
+        z_trace[:, span] = z[:, :n]
+        x_trace[:, span] = x[:, :n]
+        real, virtual = z[:, n], x[:, n]
+        spend = np.add.accumulate(
+            np.concatenate([spend[:, None], cost], axis=1), axis=1
+        )[:, n]
+    return actuation, z_trace, x_trace, real, virtual, spend
+
+
 def simulate_thresholds(
     plan: ThresholdPlan,
     truth: DemandSeries,
@@ -114,11 +192,11 @@ def simulate_thresholds(
 
     The virtual wallet starts empty and receives the day's recharge at
     each day start. A load is enabled at a step iff the virtual balance
-    is at or above its threshold for the day (and, for latching plans,
-    it has not already been disabled that day) and the real wallet is
-    still positive. Both wallets pay for every served step.
+    has stayed at or above its threshold for the day so far and the
+    real wallet is still positive. Both wallets pay for every served
+    step.
     """
-    num_loads, total = truth.power.shape
+    num_loads = truth.num_loads
     grid = truth.grid
     if plan.thresholds.shape[0] != num_loads or plan.thresholds.shape[0] != len(loads):
         raise PlanShapeMismatch(
@@ -128,44 +206,45 @@ def simulate_thresholds(
         raise PlanShapeMismatch(
             f"plan covers {plan.num_days} days, the horizon has {grid.num_days}"
         )
-
-    cost_factor = tariff.alpha * grid.step_hours
-    real = budget.initial_balance
-    virtual = 0.0
-    spend = 0.0
-    disconnected = False
-    actuation = np.zeros((num_loads, total), dtype=np.int8)
-    z_trace = np.empty(total)
-    x_trace = np.empty(total)
-    eligible = np.ones(num_loads, dtype=bool)
-
-    for t in range(total):
-        day = grid.day_of(t)
-        if t % grid.steps_per_day == 0:
-            virtual += plan.recharges[day]
-            eligible[:] = True
-        z_trace[t] = real
-        x_trace[t] = virtual
-        if real <= 0:
-            disconnected = True
-        if disconnected:
-            continue
-        meets = virtual >= plan.thresholds[:, day]
-        if plan.latching:
-            eligible &= meets
-            enabled = eligible
-        else:
-            enabled = meets
-        served = enabled & (truth.power[:, t] > 0)
-        if served.any():
-            actuation[served, t] = 1
-            cost = cost_factor * float(truth.power[served, t].sum())
-            real -= cost
-            virtual -= cost
-            spend += cost
-    return _finalize(
-        truth, loads, budget, actuation, z_trace, x_trace, real, virtual, spend
+    actuation, z, x, real, virtual, spend = _simulate(
+        truth.power[None],
+        plan.thresholds[None],
+        plan.recharges[None],
+        tariff.alpha * grid.step_hours,
+        budget.initial_balance,
     )
+    return _finalize(
+        truth,
+        loads,
+        budget,
+        actuation[0].astype(np.int8),
+        z[0],
+        x[0],
+        float(real[0]),
+        float(virtual[0]),
+        float(spend[0]),
+    )
+
+
+def threshold_psf(
+    thresholds: np.ndarray,
+    recharges: np.ndarray,
+    truth: DemandSeries,
+    loads: LoadSet,
+    tariff: Tariff,
+    budget: Budget,
+) -> np.ndarray:
+    """PSF of each plan in ``thresholds[plan, load, day]``, all sharing
+    ``recharges[day]``, simulated at once. Entry ``p`` equals the
+    ``psf`` of ``simulate_thresholds`` on plan ``p``."""
+    actuation = _simulate(
+        truth.power[None],
+        thresholds,
+        recharges[None],
+        tariff.alpha * truth.grid.step_hours,
+        budget.initial_balance,
+    )[0]
+    return psf(actuation, demand_indicator(truth), loads)[1]
 
 
 def simulate_schedule(
@@ -189,28 +268,26 @@ def simulate_schedule(
     if not np.isin(sched, (0, 1)).all():
         raise ShapeMismatch("schedule must be a binary matrix")
 
-    grid = truth.grid
-    num_loads, total = truth.power.shape
-    cost_factor = tariff.alpha * grid.step_hours
-    real = budget.initial_balance
-    spend = 0.0
-    disconnected = False
-    actuation = np.zeros((num_loads, total), dtype=np.int8)
-    z_trace = np.empty(total)
-
-    for t in range(total):
-        z_trace[t] = real
-        if real <= 0:
-            disconnected = True
-        if disconnected:
-            continue
-        served = (sched[:, t] == 1) & (truth.power[:, t] > 0)
-        if served.any():
-            actuation[served, t] = 1
-            cost = cost_factor * float(truth.power[served, t].sum())
-            real -= cost
-            spend += cost
-    return _finalize(truth, loads, budget, actuation, z_trace, None, real, None, spend)
+    # One span over the whole horizon whose thresholds never bind: only
+    # the schedule and the real wallet switch loads off.
+    actuation, z, _, real, _, spend = _simulate(
+        (truth.power * (sched == 1))[None],
+        np.full((1, truth.num_loads, 1), -np.inf),
+        np.zeros((1, 1)),
+        tariff.alpha * truth.grid.step_hours,
+        budget.initial_balance,
+    )
+    return _finalize(
+        truth,
+        loads,
+        budget,
+        actuation[0].astype(np.int8),
+        z[0],
+        None,
+        float(real[0]),
+        None,
+        float(spend[0]),
+    )
 
 
 def simulate_baseline(
@@ -229,22 +306,26 @@ def simulate_baseline(
 def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
     """Per-step trace: balances and per-load actuation."""
     import csv
+    import itertools
 
+    real = map(repr, result.real_balance_trace.tolist())
+    virtual = result.virtual_balance_trace
+    virtual = (
+        itertools.repeat("") if virtual is None else map(repr, virtual.tolist())
+    )
+    # Rows are joined by hand, as csv.writer would write them: no field
+    # needs quoting and lines end in \r\n.
+    rows = "".join(
+        ",".join((str(t), r, v, *map(str, acts))) + "\r\n"
+        for t, (r, v, acts) in enumerate(
+            zip(real, virtual, result.actuation.T.tolist())
+        )
+    )
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
+        csv.writer(fh).writerow(
             ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
         )
-        virtual = result.virtual_balance_trace
-        for t in range(result.actuation.shape[1]):
-            writer.writerow(
-                [
-                    t,
-                    repr(float(result.real_balance_trace[t])),
-                    "" if virtual is None else repr(float(virtual[t])),
-                    *(int(v) for v in result.actuation[:, t]),
-                ]
-            )
+        fh.write(rows)
 
 
 def write_summary_csv(result: SimResult, loads: LoadSet, path) -> None:

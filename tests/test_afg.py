@@ -213,7 +213,6 @@ class TestThresholds:
         # mid-band between the balances after 12 and 11 steps:
         # 3.0 - 11.5 * 0.075 = 2.1375.
         assert tplan.thresholds[1, 0] == pytest.approx(2.1375, abs=1e-6)
-        assert tplan.latching
 
     def test_fully_enabled_all_zero(self):
         loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.5)])

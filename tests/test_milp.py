@@ -381,7 +381,6 @@ class TestSolveDfmGrid:
         plan, solution = solve_dfm_grid(truth, one_load, tariff, Budget(50.0))
         assert plan.thresholds[0, 0] == 0.0
         assert solution.objective == pytest.approx(1.0)
-        assert not plan.latching
 
     def test_half_budget_serves_half(self, one_load, tariff):
         # 4 steps of 6 $ each, balance 12 $: wallet covers exactly half

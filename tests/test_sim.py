@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import sim_reference
 from conftest import assert_sim_invariants, constant_series
 from prepaid_ems import afg
+from prepaid_ems.milp.grid_search import CHUNK, solve_dfm_grid
 from prepaid_ems.model import (
     Budget,
     DemandSeries,
@@ -16,6 +20,7 @@ from prepaid_ems.model import (
 from prepaid_ems.sim import (
     PlanShapeMismatch,
     ShapeMismatch,
+    SimResult,
     count_disconnection_days,
     simulate_baseline,
     simulate_schedule,
@@ -53,9 +58,7 @@ class TestSimulateThresholds:
         truth = constant_series(grid, [100.0, 50.0])
         total_cost = tariff.alpha * grid.step_hours * truth.power.sum()
         budget = Budget(2 * total_cost)
-        tplan = afg.ThresholdPlan(
-            np.zeros((2, 2)), np.full(2, total_cost), latching=True
-        )
+        tplan = afg.ThresholdPlan(np.zeros((2, 2)), np.full(2, total_cost))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         assert np.array_equal(result.actuation, demand_indicator(truth))
         assert result.disconnection_days == 0
@@ -64,9 +67,7 @@ class TestSimulateThresholds:
         grid = TimeGrid(1.0, 24, 1)
         truth = constant_series(grid, [100.0, 50.0])
         budget = Budget(100.0)
-        tplan = afg.ThresholdPlan(
-            np.array([[0.0], [5.0 + 1e-4]]), np.array([5.0]), latching=True
-        )
+        tplan = afg.ThresholdPlan(np.array([[0.0], [5.0 + 1e-4]]), np.array([5.0]))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         assert result.actuation[1].sum() == 0
         assert result.actuation[0].sum() == 24
@@ -93,9 +94,7 @@ class TestSimulateThresholds:
     def test_virtual_trace_recharges_at_day_start(self, two_loads, tariff):
         grid = TimeGrid(1.0, 24, 2)
         truth = constant_series(grid, [0.0, 0.0])
-        tplan = afg.ThresholdPlan(
-            np.full((2, 2), 99.0), np.array([1.5, 2.5]), latching=True
-        )
+        tplan = afg.ThresholdPlan(np.full((2, 2), 99.0), np.array([1.5, 2.5]))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, Budget(4.0))
         assert result.virtual_balance_trace[0] == pytest.approx(1.5)
         assert result.virtual_balance_trace[24] == pytest.approx(4.0)
@@ -229,7 +228,142 @@ def test_trace_and_summary_csv(tmp_path, two_loads, tariff):
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "t,real_balance,virtual_balance,a_heater,a_pump"
     assert len(lines) == 25
+    tplan = afg.ThresholdPlan(np.array([[0.0], [0.2]]), np.array([0.9]))
+    for run in (result, simulate_thresholds(tplan, truth, two_loads, tariff, budget)):
+        write_trace_csv(run, two_loads, trace_path)
+        with open(trace_path, newline="") as fh:
+            assert fh.read() == sim_reference.trace_csv_text(run, two_loads)
     summary_path = tmp_path / "summary.csv"
     write_summary_csv(result, two_loads, summary_path)
     text = summary_path.read_text()
     assert "psf," in text and "sf_pump," in text
+
+
+def assert_bit_identical(result, reference):
+    for field in dataclasses.fields(SimResult):
+        got, want = getattr(result, field.name), getattr(reference, field.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            assert got.shape == want.shape, field.name
+            assert got.tobytes() == want.tobytes(), field.name
+        elif isinstance(want, float):
+            assert float(got).hex() == want.hex(), field.name
+        else:
+            assert got == want, field.name
+
+
+def random_instance(rng):
+    """1-7 loads, 2/4/24/96 steps a day, 1-5 days, flat demand tied
+    across loads or noisy demand, and a budget from zero to more than
+    the demand costs."""
+    num_loads = int(rng.integers(1, 8))
+    steps_per_day = int(rng.choice([2, 4, 24, 96]))
+    grid = TimeGrid(24.0 / steps_per_day, steps_per_day, int(rng.integers(1, 6)))
+    if rng.random() < 0.3:
+        levels = rng.choice([0.0, 100.0, 250.0], num_loads)
+        truth = constant_series(grid, levels)
+    else:
+        power = rng.uniform(0, 1500, (num_loads, grid.total_steps))
+        truth = DemandSeries(grid, power * (rng.random(power.shape) < rng.random()))
+    loads = LoadSet.from_pairs(
+        (f"l{k}", float(g)) for k, g in enumerate(rng.uniform(0.1, 1.0, num_loads))
+    )
+    tariff = Tariff(0.001)
+    fraction = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.05, 1.2))
+    budget = Budget(fraction * tariff.alpha * grid.step_hours * float(truth.power.sum()))
+    return truth, loads, tariff, budget
+
+
+def random_threshold_plans(rng, truth, loads, tariff, budget):
+    """An AFG plan, a grid-style plan and a random plan."""
+    grid = truth.grid
+    avg = daily_average(truth)
+    _, greedy = afg_plan(avg, loads, tariff, budget, grid.step_hours)
+    shape = (truth.num_loads, grid.num_days)
+    recharge = budget.initial_balance / grid.num_days
+    levels = np.array([0.0, recharge / 2, recharge, recharge + 1e-6])
+    grid_style = afg.ThresholdPlan(
+        levels[rng.integers(0, 4, shape)], np.full(grid.num_days, recharge)
+    )
+    recharges = rng.uniform(0, 2 * recharge + 1e-3, grid.num_days)
+    random_plan = afg.ThresholdPlan(
+        rng.uniform(0, 1.5 * recharges.max(), shape), recharges
+    )
+    return [greedy, grid_style, random_plan]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_step_loop_bit_for_bit(seed):
+    rng = np.random.default_rng(9100 + seed)
+    for _ in range(40):
+        truth, loads, tariff, budget = random_instance(rng)
+        for plan in random_threshold_plans(rng, truth, loads, tariff, budget):
+            result = simulate_thresholds(plan, truth, loads, tariff, budget)
+            for latching in (True, False):
+                assert_bit_identical(
+                    result,
+                    sim_reference.simulate_thresholds(
+                        plan, truth, loads, tariff, budget, latching=latching
+                    ),
+                )
+        schedule = (rng.random(truth.power.shape) < rng.random()).astype(np.int8)
+        assert_bit_identical(
+            simulate_schedule(schedule, truth, loads, tariff, budget),
+            sim_reference.simulate_schedule(schedule, truth, loads, tariff, budget),
+        )
+        assert_bit_identical(
+            simulate_baseline(truth, loads, tariff, budget),
+            sim_reference.simulate_schedule(
+                np.ones_like(truth.power, dtype=np.int8), truth, loads, tariff, budget
+            ),
+        )
+
+
+@pytest.mark.parametrize(
+    "seed, num_loads, steps_per_day, num_days, resolution",
+    [
+        (0, 1, 4, 2, 3),
+        (1, 2, 24, 1, 2),
+        (2, 2, 2, 2, 3),  # 625 combinations: more than one batch
+        (3, 3, 4, 1, 2),
+    ],
+)
+def test_dfm_grid_matches_step_loop_enumeration(
+    seed, num_loads, steps_per_day, num_days, resolution
+):
+    rng = np.random.default_rng(seed)
+    grid = TimeGrid(24.0 / steps_per_day, steps_per_day, num_days)
+    power = rng.uniform(0, 1500, (num_loads, grid.total_steps))
+    truth = DemandSeries(grid, power * (rng.random(power.shape) < 0.7))
+    loads = LoadSet.from_pairs(
+        (f"l{k}", float(g)) for k, g in enumerate(rng.uniform(0.1, 1.0, num_loads))
+    )
+    tariff = Tariff(0.001)
+    budget = compute_budget(truth, tariff, float(rng.uniform(0.3, 0.9)))
+    plan, solution = solve_dfm_grid(
+        truth, loads, tariff, budget, grid_resolution=resolution
+    )
+    thresholds, best_psf, _ = sim_reference.solve_dfm_grid(
+        truth, loads, tariff, budget, resolution
+    )
+    assert plan.thresholds.tobytes() == thresholds.tobytes()
+    assert solution.objective.hex() == best_psf.hex()
+
+
+def test_dfm_grid_tie_keeps_first_combination(tariff):
+    # The spike, demanded on day 0 only, is unaffordable, so the best
+    # plans pin it off; base and fan then run all day under several
+    # thresholds alike; the tied plans straddle a batch boundary.
+    loads = LoadSet.from_pairs([("base", 0.6), ("spike", 0.3), ("fan", 0.1)])
+    grid = TimeGrid(6.0, 4, 2)
+    truth = DemandSeries(
+        grid, [[100.0] * 8, [5000.0] * 4 + [0.0] * 4, [50.0] * 8]
+    )
+    budget = Budget(12.0)
+    plan, solution = solve_dfm_grid(truth, loads, tariff, budget, grid_resolution=3)
+    thresholds, best_psf, ties = sim_reference.solve_dfm_grid(
+        truth, loads, tariff, budget, 3
+    )
+    assert ties[0] < CHUNK <= ties[-1]
+    assert plan.thresholds.tobytes() == thresholds.tobytes()
+    assert solution.objective.hex() == best_psf.hex()
