@@ -33,12 +33,16 @@ from prepaid_ems.milp import (
     SolverNotFound,
     SolverTimeout,
     build_dfm,
-    build_obm,
     default_constants,
-    extract_schedule,
     extract_thresholds,
     solve_dfm_grid,
     solve_external,
+)
+
+# Not called here: the benchmark's per-layer run still hooks these names.
+from prepaid_ems.milp import (  # noqa: F401
+    build_obm,
+    extract_schedule,
     solve_knapsack_bb,
 )
 from prepaid_ems.model import (
@@ -51,6 +55,7 @@ from prepaid_ems.model import (
     daily_average,
     demand_indicator,
 )
+from prepaid_ems.obm import solve_obm
 
 logger = logging.getLogger(__name__)
 
@@ -119,23 +124,56 @@ def _run_afg(view, loads, tariff, budget, truth):
 
 
 def _run_obm(view, loads, tariff, budget, truth):
-    model = build_obm(view, loads, tariff, budget)
-    solution = solve_knapsack_bb(model)
-    schedule = extract_schedule(
-        model, solution, view.num_loads, view.grid.total_steps
-    )
+    schedule, objective = solve_obm(view, loads, tariff, budget)
     result = sim.simulate_schedule(schedule, truth, loads, tariff, budget)
-    return result, solution.objective, ""
+    return result, objective, ""
 
 
-def _dfm_grid_cell(config, view, loads, tariff, budget, truth, note=""):
+def _external_dfm_plan(config, view, loads, tariff, budget, constants):
+    """Thresholds from the external MILP solver, or ``None`` and the note
+    that prefixes the grid fallback's."""
+    if not config.dfm.solver_cmd:
+        logger.warning("no DFM solver command configured; using grid backend")
+        return None, None, "grid fallback; "
+    model = build_dfm(view, loads, tariff, budget, constants=constants)
+    try:
+        solution = solve_external(
+            model, config.dfm.solver_cmd, config.dfm.solver_timeout
+        )
+    except (SolverNotFound, SolverTimeout, SolutionParseError) as exc:
+        logger.warning("external DFM solve failed (%s); trying grid backend", exc)
+        return None, None, f"{exc}; grid fallback; "
+    if solution.status is not SolveStatus.OPTIMAL:
+        logger.warning(
+            "external DFM solve returned %s; trying grid backend",
+            solution.status.value,
+        )
+        return None, None, "solver error; grid fallback; "
+    thresholds = extract_thresholds(model, solution, view.num_loads, view.grid.num_days)
+    plan = afg.ThresholdPlan(
+        np.clip(thresholds, 0.0, None),
+        np.full(view.grid.num_days, budget.initial_balance / view.grid.num_days),
+    )
+    return plan, solution.objective, ""
+
+
+def _run_dfm(config, view, loads, tariff, budget, truth):
+    constants = _dfm_constants(config, view, tariff, budget)
+    note = ""
+    if config.dfm.backend == "external":
+        plan, objective, note = _external_dfm_plan(
+            config, view, loads, tariff, budget, constants
+        )
+        if plan is not None:
+            result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
+            return result, objective, note
     try:
         plan, solution = solve_dfm_grid(
             view,
             loads,
             tariff,
             budget,
-            constants=_dfm_constants(config, view, tariff, budget),
+            constants=constants,
             grid_resolution=config.dfm.grid_resolution,
             candidate_cap=config.dfm.candidate_cap,
         )
@@ -144,49 +182,6 @@ def _dfm_grid_cell(config, view, loads, tariff, budget, truth, note=""):
         return None, None, f"{note}unsolved: {exc}"
     result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
     return result, solution.objective, note
-
-
-def _run_dfm(config, view, loads, tariff, budget, truth):
-    if config.dfm.backend == "external":
-        if not config.dfm.solver_cmd:
-            logger.warning("no DFM solver command configured; using grid backend")
-            return _dfm_grid_cell(
-                config, view, loads, tariff, budget, truth, note="grid fallback; "
-            )
-        model = build_dfm(
-            view,
-            loads,
-            tariff,
-            budget,
-            constants=_dfm_constants(config, view, tariff, budget),
-        )
-        try:
-            solution = solve_external(
-                model, config.dfm.solver_cmd, config.dfm.solver_timeout
-            )
-        except (SolverNotFound, SolverTimeout, SolutionParseError) as exc:
-            logger.warning("external DFM solve failed (%s); trying grid backend", exc)
-            return _dfm_grid_cell(
-                config, view, loads, tariff, budget, truth, note=f"{exc}; grid fallback; "
-            )
-        if solution.status is not SolveStatus.OPTIMAL:
-            logger.warning(
-                "external DFM solve returned %s; trying grid backend",
-                solution.status.value,
-            )
-            return _dfm_grid_cell(
-                config, view, loads, tariff, budget, truth, note="solver error; grid fallback; "
-            )
-        thresholds = extract_thresholds(
-            model, solution, view.num_loads, view.grid.num_days
-        )
-        plan = afg.ThresholdPlan(
-            np.clip(thresholds, 0.0, None),
-            np.full(view.grid.num_days, budget.initial_balance / view.grid.num_days),
-        )
-        result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
-        return result, solution.objective, ""
-    return _dfm_grid_cell(config, view, loads, tariff, budget, truth)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResults:

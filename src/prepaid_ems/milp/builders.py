@@ -35,7 +35,9 @@ def build_obm(
     Binary actuation variables exist only where demand occurs (steps
     without demand are fixed off by omission); the objective weighs each
     load's steps by its priority over its demanded-step count, and one
-    constraint keeps spend within the budget.
+    constraint keeps spend within the budget. The model serves LP export
+    and the knapsack oracle that ``prepaid_ems.obm.solve_obm`` is checked
+    against.
     """
     if demand.num_loads != len(loads):
         raise ValueError(

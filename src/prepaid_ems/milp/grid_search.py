@@ -39,11 +39,11 @@ def solve_dfm_grid(
     """Best threshold plan over a per-load-day candidate grid.
 
     Candidates per load-day: zero, ``grid_resolution`` evenly spaced
-    points up to the daily recharge, and just-above-the-recharge (which
-    pins the load off). Load-days with no forecast demand only get the
-    pinned-off candidate -- their threshold cannot matter. Ties keep the
-    first combination in enumeration order, so results are
-    deterministic.
+    points up to the daily recharge, and just above the recharges summed
+    through that day (which pins the load off). Load-days with no
+    forecast demand only get the pinned-off candidate -- their threshold
+    cannot matter. Ties keep the first combination in enumeration order,
+    so results are deterministic.
     """
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
@@ -56,12 +56,14 @@ def solve_dfm_grid(
     recharges = np.full(num_days, recharge)
 
     avg = daily_average(demand)
-    pinned_off = recharge + constants.indicator_eps
     active = [recharge * (i + 1) / grid_resolution for i in range(grid_resolution)]
     candidates: list[list[float]] = []
     count = 1
     for k in range(num_loads):
         for day in range(num_days):
+            # Unspent balance carries over, so the virtual wallet can hold
+            # the recharges summed through this day.
+            pinned_off = recharge * (day + 1) + constants.indicator_eps
             cell = [0.0, *active, pinned_off] if avg.power[k, day] > 0 else [pinned_off]
             candidates.append(cell)
             count *= len(cell)

@@ -1,5 +1,10 @@
 """Exact 0/1 knapsack backend for schedule-benchmark models.
 
+The sweep solves OBM with the count search in ``prepaid_ems.obm``; this
+generic solver is kept as the oracle it is cross-checked against (the
+acceptance criteria and ``tests/test_obm.py``) and for any knapsack-shaped
+``MilpModel``.
+
 Depth-first branch and bound with the fractional-knapsack upper bound.
 Items sharing an identical (value, weight) pair -- the normal case for
 schedule models built from flat synthetic demand, where every demanded

@@ -99,13 +99,14 @@ def solve_dfm_grid(demand, loads, tariff, budget, grid_resolution):
     recharge = budget.initial_balance / num_days
     recharges = np.full(num_days, recharge)
     avg = daily_average(demand)
-    pinned_off = recharge + default_constants(demand, tariff, budget).indicator_eps
+    eps = default_constants(demand, tariff, budget).indicator_eps
     active = [recharge * (i + 1) / grid_resolution for i in range(grid_resolution)]
     cells = []
     candidates = []
     for k in range(demand.num_loads):
         for day in range(num_days):
             cells.append((k, day))
+            pinned_off = recharge * (day + 1) + eps
             candidates.append(
                 [0.0, *active, pinned_off] if avg.power[k, day] > 0 else [pinned_off]
             )

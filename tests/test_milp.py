@@ -403,6 +403,19 @@ class TestSolveDfmGrid:
         assert plan.thresholds[0, 1] > recharge
         assert plan.thresholds[1, 0] > recharge
 
+    def test_pinned_off_stays_off_after_carry_over(self, tariff):
+        # Day 0 leaves 3.6 $ of its 6 $ recharge unspent, so day 1 starts
+        # at 9.6 $: a pinned-off threshold of recharge + eps would let the
+        # unaffordable spike run on day 1.
+        loads = LoadSet.from_pairs([("base", 0.7), ("spike", 0.3)])
+        truth = constant_series(TimeGrid(6.0, 4, 2), [100.0, 5000.0])
+        budget = Budget(12.0)
+        plan, solution = solve_dfm_grid(truth, loads, tariff, budget, grid_resolution=3)
+        assert solution.objective == pytest.approx(0.7, abs=1e-12)
+        assert plan.thresholds[1, 1] > 2 * 6.0
+        result = simulate_thresholds(plan, truth, loads, tariff, budget)
+        assert result.psf == pytest.approx(0.7, abs=1e-12)
+
     def test_dominated_by_external_milp_on_shared_instance(self, tariff):
         # Two loads over two one-step days; the spike is unaffordable in
         # any feasible plan, so thresholds must pin it off. Real-wallet
