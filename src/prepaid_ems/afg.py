@@ -39,6 +39,12 @@ from prepaid_ems.model import (
 THRESHOLD_MARGIN = 1e-4
 
 
+def pinned_off(recharges: np.ndarray) -> np.ndarray:
+    """Per-day threshold that keeps a load off: just above the recharges
+    summed through that day, the most the virtual wallet can hold."""
+    return np.cumsum(recharges) + THRESHOLD_MARGIN
+
+
 @dataclass(frozen=True)
 class EnablePlan:
     """Planned enable duration per load per day, in hours.
@@ -205,7 +211,7 @@ def compute_thresholds(
     # spends at most BUDGET_MARGIN of the balance past it.
     slack = 2 * BUDGET_MARGIN * float(np.sum(recharges))
     thresholds = np.zeros((num_loads, num_days))
-    off = np.cumsum(recharges) + THRESHOLD_MARGIN
+    off = pinned_off(recharges)
     for d in range(num_days):
         enabled = plan.durations[:, d] > 0
         step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()

@@ -1,4 +1,17 @@
-"""Experiment configuration: JSON parsing and validation."""
+"""Experiment configuration: JSON parsing and validation.
+
+The optional ``dfm`` section takes three keys:
+
+* ``grid_resolution`` -- evenly spaced threshold levels per load-day in
+  the in-process grid search (default 3).
+* ``solver_cmd`` -- an external MILP solver command with ``{lp}`` and
+  ``{sol}`` placeholders. DFM is solved by that program if and only if
+  this is set, and falls back to the grid search when the solve fails.
+* ``solver_timeout`` -- wall-clock limit of one external solve, in
+  seconds (default none).
+
+Unknown keys are ignored, in this section as in every other.
+"""
 
 import json
 from dataclasses import dataclass, field
@@ -10,6 +23,7 @@ from prepaid_ems.forecast import (
     ForecastSpec,
     Granularity,
 )
+from prepaid_ems.milp.lp_io import check_command_template
 from prepaid_ems.model import LoadSet
 
 POLICIES = ("BSL", "AFG", "DFM", "OBM")
@@ -37,10 +51,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class DfmSettings:
-    backend: str = "grid"  # "grid" | "external"
     grid_resolution: int = 3
-    candidate_cap: int = 20000
-    indicator_eps: float = 1e-6
     solver_cmd: str | None = None
     solver_timeout: float | None = None
 
@@ -95,10 +106,11 @@ class ExperimentConfig:
             missing = [n for n in self.loads.names if n not in self.profiles]
             if missing:
                 raise ConfigError(f"synthetic spec missing profiles for {missing}")
-        if self.dfm.backend not in ("grid", "external"):
-            raise ConfigError(
-                f"dfm backend must be 'grid' or 'external', got {self.dfm.backend!r}"
-            )
+        if self.dfm.solver_cmd:
+            try:
+                check_command_template(self.dfm.solver_cmd)
+            except ValueError as exc:
+                raise ConfigError(f"dfm solver_cmd: {exc}") from None
 
 
 def parse_regime(name: str, shuffle_seed: int) -> ForecastSpec:
@@ -161,12 +173,10 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     regimes = [parse_regime(name, shuffle_seed) for name in regime_names]
 
     dfm_data = data.get("dfm", {})
-    defaults = DfmSettings()
     dfm = DfmSettings(
-        backend=dfm_data.get("backend", defaults.backend),
-        grid_resolution=int(dfm_data.get("grid_resolution", defaults.grid_resolution)),
-        candidate_cap=int(dfm_data.get("candidate_cap", defaults.candidate_cap)),
-        indicator_eps=float(dfm_data.get("indicator_eps", defaults.indicator_eps)),
+        grid_resolution=int(
+            dfm_data.get("grid_resolution", DfmSettings.grid_resolution)
+        ),
         solver_cmd=dfm_data.get("solver_cmd"),
         solver_timeout=dfm_data.get("solver_timeout"),
     )

@@ -27,13 +27,11 @@ from prepaid_ems.forecast import (
 )
 from prepaid_ems.milp import (
     InstanceTooLarge,
-    MilpConstants,
     SolutionParseError,
     SolveStatus,
     SolverNotFound,
     SolverTimeout,
     build_dfm,
-    default_constants,
     extract_thresholds,
     solve_dfm_grid,
     solve_external,
@@ -46,7 +44,6 @@ from prepaid_ems.milp import (  # noqa: F401
     solve_knapsack_bb,
 )
 from prepaid_ems.model import (
-    Budget,
     DemandSeries,
     LoadSet,
     Tariff,
@@ -100,13 +97,6 @@ def load_truth(config: ExperimentConfig) -> DemandSeries:
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
 
 
-def _dfm_constants(
-    config: ExperimentConfig, view: DemandSeries, tariff: Tariff, budget: Budget
-) -> MilpConstants:
-    base = default_constants(view, tariff, budget)
-    return MilpConstants(config.dfm.indicator_eps, base.neg_big, base.pos_big)
-
-
 def _run_afg(view, loads, tariff, budget, truth):
     avg = daily_average(view)
     plan = afg.solve_greedy(avg, loads, tariff, budget)
@@ -129,13 +119,10 @@ def _run_obm(view, loads, tariff, budget, truth):
     return result, objective, ""
 
 
-def _external_dfm_plan(config, view, loads, tariff, budget, constants):
+def _external_dfm_plan(config, view, loads, tariff, budget):
     """Thresholds from the external MILP solver, or ``None`` and the note
     that prefixes the grid fallback's."""
-    if not config.dfm.solver_cmd:
-        logger.warning("no DFM solver command configured; using grid backend")
-        return None, None, "grid fallback; "
-    model = build_dfm(view, loads, tariff, budget, constants=constants)
+    model = build_dfm(view, loads, tariff, budget)
     try:
         solution = solve_external(
             model, config.dfm.solver_cmd, config.dfm.solver_timeout
@@ -158,24 +145,15 @@ def _external_dfm_plan(config, view, loads, tariff, budget, constants):
 
 
 def _run_dfm(config, view, loads, tariff, budget, truth):
-    constants = _dfm_constants(config, view, tariff, budget)
     note = ""
-    if config.dfm.backend == "external":
-        plan, objective, note = _external_dfm_plan(
-            config, view, loads, tariff, budget, constants
-        )
+    if config.dfm.solver_cmd:
+        plan, objective, note = _external_dfm_plan(config, view, loads, tariff, budget)
         if plan is not None:
             result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
             return result, objective, note
     try:
         plan, solution = solve_dfm_grid(
-            view,
-            loads,
-            tariff,
-            budget,
-            constants=constants,
-            grid_resolution=config.dfm.grid_resolution,
-            candidate_cap=config.dfm.candidate_cap,
+            view, loads, tariff, budget, grid_resolution=config.dfm.grid_resolution
         )
     except InstanceTooLarge as exc:
         logger.warning("DFM grid backend skipped: %s", exc)
@@ -266,197 +244,141 @@ def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
         _write_run_info(results, out / "run_info.csv"),
         _write_summary(results, out / "summary.csv"),
     ]
-    perfect = [c for c in results.cells if c.regime.fidelity is Fidelity.PERFECT]
-    imperfect = [
-        c for c in results.cells if c.regime.fidelity is Fidelity.IMPERFECT_SHUFFLED
-    ]
-    if perfect:
-        written.append(_write_table2(results, perfect, out / "table2.csv"))
-    if imperfect:
-        written.append(_write_table3(results, imperfect, out / "table3.csv"))
+    tables = (
+        ("table2.csv", Fidelity.PERFECT, False, lambda c: _sig3(c.improvement_pts)),
+        (
+            "table3.csv",
+            Fidelity.IMPERFECT_SHUFFLED,
+            True,
+            lambda c: f"{_sig3(c.result.psf * 100)} ({_sig3(c.improvement_pts)})",
+        ),
+    )
+    for name, fidelity, bsl_columns, entry in tables:
+        cells = [c for c in results.cells if c.regime.fidelity is fidelity]
+        if cells:
+            written.append(_write_table(cells, out / name, entry, bsl_columns))
     written.extend(_write_plotdata(results, out))
     written.extend(_write_traces(results, out / "traces"))
     return written
 
 
-def _write_run_info(results: ExperimentResults, path: Path) -> Path:
+def _write_csv(path: Path, header: list, rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["key", "value"])
-        writer.writerow(["alpha_per_wh", repr(results.alpha_per_wh)])
-        writer.writerow(["step_hours", repr(results.grid.step_hours)])
-        writer.writerow(["num_days", results.grid.num_days])
-        writer.writerow(["loads", ";".join(results.loads.names)])
-        writer.writerow(
-            ["gammas", ";".join(repr(float(g)) for g in results.loads.gammas)]
-        )
-        writer.writerow(["excluded_from_psf", ";".join(results.excluded_loads)])
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
+
+
+def _write_run_info(results: ExperimentResults, path: Path) -> Path:
+    return _write_csv(
+        path,
+        ["key", "value"],
+        [
+            ["alpha_per_wh", repr(results.alpha_per_wh)],
+            ["step_hours", repr(results.grid.step_hours)],
+            ["num_days", results.grid.num_days],
+            ["loads", ";".join(results.loads.names)],
+            ["gammas", ";".join(repr(float(g)) for g in results.loads.gammas)],
+            ["excluded_from_psf", ";".join(results.excluded_loads)],
+        ],
+    )
+
+
+def _summary_row(cell: CellResult, num_loads: int) -> list:
+    r = cell.result
+    sf = [_fmt(v) for v in r.sf] if r else [""] * num_loads
+    return [
+        repr(cell.fraction),
+        cell.regime.fidelity.value,
+        cell.regime.granularity.value,
+        cell.policy,
+        cell.status,
+        _fmt(r.psf) if r else "",
+        _fmt(cell.improvement_pts),
+        _fmt(r.total_spend) if r else "",
+        r.disconnection_days if r else "",
+        "" if r is None or r.first_disconnect_step is None else r.first_disconnect_step,
+        _fmt(cell.solver_objective),
+        *sf,
+        cell.note,
+    ]
 
 
 def _write_summary(results: ExperimentResults, path: Path) -> Path:
     names = results.loads.names
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "fraction",
-                "fidelity",
-                "granularity",
-                "policy",
-                "status",
-                "psf",
-                "improvement_pts",
-                "total_spend",
-                "disconnection_days",
-                "first_disconnect_step",
-                "solver_objective",
-                *(f"sf_{name}" for name in names),
-                "note",
-            ]
-        )
-        for cell in sorted(results.cells, key=_cell_key):
-            r = cell.result
-            writer.writerow(
-                [
-                    repr(cell.fraction),
-                    cell.regime.fidelity.value,
-                    cell.regime.granularity.value,
-                    cell.policy,
-                    cell.status,
-                    _fmt(r.psf) if r else "",
-                    _fmt(cell.improvement_pts),
-                    _fmt(r.total_spend) if r else "",
-                    r.disconnection_days if r else "",
-                    ""
-                    if r is None or r.first_disconnect_step is None
-                    else r.first_disconnect_step,
-                    _fmt(cell.solver_objective),
-                    *(
-                        (_fmt(r.sf[k]) for k in range(len(names)))
-                        if r
-                        else ("" for _ in names)
-                    ),
-                    cell.note,
-                ]
-            )
-    return path
+    header = [
+        "fraction",
+        "fidelity",
+        "granularity",
+        "policy",
+        "status",
+        "psf",
+        "improvement_pts",
+        "total_spend",
+        "disconnection_days",
+        "first_disconnect_step",
+        "solver_objective",
+        *(f"sf_{name}" for name in names),
+        "note",
+    ]
+    rows = (_summary_row(c, len(names)) for c in sorted(results.cells, key=_cell_key))
+    return _write_csv(path, header, rows)
 
 
-def _policy_columns(cells: list[CellResult]) -> list[str]:
-    present = {c.policy for c in cells}
-    return [p for p in ("AFG", "DFM", "OBM") if p in present]
-
-
-def _group_by_regime(cells):
-    by_key = {}
+def _write_table(cells: list[CellResult], path: Path, entry, bsl_columns: bool) -> Path:
+    """One row per balance, one column per (granularity, policy) pair
+    present in ``cells``; ``entry`` formats a solved cell, any other
+    reads ``unsolved``. With ``bsl_columns``, the unrationed baseline's
+    PSF and disconnection days close each row when ``cells`` hold it."""
+    present = {(c.regime.granularity, c.policy) for c in cells}
+    columns = [
+        (g, p) for g in Granularity for p in ("AFG", "DFM", "OBM") if (g, p) in present
+    ]
+    by_key = {(c.fraction, c.regime.granularity, c.policy): c for c in cells}
+    baselines = {}
     for cell in cells:
-        by_key[(cell.fraction, cell.regime.granularity, cell.policy)] = cell
-    return by_key
-
-
-def _write_table2(results, cells, path: Path) -> Path:
-    policies = _policy_columns(cells)
-    granularities = [
-        g
-        for g in (Granularity.DETAILED, Granularity.LIMITED)
-        if any(c.regime.granularity is g for c in cells)
-    ]
-    by_key = _group_by_regime(cells)
-    fractions = sorted({c.fraction for c in cells})
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "balance",
-                *(f"{g.value}_{p}" for g in granularities for p in policies),
-            ]
-        )
-        for fraction in fractions:
-            row = [_frac_label(fraction)]
-            for granularity in granularities:
-                for policy in policies:
-                    cell = by_key.get((fraction, granularity, policy))
-                    if cell is None or cell.improvement_pts is None:
-                        row.append("unsolved")
-                    else:
-                        row.append(_sig3(cell.improvement_pts))
-            writer.writerow(row)
-    return path
-
-
-def _write_table3(results, cells, path: Path) -> Path:
-    policies = _policy_columns(cells)
-    granularities = [
-        g
-        for g in (Granularity.DETAILED, Granularity.LIMITED)
-        if any(c.regime.granularity is g for c in cells)
-    ]
-    by_key = _group_by_regime(cells)
-    fractions = sorted({c.fraction for c in cells})
-    has_bsl = any(c.policy == "BSL" for c in cells)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        header = [
-            "balance",
-            *(f"{g.value}_{p}" for g in granularities for p in policies),
-        ]
-        if has_bsl:
-            header += ["BSL", "days"]
-        writer.writerow(header)
-        for fraction in fractions:
-            row = [_frac_label(fraction)]
-            for granularity in granularities:
-                for policy in policies:
-                    cell = by_key.get((fraction, granularity, policy))
-                    if cell is None or cell.result is None:
-                        row.append("unsolved")
-                    else:
-                        row.append(
-                            f"{_sig3(cell.result.psf * 100)} "
-                            f"({_sig3(cell.improvement_pts)})"
-                        )
-            if has_bsl:
-                bsl = next(
-                    c for c in cells if c.policy == "BSL" and c.fraction == fraction
-                )
-                row.append(_sig3(bsl.result.psf * 100))
-                row.append(bsl.result.disconnection_days)
-            writer.writerow(row)
-    return path
+        if bsl_columns and cell.policy == "BSL":
+            baselines.setdefault(cell.fraction, cell.result)
+    header = ["balance", *(f"{g.value}_{p}" for g, p in columns)]
+    if baselines:
+        header += ["BSL", "days"]
+    rows = []
+    for fraction in sorted({c.fraction for c in cells}):
+        row = [_frac_label(fraction)]
+        for granularity, policy in columns:
+            cell = by_key.get((fraction, granularity, policy))
+            solved = cell is not None and cell.result is not None
+            row.append(entry(cell) if solved else "unsolved")
+        if baselines:
+            bsl = baselines[fraction]
+            row += [_sig3(bsl.psf * 100), bsl.disconnection_days]
+        rows.append(row)
+    return _write_csv(path, header, rows)
 
 
 def _write_plotdata(results: ExperimentResults, out: Path) -> list[Path]:
+    header = [
+        "balance",
+        "policy",
+        "psf_percent",
+        "improvement_pts",
+        "disconnection_days",
+    ]
     paths = []
-    regimes = sorted(
-        {c.regime for c in results.cells}, key=lambda r: r.label
-    )
-    for regime in regimes:
-        path = out / f"plotdata_{regime.label}.csv"
-        cells = [c for c in results.cells if c.regime == regime]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "balance",
-                    "policy",
-                    "psf_percent",
-                    "improvement_pts",
-                    "disconnection_days",
-                ]
-            )
-            for cell in sorted(cells, key=_cell_key):
-                r = cell.result
-                writer.writerow(
-                    [
-                        _frac_label(cell.fraction),
-                        cell.policy,
-                        _fmt(r.psf * 100) if r else "",
-                        _fmt(cell.improvement_pts),
-                        r.disconnection_days if r else "",
-                    ]
-                )
-        paths.append(path)
+    for regime in sorted({c.regime for c in results.cells}, key=lambda r: r.label):
+        cells = sorted((c for c in results.cells if c.regime == regime), key=_cell_key)
+        rows = (
+            [
+                _frac_label(c.fraction),
+                c.policy,
+                _fmt(c.result.psf * 100) if c.result else "",
+                _fmt(c.improvement_pts),
+                c.result.disconnection_days if c.result else "",
+            ]
+            for c in cells
+        )
+        paths.append(_write_csv(out / f"plotdata_{regime.label}.csv", header, rows))
     return paths
 
 

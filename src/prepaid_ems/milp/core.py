@@ -2,9 +2,7 @@
 
 import enum
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from prepaid_ems.model import Budget, DemandSeries, Tariff
 
@@ -94,9 +92,6 @@ class MilpModel:
         if unknown:
             raise ValueError(f"objective references unknown {unknown}")
         self.objective = {v: float(c) for v, c in coeffs.items()}
-
-    def variable(self, name: str) -> Variable:
-        return self._by_name[name]
 
     def has_variable(self, name: str) -> bool:
         return name in self._by_name

@@ -14,8 +14,8 @@ import itertools
 import numpy as np
 
 from prepaid_ems import sim
-from prepaid_ems.afg import ThresholdPlan
-from prepaid_ems.milp.core import MilpConstants, Solution, SolveStatus, default_constants
+from prepaid_ems.afg import ThresholdPlan, pinned_off
+from prepaid_ems.milp.core import Solution, SolveStatus
 from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, daily_average
 
 
@@ -32,28 +32,26 @@ def solve_dfm_grid(
     loads: LoadSet,
     tariff: Tariff,
     budget: Budget,
-    constants: MilpConstants | None = None,
     grid_resolution: int = 3,
     candidate_cap: int = 20000,
 ) -> tuple[ThresholdPlan, Solution]:
     """Best threshold plan over a per-load-day candidate grid.
 
     Candidates per load-day: zero, ``grid_resolution`` evenly spaced
-    points up to the daily recharge, and just above the recharges summed
-    through that day (which pins the load off). Load-days with no
-    forecast demand only get the pinned-off candidate -- their threshold
-    cannot matter. Ties keep the first combination in enumeration order,
+    points up to the daily recharge, and ``afg.pinned_off``, just above
+    the recharges summed through that day. Load-days with no forecast
+    demand only get the pinned-off candidate -- their threshold cannot
+    matter. Ties keep the first combination in enumeration order,
     so results are deterministic.
     """
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
-    if constants is None:
-        constants = default_constants(demand, tariff, budget)
     grid = demand.grid
     num_loads = demand.num_loads
     num_days = grid.num_days
     recharge = budget.initial_balance / num_days
     recharges = np.full(num_days, recharge)
+    off = pinned_off(recharges).tolist()
 
     avg = daily_average(demand)
     active = [recharge * (i + 1) / grid_resolution for i in range(grid_resolution)]
@@ -61,10 +59,7 @@ def solve_dfm_grid(
     count = 1
     for k in range(num_loads):
         for day in range(num_days):
-            # Unspent balance carries over, so the virtual wallet can hold
-            # the recharges summed through this day.
-            pinned_off = recharge * (day + 1) + constants.indicator_eps
-            cell = [0.0, *active, pinned_off] if avg.power[k, day] > 0 else [pinned_off]
+            cell = [0.0, *active, off[day]] if avg.power[k, day] > 0 else [off[day]]
             candidates.append(cell)
             count *= len(cell)
             if count > candidate_cap:

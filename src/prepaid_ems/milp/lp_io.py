@@ -100,6 +100,27 @@ def _parse_solution_file(model: MilpModel, path: Path) -> dict[str, float]:
     return values
 
 
+def check_command_template(command_template: str) -> None:
+    """Raise ``ValueError`` unless the template is a string with the
+    ``{lp}`` and ``{sol}`` placeholders that renders to a command line."""
+    if not (
+        isinstance(command_template, str)
+        and "{lp}" in command_template
+        and "{sol}" in command_template
+    ):
+        raise ValueError(
+            "solver command template must be a string with {lp} and {sol} "
+            "placeholders"
+        )
+    try:
+        shlex.split(command_template.format(lp="model.lp", sol="model.sol"))
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(
+            f"solver command template {command_template!r} does not render "
+            f"to a command line ({type(exc).__name__}: {exc})"
+        ) from None
+
+
 def solve_external(
     model: MilpModel, command_template: str, timeout_seconds: float | None = None
 ) -> Solution:
@@ -110,10 +131,7 @@ def solve_external(
     file of ``name value`` lines. Each call uses a fresh temporary
     directory, so concurrent solves never collide.
     """
-    if "{lp}" not in command_template or "{sol}" not in command_template:
-        raise ValueError(
-            "solver command template must contain {lp} and {sol} placeholders"
-        )
+    check_command_template(command_template)
     workdir = Path(tempfile.mkdtemp(prefix="milp_"))
     try:
         lp_path = workdir / "model.lp"

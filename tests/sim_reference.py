@@ -16,8 +16,7 @@ import itertools
 
 import numpy as np
 
-from prepaid_ems.afg import ThresholdPlan
-from prepaid_ems.milp.core import default_constants
+from prepaid_ems.afg import ThresholdPlan, pinned_off
 from prepaid_ems.model import daily_average
 from prepaid_ems.sim import _finalize
 
@@ -99,16 +98,15 @@ def solve_dfm_grid(demand, loads, tariff, budget, grid_resolution):
     recharge = budget.initial_balance / num_days
     recharges = np.full(num_days, recharge)
     avg = daily_average(demand)
-    eps = default_constants(demand, tariff, budget).indicator_eps
+    off = pinned_off(recharges)
     active = [recharge * (i + 1) / grid_resolution for i in range(grid_resolution)]
     cells = []
     candidates = []
     for k in range(demand.num_loads):
         for day in range(num_days):
             cells.append((k, day))
-            pinned_off = recharge * (day + 1) + eps
             candidates.append(
-                [0.0, *active, pinned_off] if avg.power[k, day] > 0 else [pinned_off]
+                [0.0, *active, off[day]] if avg.power[k, day] > 0 else [off[day]]
             )
     best_psf = -np.inf
     best_thresholds = None

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -32,7 +33,7 @@ def base_config(**overrides):
         "regimes": ["perfect-detailed", "imperfect-limited"],
         "shuffle_seed": 11,
         "policies": ["BSL", "AFG", "OBM"],
-        "dfm": {"backend": "grid", "grid_resolution": 2},
+        "dfm": {"grid_resolution": 2},
         "output_dir": "out",
     }
     data.update(overrides)
@@ -152,7 +153,7 @@ class TestRunExperiment:
             base_config(
                 policies=["BSL", "DFM"],
                 horizon_days=4,
-                dfm={"backend": "grid", "grid_resolution": 3, "candidate_cap": 10},
+                dfm={"grid_resolution": 3},
             ),
             tmp_path,
         )
@@ -183,7 +184,7 @@ class TestRunExperiment:
                 budget_fractions=[0.6],
                 regimes=["perfect-detailed"],
                 policies=["DFM"],
-                dfm={"backend": "external", "solver_cmd": solver, "solver_timeout": 300},
+                dfm={"solver_cmd": solver, "solver_timeout": 300},
             ),
             tmp_path,
         )
@@ -203,7 +204,7 @@ class TestRunExperiment:
                 policies=["DFM"],
                 budget_fractions=[0.7],
                 regimes=["perfect-detailed"],
-                dfm={"backend": "external", "solver_cmd": "/missing/solver {lp} {sol}"},
+                dfm={"solver_cmd": "/missing/solver {lp} {sol}"},
             ),
             tmp_path,
         )
@@ -234,6 +235,44 @@ class TestEmitOutputs:
         emit_outputs(results, config.output_dir)
         header = (config.output_dir / "table2.csv").read_text().splitlines()[0]
         assert header == "balance,detailed_AFG,detailed_OBM"
+
+    def test_table_text(self, tmp_path):
+        # 4 days at resolution 3 exceed the DFM grid's candidate cap, so
+        # every DFM entry reads "unsolved"; BSL closes Table 3's rows.
+        config = from_dict(
+            base_config(
+                policies=["BSL", "AFG", "DFM", "OBM"],
+                horizon_days=4,
+                regimes=["perfect-detailed", "perfect-limited", "imperfect-limited"],
+                dfm={"grid_resolution": 3},
+            ),
+            tmp_path,
+        )
+        emit_outputs(run_experiment(config), config.output_dir)
+        assert (config.output_dir / "table2.csv").read_bytes() == (
+            b"balance,detailed_AFG,detailed_DFM,detailed_OBM,"
+            b"limited_AFG,limited_DFM,limited_OBM\r\n"
+            b"70%,6.33,unsolved,11.2,6.33,unsolved,6.33\r\n"
+            b"100%,0,unsolved,-1.56,0,unsolved,0\r\n"
+        )
+        assert (config.output_dir / "table3.csv").read_bytes() == (
+            b"balance,limited_AFG,limited_DFM,limited_OBM,BSL,days\r\n"
+            b"70%,79 (8.22),unsolved,79 (8.22),70.8,1\r\n"
+            b"100%,88 (-12),unsolved,88 (-12),100,0\r\n"
+        )
+
+    def test_table3_without_baseline(self, tmp_path):
+        config = from_dict(
+            base_config(policies=["OBM", "AFG"], regimes=["imperfect-detailed"]),
+            tmp_path,
+        )
+        emit_outputs(run_experiment(config), config.output_dir)
+        assert not (config.output_dir / "table2.csv").exists()
+        assert (config.output_dir / "table3.csv").read_bytes() == (
+            b"balance,detailed_AFG,detailed_OBM\r\n"
+            b"70%,75.3 (15.8),85 (25.5)\r\n"
+            b"100%,100 (0),96.3 (-3.68)\r\n"
+        )
 
     def test_rerun_byte_identical(self, tmp_path):
         config = from_dict(base_config(), tmp_path)
@@ -315,6 +354,39 @@ class TestCli:
             == 0
         )
         assert (out / "summary.csv").exists()
+
+    def test_solver_cmd_override_without_dfm_section(self, tmp_path):
+        data = base_config(
+            policies=["DFM"], budget_fractions=[0.7], regimes=["perfect-detailed"]
+        )
+        del data["dfm"]
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        argv = ["run", "--config", str(config_path)]
+        assert cli.main([*argv, "--solver-cmd", "/missing/solver {lp} {sol}"]) == 0
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+        assert "grid fallback" in row["note"]
+
+    @pytest.mark.parametrize(
+        "template", ["mysolver", "mysolver {lp}", "mysolver {lp} {sol} {x}", "'{lp} {sol}"]
+    )
+    def test_malformed_solver_cmd_exit_2(self, tmp_path, capsys, template):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config()))
+        argv = ["run", "--config", str(config_path), "--solver-cmd", template]
+        assert cli.main(argv) == 2
+        config_path.write_text(json.dumps(base_config(dfm={"solver_cmd": template})))
+        assert cli.main(["validate", "--config", str(config_path)]) == 2
+        assert "config error: dfm solver_cmd" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_string_solver_cmd_exit_2(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(dfm={"solver_cmd": 5})))
+        assert cli.main(["validate", "--config", str(config_path)]) == 2
+        assert "config error: dfm solver_cmd" in capsys.readouterr().err
 
     def test_module_entrypoint(self):
         proc = subprocess.run(
