@@ -3,12 +3,12 @@
 The optional ``dfm`` section takes three keys:
 
 * ``grid_resolution`` -- evenly spaced threshold levels per load-day in
-  the in-process grid search (default 3).
+  the in-process grid search, an integer >= 1 (default 3).
 * ``solver_cmd`` -- an external MILP solver command with ``{lp}`` and
   ``{sol}`` placeholders. DFM is solved by that program if and only if
   this is set, and falls back to the grid search when the solve fails.
 * ``solver_timeout`` -- wall-clock limit of one external solve, in
-  seconds (default none).
+  seconds: a positive finite number, or null for none (the default).
 
 Unknown keys are ignored, in this section as in every other.
 """
@@ -106,6 +106,19 @@ class ExperimentConfig:
             missing = [n for n in self.loads.names if n not in self.profiles]
             if missing:
                 raise ConfigError(f"synthetic spec missing profiles for {missing}")
+        resolution = self.dfm.grid_resolution
+        if type(resolution) is not int or resolution < 1:
+            raise ConfigError(
+                f"dfm grid_resolution must be an integer >= 1, got {resolution!r}"
+            )
+        timeout = self.dfm.solver_timeout
+        if timeout is not None and not (
+            type(timeout) in (int, float) and 0 < timeout < float("inf")
+        ):
+            raise ConfigError(
+                "dfm solver_timeout must be null or a positive finite number "
+                f"of seconds, got {timeout!r}"
+            )
         if self.dfm.solver_cmd:
             try:
                 check_command_template(self.dfm.solver_cmd)
@@ -131,6 +144,36 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+_KINDS = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+}
+
+
+def _typed(value, kind, name: str):
+    """``value`` if it is a ``kind`` (``dict``, ``list`` or ``str``), else
+    a config error naming the field."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def _number(kind, value, name: str):
+    """``kind(value)`` (``int`` or ``float``). A value it rejects, or a
+    float it would change (2.5 as an int, NaN), is a config error naming
+    the field."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+    return number
+
+
 def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build and validate a config from parsed JSON.
 
@@ -145,15 +188,15 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid loads section: {exc}") from None
 
-    source = _require(data, "data")
+    source = _typed(_require(data, "data"), dict, "data")
     csv_path = None
     profiles = None
     synth_seed = 1
     if "csv" in source:
-        csv_path = base / source["csv"]
+        csv_path = base / _typed(source["csv"], str, "csv")
     elif "synthetic" in source:
-        synth = source["synthetic"]
-        synth_seed = int(synth.get("seed", 1))
+        synth = _typed(source["synthetic"], dict, "synthetic")
+        synth_seed = _number(int, synth.get("seed", 1), "synthetic seed")
         try:
             profiles = {
                 name: ApplianceProfile(
@@ -161,21 +204,30 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
                     float(p["on_probability"]),
                     float(p["mean_on_hours"]),
                 )
-                for name, p in synth.get("profiles", {}).items()
+                for name, p in _typed(
+                    synth.get("profiles", {}), dict, "synthetic profiles"
+                ).items()
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid synthetic profiles: {exc}") from None
     else:
         raise ConfigError("data section must contain 'csv' or 'synthetic'")
 
-    shuffle_seed = int(data.get("shuffle_seed", 1))
-    regime_names = data.get("regimes", list(REGIME_NAMES))
+    shuffle_seed = _number(int, data.get("shuffle_seed", 1), "shuffle_seed")
+    regime_names = _typed(data.get("regimes", list(REGIME_NAMES)), list, "regimes")
     regimes = [parse_regime(name, shuffle_seed) for name in regime_names]
 
-    dfm_data = data.get("dfm", {})
+    fractions = _typed(
+        data.get("budget_fractions", [0.7, 0.8, 0.9]), list, "budget_fractions"
+    )
+    budget_fractions = [_number(float, f, "budget_fractions") for f in fractions]
+
+    dfm_data = _typed(data.get("dfm", {}), dict, "dfm")
     dfm = DfmSettings(
-        grid_resolution=int(
-            dfm_data.get("grid_resolution", DfmSettings.grid_resolution)
+        grid_resolution=_number(
+            int,
+            dfm_data.get("grid_resolution", DfmSettings.grid_resolution),
+            "dfm grid_resolution",
         ),
         solver_cmd=dfm_data.get("solver_cmd"),
         solver_timeout=dfm_data.get("solver_timeout"),
@@ -183,19 +235,19 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     config = ExperimentConfig(
         loads=loads,
-        alpha_per_wh=float(_require(data, "alpha_per_wh")),
-        step_minutes=int(_require(data, "step_minutes")),
-        horizon_days=int(_require(data, "horizon_days")),
+        alpha_per_wh=_number(float, _require(data, "alpha_per_wh"), "alpha_per_wh"),
+        step_minutes=_number(int, _require(data, "step_minutes"), "step_minutes"),
+        horizon_days=_number(int, _require(data, "horizon_days"), "horizon_days"),
         csv_path=csv_path,
         profiles=profiles,
         synth_seed=synth_seed,
-        start_day=int(data.get("start_day", 0)),
-        budget_fractions=[float(f) for f in data.get("budget_fractions", [0.7, 0.8, 0.9])],
+        start_day=_number(int, data.get("start_day", 0), "start_day"),
+        budget_fractions=budget_fractions,
         regimes=regimes,
         shuffle_seed=shuffle_seed,
-        policies=list(data.get("policies", POLICIES)),
+        policies=list(_typed(data.get("policies", list(POLICIES)), list, "policies")),
         dfm=dfm,
-        output_dir=base / data.get("output_dir", "out"),
+        output_dir=base / _typed(data.get("output_dir", "out"), str, "output_dir"),
     )
     config.validate()
     return config

@@ -82,17 +82,7 @@ def load_truth(config: ExperimentConfig) -> DemandSeries:
     """Materialize the true demand series for the experiment window."""
     grid = TimeGrid.from_minutes(config.step_minutes, config.horizon_days)
     if config.csv_path is not None:
-        with open(config.csv_path, newline="") as fh:
-            file_rows = sum(1 for _ in fh) - 1
-        if file_rows <= 0 or file_rows % grid.steps_per_day != 0:
-            raise ValueError(
-                f"{config.csv_path}: {file_rows} data rows is not a whole "
-                f"number of {grid.steps_per_day}-step days"
-            )
-        file_grid = TimeGrid(
-            grid.step_hours, grid.steps_per_day, file_rows // grid.steps_per_day
-        )
-        full = ingest_csv(config.csv_path, config.loads, file_grid)
+        full = ingest_csv(config.csv_path, config.loads, grid, whole_days=True)
         return slice_days(full, config.start_day, config.horizon_days)
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
 
@@ -237,7 +227,12 @@ def _cell_key(cell: CellResult) -> tuple:
 
 
 def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
-    """Write the results bundle; returns the created file paths."""
+    """Write the results bundle; returns the created file paths.
+
+    A result shared by several cells (the baseline of one budget
+    fraction, across regimes) is formatted once: its trace file is
+    written for the first of them and copied for the rest.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = [
@@ -383,13 +378,20 @@ def _write_plotdata(results: ExperimentResults, out: Path) -> list[Path]:
 
 
 def _write_traces(results: ExperimentResults, trace_dir: Path) -> list[Path]:
+    import shutil
+
     trace_dir.mkdir(parents=True, exist_ok=True)
     paths = []
+    first = {}  # id(result) -> the trace already written for it
     for cell in sorted(results.cells, key=_cell_key):
         if cell.result is None:
             continue
         frac = int(round(cell.fraction * 100))
         path = trace_dir / f"{cell.regime.label}_b{frac}_{cell.policy}.csv"
-        sim.write_trace_csv(cell.result, results.loads, path)
+        if id(cell.result) in first:
+            shutil.copyfile(first[id(cell.result)], path)
+        else:
+            sim.write_trace_csv(cell.result, results.loads, path)
+            first[id(cell.result)] = path
         paths.append(path)
     return paths

@@ -44,14 +44,17 @@ class UnparseableNumber(CsvError):
 _EXPORT_EPOCH = datetime(2000, 1, 1)
 
 
-def ingest_csv(path, loads: LoadSet, grid: TimeGrid) -> DemandSeries:
+def ingest_csv(
+    path, loads: LoadSet, grid: TimeGrid, whole_days: bool = False
+) -> DemandSeries:
     """Read a demand series from ``path``.
 
     Expected schema: header ``timestamp,<load1>,...,<loadK>`` with the
     loads in the same order as ``loads``, then exactly one row per grid
-    timestep, powers in W. Any shape or value problem raises a
-    :class:`CsvError` subclass naming the offending line; nothing is
-    silently truncated or padded.
+    timestep, powers in W. With ``whole_days`` the file sets the number
+    of days instead: it must hold a positive whole number of the grid's
+    days. Any shape or value problem raises a :class:`CsvError` subclass
+    naming the offending line; nothing is silently truncated or padded.
     """
     expected_header = ["timestamp", *loads.names]
     rows: list[list[str]] = []
@@ -72,6 +75,15 @@ def ingest_csv(path, loads: LoadSet, grid: TimeGrid) -> DemandSeries:
             )
         rows.extend(reader)
 
+    if whole_days:
+        if not rows or len(rows) % grid.steps_per_day != 0:
+            raise RowCountMismatch(
+                f"{path}: {len(rows)} data rows is not a whole number of "
+                f"{grid.steps_per_day}-step days"
+            )
+        grid = TimeGrid(
+            grid.step_hours, grid.steps_per_day, len(rows) // grid.steps_per_day
+        )
     total = grid.total_steps
     if len(rows) != total:
         where = (

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prepaid_ems import cli
+import sim_reference
+from prepaid_ems import cli, sim
 from prepaid_ems.config import ConfigError, from_dict, from_file
 from prepaid_ems.experiment import emit_outputs, load_truth, run_experiment
 from prepaid_ems.forecast import Fidelity, Granularity
@@ -274,6 +275,44 @@ class TestEmitOutputs:
             b"100%,100 (0),96.3 (-3.68)\r\n"
         )
 
+    def test_shared_results_match_oracle_bundle(self, tmp_path, monkeypatch):
+        # BSL cells of one fraction share one result across the regimes:
+        # its trace is formatted once and copied, and every file must be
+        # what the row-by-row writer gives for its own cell.
+        results = run_experiment(from_dict(base_config(), tmp_path))
+        solved = [c for c in results.cells if c.result is not None]
+        distinct = {id(c.result) for c in solved}
+        assert len(distinct) < len(solved)
+        calls = []
+        write = sim.write_trace_csv
+        monkeypatch.setattr(
+            sim, "write_trace_csv", lambda *args: calls.append(write(*args))
+        )
+        emit_outputs(results, tmp_path / "fast")
+        assert len(calls) == len(distinct)
+
+        def oracle(result, loads, path):
+            with open(path, "w", newline="") as fh:
+                fh.write(sim_reference.trace_csv_text(result, loads))
+
+        monkeypatch.setattr(sim, "write_trace_csv", oracle)
+        emit_outputs(results, tmp_path / "oracle")
+        fast = {
+            p.relative_to(tmp_path / "fast"): p.read_bytes()
+            for p in (tmp_path / "fast").rglob("*.csv")
+        }
+        expected = {
+            p.relative_to(tmp_path / "oracle"): p.read_bytes()
+            for p in (tmp_path / "oracle").rglob("*.csv")
+        }
+        assert fast == expected
+        for cell in solved:
+            frac = round(cell.fraction * 100)
+            name = f"{cell.regime.label}_b{frac}_{cell.policy}.csv"
+            assert fast[Path("traces", name)] == sim_reference.trace_csv_text(
+                cell.result, results.loads
+            ).encode()
+
     def test_rerun_byte_identical(self, tmp_path):
         config = from_dict(base_config(), tmp_path)
         emit_outputs(run_experiment(config), config.output_dir)
@@ -387,6 +426,41 @@ class TestCli:
         config_path.write_text(json.dumps(base_config(dfm={"solver_cmd": 5})))
         assert cli.main(["validate", "--config", str(config_path)]) == 2
         assert "config error: dfm solver_cmd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("grid_resolution", {"dfm": {"grid_resolution": 0}}),
+            ("grid_resolution", {"dfm": {"grid_resolution": 2.5}}),
+            ("grid_resolution", {"dfm": {"grid_resolution": "x"}}),
+            ("solver_timeout", {"dfm": {"solver_timeout": "soon"}}),
+            ("solver_timeout", {"dfm": {"solver_timeout": 0}}),
+            ("solver_timeout", {"dfm": {"solver_timeout": float("inf")}}),
+            ("solver_timeout", {"dfm": {"solver_timeout": True}}),
+            ("step_minutes", {"step_minutes": "hourly"}),
+            ("horizon_days", {"horizon_days": [2]}),
+            ("alpha_per_wh", {"alpha_per_wh": "cheap"}),
+            ("shuffle_seed", {"shuffle_seed": "s"}),
+            ("start_day", {"start_day": None}),
+            ("budget_fractions", {"budget_fractions": ["x"]}),
+            ("budget_fractions", {"budget_fractions": 0.5}),
+            ("regimes", {"regimes": "perfect-detailed"}),
+            ("policies", {"policies": "AFG"}),
+            ("dfm", {"dfm": [1]}),
+            ("data", {"data": "house.csv"}),
+            ("synthetic", {"data": {"synthetic": 3}}),
+            ("csv", {"data": {"csv": 3}}),
+            ("output_dir", {"output_dir": None}),
+        ],
+    )
+    def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config(**overrides)))
+        for command in ("validate", "run"):
+            assert cli.main([command, "--config", str(config_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and field in err
+        assert not (tmp_path / "out").exists()
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

@@ -92,6 +92,23 @@ class TestIngest:
         again = ingest_csv(path, four_loads, grid)
         assert np.array_equal(series.power, again.power)
 
+    def test_whole_days_takes_the_day_count_from_the_file(self, tmp_path, four_loads):
+        grid = TimeGrid.from_minutes(60, 1)
+        path = tmp_path / "d.csv"
+        for rows, days in ((72, 3), (24, 1), (0, None), (30, None)):
+            write_csv(
+                path,
+                ["timestamp", *four_loads.names],
+                [[f"t{i}", 1, 2, 3, i] for i in range(rows)],
+            )
+            if days is None:
+                with pytest.raises(RowCountMismatch, match="whole number"):
+                    ingest_csv(path, four_loads, grid, whole_days=True)
+            else:
+                series = ingest_csv(path, four_loads, grid, whole_days=True)
+                assert series.grid == TimeGrid.from_minutes(60, days)
+                assert np.array_equal(series.power[3], np.arange(rows))
+
     def test_errors_are_csv_errors(self, tmp_path, four_loads):
         grid = TimeGrid.from_minutes(15, 1)
         path = tmp_path / "d.csv"

@@ -367,3 +367,60 @@ def test_dfm_grid_tie_keeps_first_combination(tariff):
     assert ties[0] < CHUNK <= ties[-1]
     assert plan.thresholds.tobytes() == thresholds.tobytes()
     assert solution.objective.hex() == best_psf.hex()
+
+
+
+def _traced(actuation, real, virtual):
+    """A SimResult carrying only what the trace writer reads."""
+    num_loads = actuation.shape[0]
+    return SimResult(
+        actuation=actuation,
+        real_balance_trace=real,
+        virtual_balance_trace=virtual,
+        final_real_balance=0.0,
+        final_virtual_balance=None if virtual is None else 0.0,
+        sf=np.full(num_loads, np.nan),
+        psf=0.0,
+        total_spend=0.0,
+        disconnection_days=0,
+        first_disconnect_step=None,
+    )
+
+
+def _trace_corpus():
+    """SimResults whose traces stress the writer: 1-7 loads, schedule
+    results (no virtual wallet), long runs of equal balances, 0.0 next to
+    -0.0, negative balances and one-step horizons."""
+    pool = [0.0, -0.0, 1.5, -0.25, 0.1 + 0.2, -1e-17, 123456.789, 5e-324]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        num_loads = 1 + seed % 7
+        total = 1 if seed % 5 == 0 else int(rng.integers(2, 400))
+
+        def trace():
+            runs = rng.integers(1, 60, total)  # run lengths, long ones too
+            values = np.where(
+                rng.random(total) < 0.5,
+                rng.choice(pool, total),
+                rng.normal(0.0, 10.0, total),
+            )
+            return np.repeat(values, runs)[:total]
+
+        actuation = (rng.random((num_loads, total)) < 0.5).astype(np.int8)
+        schedule = seed % 3 == 0
+        yield _traced(actuation, trace(), None if schedule else trace())
+    signed = np.array([0.0, -0.0, -0.0, 0.0, -0.0])
+    yield _traced(np.ones((2, 5), dtype=np.int8), signed, signed[::-1].copy())
+
+
+def test_trace_writer_matches_oracle(tmp_path):
+    path = tmp_path / "trace.csv"
+    for result in _trace_corpus():
+        num_loads = result.actuation.shape[0]
+        loads = LoadSet.from_pairs(
+            (f"load{k}", 1.0 / num_loads) for k in range(num_loads)
+        )
+        write_trace_csv(result, loads, path)
+        assert path.read_bytes() == sim_reference.trace_csv_text(
+            result, loads
+        ).encode()
