@@ -174,6 +174,19 @@ def _number(kind, value, name: str):
     return number
 
 
+def _load_pair(entry, where: str) -> tuple[str, float]:
+    """``(name, gamma)`` of one ``loads`` entry; a malformed entry is a
+    config error naming the entry and the field."""
+    _typed(entry, dict, where)
+    for field in ("name", "gamma"):
+        if field not in entry:
+            raise ConfigError(f"{where} is missing {field!r}")
+    return (
+        _typed(entry["name"], str, f"{where} name"),
+        _number(float, entry["gamma"], f"{where} gamma"),
+    )
+
+
 def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     """Build and validate a config from parsed JSON.
 
@@ -181,11 +194,11 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     directory containing the config file).
     """
     base = base_dir or Path(".")
+    entries = _typed(_require(data, "loads"), list, "loads")
+    pairs = [_load_pair(entry, f"loads[{i}]") for i, entry in enumerate(entries)]
     try:
-        loads = LoadSet.from_pairs(
-            (entry["name"], entry["gamma"]) for entry in _require(data, "loads")
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        loads = LoadSet.from_pairs(pairs)
+    except ValueError as exc:
         raise ConfigError(f"invalid loads section: {exc}") from None
 
     source = _typed(_require(data, "data"), dict, "data")

@@ -16,6 +16,8 @@ way.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from prepaid_ems.milp.core import MilpModel, Solution, SolveStatus
 
 
@@ -53,7 +55,9 @@ def solve_knapsack_bb(model: MilpModel) -> Solution:
 
     Deterministic: within a group the earliest-declared items are
     chosen, and the reported objective is re-accumulated in declaration
-    order so it is bit-identical to a subset-enumeration oracle.
+    order, left to right, so it is bit-identical to a subset-enumeration
+    oracle on every Python version (the builtin ``sum`` compensates float
+    rounding since Python 3.12).
     """
     if not model.variables:
         return Solution({}, 0.0, SolveStatus.OPTIMAL)
@@ -82,9 +86,10 @@ def solve_knapsack_bb(model: MilpModel) -> Solution:
         chosen.update(group.names[:take])
 
     values = {v.name: (1.0 if v.name in chosen else 0.0) for v in model.variables}
-    objective = sum(
+    served = [
         model.objective.get(v.name, 0.0) for v in model.variables if v.name in chosen
-    )
+    ]
+    objective = np.cumsum([0.0, *served])[-1]
     return Solution(values, float(objective), SolveStatus.OPTIMAL)
 
 

@@ -17,12 +17,29 @@ loads are solved in closed form: for every count of the first, the
 second takes as many steps as the money left buys. Among equally valued
 count vectors the first one visited is kept.
 
-Ties between steps of equal cost go to the earlier step. The reported
-objective adds the chosen steps' values one at a time in (load, step)
-order, the same float sum the knapsack backend reports.
-"""
+With three or more loads the search starts from an incumbent, the
+greedy count vector: every demanded step is ranked once by falling
+value/cost (the Dantzig table of all loads; the bound's tables for the
+later levels filter that ranking), and each load counts its ranked
+steps before the break. Each count is cut to what the search's own
+chain of remaining money affords, the last load takes all it affords,
+and the total is evaluated with the search's float expressions, so the
+incumbent is a count vector the search visits, with total T. The
+search starts at the float just below T and keeps a vector only when
+it beats the best so far. This cannot change the result: the search
+returns the first vector, in visit order, whose total equals the
+maximum M; T <= M, so until that vector is reached the best so far
+stays below M, its branch's bound (at least M) keeps it from being
+pruned, and it is kept as before. Without the incumbent a limited
+view, whose best-ratio load serves far fewer steps than it could
+afford, raises its best value a small gain at a time over thousands
+of closed-form pairs.
 
-import itertools
+Ties between steps of equal cost go to the earlier step. The reported
+objective adds the chosen steps' values one at a time, left to right,
+in (load, step) order: the same float sum the knapsack backend reports,
+on every Python version.
+"""
 
 import numpy as np
 
@@ -62,11 +79,7 @@ def solve_obm(
     schedule = np.zeros((view.num_loads, view.grid.total_steps), dtype=np.int8)
     for k, n in enumerate(counts):
         schedule[k, steps[k][:n]] = 1
-    objective = sum(
-        itertools.chain.from_iterable(
-            itertools.repeat(values[k], n) for k, n in enumerate(counts)
-        )
-    )
+    objective = np.cumsum(np.concatenate(([0.0], np.repeat(values, counts))))[-1]
     return schedule, float(objective)
 
 
@@ -83,12 +96,12 @@ def _count_search(costs, values, capacity: float) -> list[int]:
         for k in order:
             counts[k] = _affordable(prefix[k], capacity)
         return counts
-    tables = {
-        level: _bound_table(costs, values, order[level:])
-        for level in range(1, len(order) - 1)
-    }
     slack = BOUND_SLACK * sum(values[k] * len(costs[k]) for k in order)
-    best_value, best_counts = -np.inf, []
+    best_value, best_counts, tables = -np.inf, [], {}
+    if len(order) > 2:
+        tables, greedy = _ranked_tables(costs, values, order, capacity)
+        total = _search_total(greedy, order, prefix, values, capacity)
+        best_value = np.nextafter(total, -np.inf)
 
     def pair(level, cap, value, chosen):
         # The last two loads: every count of the first, the rest to the second.
@@ -115,9 +128,45 @@ def _count_search(costs, values, capacity: float) -> list[int]:
                 descend(level + 1, caps[i], vals[i], [*chosen, int(n[i])])
 
     descend(0, capacity, 0.0, [])
+    assert best_counts, "the search lost its incumbent"
     for k, n in zip(order, best_counts):
         counts[k] = n
     return counts
+
+
+def _ranked_tables(costs, values, order, capacity: float):
+    """Dantzig tables of the loads ``order[level:]`` for the levels the
+    search bounds, and the greedy counts per level.
+
+    Every demanded step is ranked once by falling value/cost (stable);
+    the suffix tables filter that ranking, which keeps its order. The
+    greedy counts are the ranked steps before the break of ``capacity``,
+    counted per load."""
+    cost = np.concatenate([costs[k] for k in order])
+    value = np.array([values[k] for k in order])
+    level_of = np.repeat(np.arange(len(order)), [len(costs[k]) for k in order])
+    ratio = value[level_of] / cost
+    rank = np.argsort(-ratio, kind="stable")
+    tables = {}
+    for level in range(1, len(order) - 1):
+        sub = rank[level_of[rank] >= level]
+        tables[level] = _bound_table(cost[sub], value[level_of[sub]], ratio[sub])
+    fits = int(np.searchsorted(np.cumsum(cost[rank]), capacity, side="right"))
+    return tables, np.bincount(level_of[rank[:fits]], minlength=len(order))
+
+
+def _search_total(greedy, order, prefix, values, cap: float):
+    """The search's float total for the greedy counts, each cut to what
+    the search's cap chain affords and the last load given all it
+    affords: a count vector the search visits."""
+    value = 0.0
+    for k, n in zip(order[:-2], greedy):
+        n = min(int(n), _affordable(prefix[k], cap))
+        cap, value = cap - prefix[k][n], value + n * values[k]
+    a, b = order[-2:]
+    na = min(int(greedy[-2]), _affordable(prefix[a], cap))
+    nb = _affordable(prefix[b], cap - prefix[a][na])
+    return (value + na * values[a]) + nb * values[b]
 
 
 def _affordable(prefix: np.ndarray, cap: float) -> int:
@@ -125,18 +174,13 @@ def _affordable(prefix: np.ndarray, cap: float) -> int:
     return int(np.searchsorted(prefix, cap, side="right")) - 1
 
 
-def _bound_table(costs, values, loads):
-    """Cumulative cost and value of the loads' steps in falling
-    value/cost order, with each step's ratio; a trailing zero ratio
-    stands past the last step."""
-    cost = np.concatenate([costs[k] for k in loads])
-    value = np.concatenate([np.full(len(costs[k]), values[k]) for k in loads])
-    ratio = value / cost
-    rank = np.argsort(-ratio, kind="stable")
+def _bound_table(cost, value, ratio):
+    """Cumulative cost and value of the ranked steps, with each step's
+    ratio; a trailing zero ratio stands past the last step."""
     return (
-        np.concatenate(([0.0], np.cumsum(cost[rank]))),
-        np.concatenate(([0.0], np.cumsum(value[rank]))),
-        np.concatenate((ratio[rank], [0.0])),
+        np.concatenate(([0.0], np.cumsum(cost))),
+        np.concatenate(([0.0], np.cumsum(value))),
+        np.concatenate((ratio, [0.0])),
     )
 
 

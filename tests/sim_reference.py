@@ -6,8 +6,9 @@ against bit for bit. Threshold plans run under either enable rule:
 ``latching=True`` keeps a load off for the rest of the day once its
 threshold trips, ``latching=False`` re-evaluates every step. The two
 agree because the virtual balance never rises within a day. The DFM
-grid search's original enumeration loop and the original row-by-row
-trace writer are kept the same way.
+grid search's original enumeration loop, the original row-by-row trace
+writer and the OBM count search as it was before it started from a
+greedy incumbent are kept the same way.
 """
 
 import csv
@@ -18,6 +19,7 @@ import numpy as np
 
 from prepaid_ems.afg import ThresholdPlan, pinned_off
 from prepaid_ems.model import daily_average
+from prepaid_ems.obm import BOUND_SLACK
 from prepaid_ems.sim import _finalize
 
 
@@ -145,3 +147,80 @@ def trace_csv_text(result, loads):
             ]
         )
     return buf.getvalue()
+
+
+def count_search(costs, values, capacity: float) -> list[int]:
+    """Per-load served counts maximizing sum(n_k * values[k]) subject to
+    the n_k cheapest costs of all loads summing to at most ``capacity``."""
+    counts = [0] * len(costs)
+    order = sorted(
+        (k for k in range(len(costs)) if len(costs[k])),
+        key=lambda k: -values[k] / costs[k][0],
+    )
+    prefix = [np.concatenate(([0.0], np.cumsum(c))) for c in costs]
+    if len(order) <= 1:
+        for k in order:
+            counts[k] = _affordable(prefix[k], capacity)
+        return counts
+    tables = {
+        level: _bound_table(costs, values, order[level:])
+        for level in range(1, len(order) - 1)
+    }
+    slack = BOUND_SLACK * sum(values[k] * len(costs[k]) for k in order)
+    best_value, best_counts = -np.inf, []
+
+    def pair(level, cap, value, chosen):
+        # The last two loads: every count of the first, the rest to the second.
+        nonlocal best_value, best_counts
+        a, b = order[level], order[level + 1]
+        na = np.arange(_affordable(prefix[a], cap), -1, -1)
+        nb = np.searchsorted(prefix[b], cap - prefix[a][na], side="right") - 1
+        totals = (value + na * values[a]) + nb * values[b]
+        i = int(np.argmax(totals))
+        if totals[i] > best_value:
+            best_value, best_counts = totals[i], [*chosen, int(na[i]), int(nb[i])]
+
+    def descend(level, cap, value, chosen):
+        if level == len(order) - 2:
+            pair(level, cap, value, chosen)
+            return
+        k = order[level]
+        n = np.arange(_affordable(prefix[k], cap), -1, -1)
+        caps = cap - prefix[k][n]
+        vals = value + n * values[k]
+        ceilings = vals + _dantzig(tables[level + 1], caps) + slack
+        for i in np.flatnonzero(ceilings > best_value):
+            if ceilings[i] > best_value:  # the best may have risen meanwhile
+                descend(level + 1, caps[i], vals[i], [*chosen, int(n[i])])
+
+    descend(0, capacity, 0.0, [])
+    for k, n in zip(order, best_counts):
+        counts[k] = n
+    return counts
+
+
+def _affordable(prefix: np.ndarray, cap: float) -> int:
+    """Most steps whose cumulative cost stays within ``cap``."""
+    return int(np.searchsorted(prefix, cap, side="right")) - 1
+
+
+def _bound_table(costs, values, loads):
+    """Cumulative cost and value of the loads' steps in falling
+    value/cost order, with each step's ratio; a trailing zero ratio
+    stands past the last step."""
+    cost = np.concatenate([costs[k] for k in loads])
+    value = np.concatenate([np.full(len(costs[k]), values[k]) for k in loads])
+    ratio = value / cost
+    rank = np.argsort(-ratio, kind="stable")
+    return (
+        np.concatenate(([0.0], np.cumsum(cost[rank]))),
+        np.concatenate(([0.0], np.cumsum(value[rank]))),
+        np.concatenate((ratio[rank], [0.0])),
+    )
+
+
+def _dantzig(table, caps: np.ndarray) -> np.ndarray:
+    """Fractional-knapsack value of each capacity in ``caps``."""
+    cum_cost, cum_value, ratio = table
+    j = np.searchsorted(cum_cost, caps, side="right") - 1
+    return cum_value[j] + (caps - cum_cost[j]) * ratio[j]

@@ -8,8 +8,10 @@ the knapsack backend, constraint-by-constraint evaluation plus truth
 tables for the threshold MILP, and hand-stepped wallets elsewhere.
 """
 
+import functools
 import itertools
 import json
+import operator
 import sys
 import time
 from pathlib import Path
@@ -194,7 +196,8 @@ def test_criterion_3_knapsack_matches_enumeration():
             value_sums = np.concatenate([value_sums, value_sums + v])
         feasible = weight_sums <= capacity
         best_idx = int(np.flatnonzero(feasible)[np.argmax(value_sums[feasible])])
-        expected = sum(values[i] for i in range(n) if best_idx >> i & 1)
+        chosen = (values[i] for i in range(n) if best_idx >> i & 1)
+        expected = functools.reduce(operator.add, chosen, 0.0)
         assert got == expected  # exact float equality, same summation order
     elapsed = time.monotonic() - start
     assert elapsed < 10.0

@@ -15,6 +15,9 @@ from prepaid_ems.forecast import Fidelity, Granularity
 from prepaid_ems.model import daily_average
 
 
+HEATER = {"name": "heater", "gamma": 0.3}
+
+
 def base_config(**overrides):
     data = {
         "loads": [{"name": "fridge", "gamma": 0.7}, {"name": "heater", "gamma": 0.3}],
@@ -451,6 +454,11 @@ class TestCli:
             ("synthetic", {"data": {"synthetic": 3}}),
             ("csv", {"data": {"csv": 3}}),
             ("output_dir", {"output_dir": None}),
+            ("loads[0] gamma", {"loads": [{"name": "fridge", "gamma": "x"}, HEATER]}),
+            ("loads[0] is missing 'gamma'", {"loads": [{"name": "fridge"}, HEATER]}),
+            ("loads[0] must be an object", {"loads": ["fridge", HEATER]}),
+            ("loads[1] name", {"loads": [HEATER, {"name": 5, "gamma": 0.7}]}),
+            ("loads must be a list", {"loads": {"fridge": 0.7}}),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):

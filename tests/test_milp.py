@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import sys
 from pathlib import Path
 
@@ -69,14 +71,17 @@ def knapsack_model(values, weights, capacity):
 
 
 def enumerate_knapsack(values, weights, capacity):
-    """Subset-enumeration oracle; values summed in declaration order."""
+    """Subset-enumeration oracle; values summed left to right in
+    declaration order."""
     n = len(values)
     bits = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     total_w = bits @ np.asarray(weights)
     total_v = bits @ np.asarray(values)
     feasible = total_w <= capacity
     best = int(np.flatnonzero(feasible)[np.argmax(total_v[feasible])])
-    return sum(values[i] for i in range(n) if best >> i & 1)
+    return functools.reduce(
+        operator.add, (values[i] for i in range(n) if best >> i & 1), 0.0
+    )
 
 
 class TestBuildObm:

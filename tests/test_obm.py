@@ -1,16 +1,23 @@
-"""The OBM count search against the knapsack branch and bound."""
+"""The OBM count search against the knapsack branch and bound and against
+the plain search it replaced (`sim_reference.count_search`)."""
 
+import functools
+import itertools
+import math
+import operator
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import sim_reference
 from prepaid_ems.config import DEFAULT_HOUSEHOLD, from_dict
 from prepaid_ems.experiment import run_experiment
-from prepaid_ems.forecast import export_csv, synth_household
+from prepaid_ems.forecast import export_csv, synth_household, to_limited
 from prepaid_ems.milp import build_obm, extract_schedule, solve_knapsack_bb
 from prepaid_ems.model import (
+    BUDGET_MARGIN,
     Budget,
     DemandSeries,
     LoadSet,
@@ -157,14 +164,19 @@ def test_tied_count_vectors_keep_the_first_visited():
     assert objective == 0.75
 
 
-def noisy_household(seed, step_minutes=15, days=30):
+def default_household(seed, step_minutes=15, days=30):
+    """The default household, synthesized (paper scale by default)."""
     loads = LoadSet.from_pairs((name, g) for name, (g, _p) in DEFAULT_HOUSEHOLD.items())
     profiles = {name: p for name, (_g, p) in DEFAULT_HOUSEHOLD.items()}
     grid = TimeGrid.from_minutes(step_minutes, days)
-    clean = synth_household(seed, loads, grid, profiles)
+    return synth_household(seed, loads, grid, profiles), loads
+
+
+def noisy_household(seed, step_minutes=15, days=30):
+    clean, loads = default_household(seed, step_minutes, days)
     rng = np.random.default_rng(seed)
     noise = 1.0 + 0.01 * rng.uniform(-1.0, 1.0, clean.power.shape)
-    return DemandSeries(grid, clean.power * noise), loads
+    return DemandSeries(clean.grid, clean.power * noise), loads
 
 
 def dantzig_bound(demand, loads, tariff, capacity):
@@ -237,3 +249,164 @@ def test_experiment_runs_obm_on_a_noisy_csv_household(tmp_path):
     for cell in obm:
         if cell.regime.label == "perfect-detailed":
             assert cell.result.psf == pytest.approx(cell.solver_objective, abs=1e-9)
+
+
+def search_items(view, loads, tariff):
+    """Each load's demanded step costs, cheapest first, and its value per
+    served step: what ``solve_obm`` hands the count search."""
+    cost = step_costs(view, tariff)
+    costs, values = [], []
+    for k in range(view.num_loads):
+        demanded = cost[k, view.power[k] > 0]
+        costs.append(np.sort(demanded, kind="stable"))
+        values.append(loads.gammas[k] / float(len(demanded)) if len(demanded) else 0.0)
+    return costs, values
+
+
+def greedy_ranking(costs, values):
+    """Load and cost of every demanded step in falling value/cost order,
+    stable over the loads in the search's order (best first step first)."""
+    order = sorted(
+        (k for k in range(len(costs)) if len(costs[k])),
+        key=lambda k: -values[k] / costs[k][0],
+    )
+    load = np.concatenate([np.zeros(0, int), *(np.full(len(costs[k]), k) for k in order)])
+    cost = np.concatenate([np.zeros(0), *(costs[k] for k in order)])
+    rank = np.argsort(-np.asarray(values)[load] / cost, kind="stable")
+    return load[rank], cost[rank]
+
+
+def greedy_counts(costs, values, capacity):
+    """Steps per load taken by the greedy ranking before its break."""
+    load, cost = greedy_ranking(costs, values)
+    fits = int(np.searchsorted(np.cumsum(cost), capacity, side="right"))
+    return np.bincount(load[:fits], minlength=len(costs)).tolist()
+
+
+def budget_spending(capacity):
+    """A budget whose effective amount is ``capacity`` exactly, if any."""
+    balance = capacity / (1.0 - BUDGET_MARGIN)
+    for candidate in (balance, np.nextafter(balance, np.inf), np.nextafter(balance, 0)):
+        if effective_budget(Budget(float(candidate))) == capacity:
+            return Budget(float(candidate))
+    return None
+
+
+def even_instance(rng):
+    """3-4 loads of eight demanded steps each and equal priority: every
+    step is worth 1/8, so count vectors with the same total tie exactly."""
+    num_loads = int(rng.integers(3, 5))
+    grid = TimeGrid(1.0, 24, 1)
+    power = np.zeros((num_loads, grid.total_steps))
+    for k in range(num_loads):
+        steps = rng.choice(grid.total_steps, 8, replace=False)
+        power[k, steps] = rng.choice([200.0, 400.0, 600.0, 1000.0], 8)
+    loads = LoadSet.from_pairs((f"l{k}", 1.0) for k in range(num_loads))
+    tariff = Tariff(0.001)
+    full = tariff.alpha * power.sum()
+    return DemandSeries(grid, power), loads, tariff, Budget(full * rng.uniform(0.2, 0.8))
+
+
+def identity_corpus():
+    """OBM cells: paper-scale limited and detailed views, the small
+    seeded corpus, equal-priority plateaus, and budgets that spend
+    exactly a prefix of the greedy ranking."""
+    tariff = Tariff(0.00016)
+    for seed in (3, 11):
+        truth, loads = default_household(seed)
+        for view in (to_limited(truth), truth):
+            for fraction in (0.7, 0.8, 0.9):
+                yield view, loads, tariff, compute_budget(truth, tariff, fraction)
+    rng = np.random.default_rng(20241007)
+    for kind in KINDS:
+        for _ in range(60):
+            yield corpus_instance(rng, kind)
+    for _ in range(150):
+        yield even_instance(rng)
+    for kind in ("flat", "quantised", "noisy", "even"):
+        for _ in range(60):
+            if kind == "even":
+                demand, loads, tariff, _budget = even_instance(rng)
+            else:
+                demand, loads, tariff, _budget = corpus_instance(rng, kind)
+            _load, cost = greedy_ranking(*search_items(demand, loads, tariff))
+            if len(cost):
+                spent = float(np.cumsum(cost)[rng.integers(len(cost))])
+                budget = budget_spending(spent)
+                if budget is not None:
+                    yield demand, loads, tariff, budget
+
+
+def test_counts_and_objective_match_the_reference_search():
+    """Starting from the greedy incumbent keeps the first maximum the
+    plain search visits: same counts, same objective bits."""
+    cells = greedy_optimal_elsewhere = greedy_too_dear = 0
+    for view, loads, tariff, budget in identity_corpus():
+        capacity = effective_budget(budget)
+        costs, values = search_items(view, loads, tariff)
+        want = sim_reference.count_search(costs, values, capacity)
+        schedule, objective = solve_obm(view, loads, tariff, budget)
+        got = schedule.sum(axis=1).tolist()
+        assert got == want
+        served = itertools.chain.from_iterable(
+            itertools.repeat(values[k], n) for k, n in enumerate(want)
+        )
+        assert objective.hex() == functools.reduce(operator.add, served, 0.0).hex()
+        greedy = greedy_counts(costs, values, capacity)
+        greedy_value = exact_value(view, loads, greedy)
+        best_value = exact_value(view, loads, want)
+        cells += 1
+        greedy_optimal_elsewhere += greedy_value == best_value and greedy != want
+        greedy_too_dear += greedy_value > best_value
+    # The corpus holds greedy vectors that tie the optimum but come after
+    # the first maximum visited, and greedy vectors the search's own
+    # float cost chain cannot afford.
+    assert cells > 600 and greedy_optimal_elsewhere >= 20 and greedy_too_dear >= 20
+
+
+def test_incumbent_is_cut_to_the_search_cap_chain():
+    # Steps of 355.4 $ and 382.7 $ add up to the budget in the greedy
+    # ranking's float sum, but the search's chain leaves
+    # 738.0999999999999 - 355.4 = 382.69999999999993 for the second.
+    grid = TimeGrid(1.0, 24, 1)
+    power = np.zeros((4, 24))
+    power[:, 5] = [355.4, 382.7, 5000.0, 6000.0]
+    demand = DemandSeries(grid, power)
+    loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.4), ("c", 0.02), ("d", 0.01)])
+    tariff, budget = Tariff(1.0), budget_spending(355.4 + 382.7)
+    costs, values = search_items(demand, loads, tariff)
+    assert greedy_counts(costs, values, effective_budget(budget)) == [1, 1, 0, 0]
+    schedule, objective = solve_obm(demand, loads, tariff, budget)
+    assert schedule.sum(axis=1).tolist() == [1, 0, 0, 0] and objective == 0.5
+
+
+def test_objective_adds_left_to_right():
+    """The objective is the left-to-right float sum of the served steps'
+    values, on a list where pairwise and compensated sums (numpy's
+    ``sum``, Python's ``sum`` since 3.12) give other bits."""
+    demand, loads = noisy_household(seed=8, step_minutes=60, days=2)
+    tariff = Tariff(0.00016)
+    schedule, objective = solve_obm(demand, loads, tariff, Budget(1e6))
+    assert (schedule == (demand.power > 0)).all()
+    served = [
+        loads.gammas[k] / float(n)
+        for k, n in enumerate(schedule.sum(axis=1))
+        for _ in range(n)
+    ]
+    left_to_right = functools.reduce(operator.add, served, 0.0)
+    assert math.fsum(served) != left_to_right != float(np.sum(served))
+    assert objective == left_to_right
+
+
+def test_limited_view_without_a_long_tail():
+    """A paper-scale limited view whose plain search kept raising its
+    best value a little at a time for 0.6 s."""
+    truth, loads = default_household(19 << 20)
+    view, tariff = to_limited(truth), Tariff(0.00016)
+    budget = compute_budget(truth, tariff, 0.7)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        solve_obm(view, loads, tariff, budget)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1
