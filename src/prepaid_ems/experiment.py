@@ -1,11 +1,14 @@
 """Experiment orchestration and results emission.
 
 One experiment sweeps the cross product of budget fractions, forecast
-regimes and policies. For each cell the policy computes its setpoints
-from the regime's forecast view, the setpoints are simulated against
-the true demand, and service metrics plus the improvement over the
-unrationed baseline are recorded. Everything is deterministic for a
-fixed config, including output bytes.
+regimes and policies, one budget fraction at a time and in two phases.
+First every cell's policy computes its setpoints from the regime's
+forecast view. Then all of the fraction's setpoints are simulated
+against the true demand in two stacked simulator passes: one for the
+threshold plans (AFG, DFM), one for the unrationed baseline and the
+schedules (OBM). Service metrics plus the improvement over the baseline
+are recorded per cell. Everything is deterministic for a fixed config,
+including output bytes.
 """
 
 import csv
@@ -87,26 +90,19 @@ def load_truth(config: ExperimentConfig) -> DemandSeries:
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
 
 
-def _run_afg(view, loads, tariff, budget, truth):
+def _plan_afg(view, loads, tariff, budget):
     avg = daily_average(view)
     plan = afg.solve_greedy(avg, loads, tariff, budget)
     recharges = afg.compute_recharges(plan, avg, tariff)
     thresholds = afg.compute_thresholds(
         plan, recharges, avg, tariff, view.grid.step_hours
     )
-    result = sim.simulate_thresholds(thresholds, truth, loads, tariff, budget)
     cap = plan.max_durations.sum(axis=1)
     mask = cap > 0
     planned = float(
         (loads.gammas[mask] * plan.durations.sum(axis=1)[mask] / cap[mask]).sum()
     )
-    return result, planned, ""
-
-
-def _run_obm(view, loads, tariff, budget, truth):
-    schedule, objective = solve_obm(view, loads, tariff, budget)
-    result = sim.simulate_schedule(schedule, truth, loads, tariff, budget)
-    return result, objective, ""
+    return thresholds, planned, ""
 
 
 def _external_dfm_plan(config, view, loads, tariff, budget):
@@ -126,21 +122,18 @@ def _external_dfm_plan(config, view, loads, tariff, budget):
             solution.status.value,
         )
         return None, None, "solver error; grid fallback; "
-    thresholds = extract_thresholds(model, solution, view.num_loads, view.grid.num_days)
-    plan = afg.ThresholdPlan(
-        np.clip(thresholds, 0.0, None),
-        np.full(view.grid.num_days, budget.initial_balance / view.grid.num_days),
-    )
-    return plan, solution.objective, ""
+    num_days = view.grid.num_days
+    recharges = np.full(num_days, budget.initial_balance / num_days)
+    thresholds = extract_thresholds(model, solution, view, tariff, recharges)
+    return afg.ThresholdPlan(thresholds, recharges), solution.objective, ""
 
 
-def _run_dfm(config, view, loads, tariff, budget, truth):
+def _plan_dfm(config, view, loads, tariff, budget):
     note = ""
     if config.dfm.solver_cmd:
         plan, objective, note = _external_dfm_plan(config, view, loads, tariff, budget)
         if plan is not None:
-            result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
-            return result, objective, note
+            return plan, objective, note
     try:
         plan, solution = solve_dfm_grid(
             view, loads, tariff, budget, grid_resolution=config.dfm.grid_resolution
@@ -148,11 +141,66 @@ def _run_dfm(config, view, loads, tariff, budget, truth):
     except InstanceTooLarge as exc:
         logger.warning("DFM grid backend skipped: %s", exc)
         return None, None, f"{note}unsolved: {exc}"
-    result = sim.simulate_thresholds(plan, truth, loads, tariff, budget)
-    return result, solution.objective, note
+    return plan, solution.objective, note
+
+
+def _plan_cells(config, views, loads, tariff, budget) -> list[tuple]:
+    """``(regime, policy, plan, objective, note)`` for every cell of one
+    budget fraction, in sweep order. The plan is a ``ThresholdPlan``
+    (AFG, DFM), a schedule (OBM), or ``None`` for BSL and for a policy
+    that found no plan."""
+    planned = []
+    for regime in config.regimes:
+        view = views[regime]
+        for policy in config.policies:
+            if policy == "BSL":
+                cell = (None, None, "")
+            elif policy == "AFG":
+                cell = _plan_afg(view, loads, tariff, budget)
+            elif policy == "OBM":
+                cell = (*solve_obm(view, loads, tariff, budget), "")
+            else:
+                cell = _plan_dfm(config, view, loads, tariff, budget)
+            planned.append((regime, policy, *cell))
+    return planned
+
+
+def _simulate_cells(fraction, planned, truth, loads, tariff, budget):
+    """Simulate one budget fraction's plans against the true demand: its
+    threshold plans in one kernel pass, the unrationed baseline and the
+    schedules in another. Returns the fraction's cells in sweep order."""
+    plans, schedules = [], [np.ones_like(truth.power, dtype=np.int8)]
+    for _, _, plan, _, _ in planned:
+        if isinstance(plan, afg.ThresholdPlan):
+            plans.append(plan)
+        elif plan is not None:
+            schedules.append(plan)
+    by_plan = iter(sim.simulate_threshold_plans(plans, truth, loads, tariff, budget))
+    baseline, *scheduled = sim.simulate_schedules(
+        schedules, truth, loads, tariff, budget
+    )
+    by_schedule = iter(scheduled)
+    cells = []
+    for regime, policy, plan, objective, note in planned:
+        if policy == "BSL":
+            cells.append(CellResult(fraction, regime, "BSL", "ok", baseline, 0.0))
+        elif plan is None:
+            cells.append(CellResult(fraction, regime, policy, "unsolved", note=note))
+        else:
+            thresholds = isinstance(plan, afg.ThresholdPlan)
+            result = next(by_plan if thresholds else by_schedule)
+            improvement = (result.psf - baseline.psf) * 100.0
+            cells.append(
+                CellResult(
+                    fraction, regime, policy, "ok", result, improvement, objective, note
+                )
+            )
+    return cells
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResults:
+    """Plan, then simulate, each budget fraction's cells (see the module
+    docstring)."""
     config.validate()
     truth = load_truth(config)
     loads = config.loads
@@ -168,41 +216,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
     cells: list[CellResult] = []
     for fraction in config.budget_fractions:
         budget = compute_budget(truth, tariff, fraction)
-        baseline = sim.simulate_baseline(truth, loads, tariff, budget)
-        for regime in config.regimes:
-            view = views[regime]
-            for policy in config.policies:
-                if policy == "BSL":
-                    cells.append(
-                        CellResult(fraction, regime, "BSL", "ok", baseline, 0.0)
-                    )
-                    continue
-                if policy == "AFG":
-                    result, objective, note = _run_afg(view, loads, tariff, budget, truth)
-                elif policy == "OBM":
-                    result, objective, note = _run_obm(view, loads, tariff, budget, truth)
-                else:
-                    result, objective, note = _run_dfm(
-                        config, view, loads, tariff, budget, truth
-                    )
-                if result is None:
-                    cells.append(
-                        CellResult(fraction, regime, policy, "unsolved", note=note)
-                    )
-                else:
-                    improvement = (result.psf - baseline.psf) * 100.0
-                    cells.append(
-                        CellResult(
-                            fraction,
-                            regime,
-                            policy,
-                            "ok",
-                            result,
-                            improvement,
-                            objective,
-                            note,
-                        )
-                    )
+        planned = _plan_cells(config, views, loads, tariff, budget)
+        cells.extend(_simulate_cells(fraction, planned, truth, loads, tariff, budget))
     return ExperimentResults(
         loads, truth.grid, config.alpha_per_wh, cells, excluded
     )

@@ -96,13 +96,34 @@ def ingest_csv(
             f"{len(rows)} ({where})"
         )
 
-    power = np.empty((len(loads), total))
+    return DemandSeries(grid, _parse_power(rows, loads, path))
+
+
+def _parse_power(rows: list[list[str]], loads: LoadSet, path) -> np.ndarray:
+    """Power ``[load, step]`` from the data rows' load columns.
+
+    numpy parses every cell in one pass, load by load, through ``float``
+    as the cell loop does. When that fails, or a row has the wrong
+    width, or a value is non-finite or negative, the cell loop runs
+    instead and raises the error for the first offending line and
+    column.
+    """
+    width = len(loads) + 1
+    if all(len(row) == width for row in rows):
+        cells = (row[k] for k in range(1, width) for row in rows)
+        try:
+            power = np.fromiter(cells, dtype=float, count=len(loads) * len(rows))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(power).all() and (power >= 0).all():
+                return power.reshape(len(loads), len(rows))
+    power = np.empty((len(loads), len(rows)))
     for i, row in enumerate(rows):
         line = i + 2
-        if len(row) != len(expected_header):
+        if len(row) != width:
             raise MissingColumn(
-                f"{path}:{line}: expected {len(expected_header)} fields, "
-                f"got {len(row)}"
+                f"{path}:{line}: expected {width} fields, got {len(row)}"
             )
         for k, name in enumerate(loads.names):
             cell = row[k + 1]
@@ -122,7 +143,7 @@ def ingest_csv(
                     f"{path}:{line}: column {name!r} has negative power {value}"
                 )
             power[k, i] = value
-    return DemandSeries(grid, power)
+    return power
 
 
 def export_csv(demand: DemandSeries, loads: LoadSet, path) -> None:

@@ -12,6 +12,7 @@ the conjunction of its enable signals.
 
 import numpy as np
 
+from prepaid_ems.afg import pinned_off
 from prepaid_ems.milp.core import MilpConstants, MilpModel, Solution, default_constants
 from prepaid_ems.model import (
     Budget,
@@ -262,13 +263,37 @@ def extract_schedule(
 
 
 def extract_thresholds(
-    model: MilpModel, solution: Solution, num_loads: int, num_days: int
+    model: MilpModel,
+    solution: Solution,
+    demand: DemandSeries,
+    tariff: Tariff,
+    recharges: np.ndarray,
 ) -> np.ndarray:
-    """Threshold matrix from a solved model."""
-    thresholds = np.zeros((num_loads, num_days))
-    for name, annotation in model.annotations.items():
-        if annotation[0] != "threshold":
-            continue
-        _, k, day = annotation
-        thresholds[k, day] = solution.values.get(name, 0.0)
-    return thresholds
+    """Threshold matrix ``[load, day]`` that makes the simulator repeat a
+    solved DFM model's actuation on ``demand``, the model's forecast view,
+    with ``recharges`` the model's daily recharges.
+
+    The solver's own thresholds sit on a balance the virtual wallet
+    reaches, so float dust in the simulator decides whether the load is
+    still on there. Instead the decoded actuation is paid for on the
+    view, and each load-day's threshold goes mid-band: halfway between
+    the virtual balance at the start of the load's last served step and
+    the balance after paying for it, the next lower one the view
+    reaches. A load-day never served is pinned off, as in AFG.
+    """
+    grid = demand.grid
+    num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
+    served = extract_schedule(model, solution, num_loads, grid.total_steps)
+    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
+    cost = cost.reshape(num_days, n)
+    # Virtual balance at each step start of each day, and after its last step.
+    spent = np.cumsum(cost.sum(axis=1))
+    start = np.cumsum(recharges) - np.concatenate([[0.0], spent[:-1]])
+    balance = start[:, None] - np.concatenate(
+        [np.zeros((num_days, 1)), np.cumsum(cost, axis=1)], axis=1
+    )
+    served = served.reshape(num_loads, num_days, n).astype(bool)
+    last = n - 1 - np.argmax(served[..., ::-1], axis=2)
+    days = np.arange(num_days)
+    mid = (balance[days, last] + balance[days, last + 1]) / 2
+    return np.where(served.any(axis=2), np.maximum(mid, 0.0), pinned_off(recharges))

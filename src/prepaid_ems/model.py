@@ -253,7 +253,7 @@ def psf(
         raise ValueError(f"actuation shape {a.shape} != indicator shape {d.shape}")
     if d.shape[0] != len(loads):
         raise ValueError(f"expected {len(loads)} loads, got {d.shape[0]} rows")
-    if not np.isin(a, (0, 1)).all():
+    if not ((a == 0) | (a == 1)).all():
         raise ValueError("actuation matrix must be binary")
     excess = (a == 1) & (d == 0)
     if excess.any():
@@ -266,6 +266,9 @@ def psf(
     sf = np.full(served.shape, np.nan)
     mask = demanded > 0
     sf[..., mask] = served[..., mask] / demanded[mask]
-    value = (loads.gammas[mask] * sf[..., mask]).sum(axis=-1)
+    # Contiguous rows, so that numpy sums each plan's row as it sums a
+    # single plan's (pairwise from 8 loads on).
+    weighted = loads.gammas[mask] * np.ascontiguousarray(sf[..., mask])
+    value = weighted.sum(axis=-1)
     sf.setflags(write=False)
     return sf, float(value) if a.ndim == 2 else value

@@ -20,17 +20,30 @@ balances are carried separately.
 
 One kernel runs every entry point, for a stack of plans at once, and
 moves from event to event rather than step by step. It splits the
-horizon into spans: a day for threshold plans, the whole horizon for
-schedules. Within a span the virtual balance never rises, so a load is
-on from the span start until its threshold first trips and stays off
-after it; nothing runs from the first step that starts with a real
-balance <= 0. Between two such events the set of enabled loads is
-fixed, so each step's cost is a column sum over the enabled loads and
-both balances are running differences, paid in step order exactly as a
-step-by-step loop pays them. A step's cost sums the enabled loads left
-to right. numpy sums 8 or more elements pairwise, so with 8 or more
-loads the last bits can differ from a loop that sums the served loads
-with ``ndarray.sum``.
+horizon into spans, one a day (or one for the whole horizon, for
+schedules on one-step days). Within a span the virtual balance never
+rises, so a load is on from the span start until its threshold first
+trips and stays off after it; nothing runs from the first step that
+starts with a real balance <= 0. A schedule runs as a plan whose
+thresholds never trip, masked by its on/off steps. Between two such
+events the set of enabled loads is fixed, so each step's cost is a
+column sum over the enabled loads and both balances are running
+differences, paid in step order exactly as a step-by-step loop pays
+them. A step's cost sums the enabled loads left to right, except in
+spans of one step, where numpy sums 8 or more loads pairwise; so with
+8 or more loads the last bits can differ from a loop that sums the
+served loads with ``ndarray.sum``.
+
+The stacked entry points, :func:`simulate_threshold_plans` and
+:func:`simulate_schedules`, run any number of plans that share the true
+demand, the tariff and the budget in one kernel pass and score them
+with one ``psf`` call. Schedules reach the kernel as 0/1 masks on the
+shared demand, so a stack holds no per-plan copy of it. Each plan's
+result is the same, bit for bit, as a pass of that plan alone:
+:func:`simulate_thresholds`, :func:`simulate_schedule` and
+:func:`simulate_baseline` are such one-plan passes. An experiment
+plans all cells of a budget fraction first and then simulates them in
+two such passes, one per kind of plan.
 """
 
 from dataclasses import dataclass
@@ -88,33 +101,40 @@ def count_disconnection_days(real_balance_trace: np.ndarray, grid: TimeGrid) -> 
 def _finalize(
     truth: DemandSeries,
     loads: LoadSet,
-    budget: Budget,
     actuation: np.ndarray,
     z_trace: np.ndarray,
     x_trace: np.ndarray | None,
-    final_real: float,
-    final_virtual: float | None,
-    total_spend: float,
-) -> SimResult:
+    final_real: np.ndarray,
+    final_virtual: np.ndarray | None,
+    total_spend: np.ndarray,
+) -> list[SimResult]:
+    """One :class:`SimResult` per plan of a kernel pass, scored with one
+    ``psf`` call over the whole stack. ``x_trace`` and ``final_virtual``
+    are ``None`` for plans without a virtual wallet."""
     sf, value = psf(actuation, demand_indicator(truth), loads)
-    below = np.flatnonzero(z_trace <= 0)
-    first_disconnect = int(below[0]) if below.size else None
-    actuation.setflags(write=False)
-    z_trace.setflags(write=False)
-    if x_trace is not None:
-        x_trace.setflags(write=False)
-    return SimResult(
-        actuation=actuation,
-        real_balance_trace=z_trace,
-        virtual_balance_trace=x_trace,
-        final_real_balance=final_real,
-        final_virtual_balance=final_virtual,
-        sf=sf,
-        psf=value,
-        total_spend=total_spend,
-        disconnection_days=count_disconnection_days(z_trace, truth.grid),
-        first_disconnect_step=first_disconnect,
-    )
+    for trace in (actuation, z_trace, x_trace):
+        if trace is not None:
+            trace.setflags(write=False)
+    results = []
+    for p, z in enumerate(z_trace):
+        below = np.flatnonzero(z <= 0)
+        results.append(
+            SimResult(
+                actuation=actuation[p],
+                real_balance_trace=z,
+                virtual_balance_trace=None if x_trace is None else x_trace[p],
+                final_real_balance=float(final_real[p]),
+                final_virtual_balance=(
+                    None if final_virtual is None else float(final_virtual[p])
+                ),
+                sf=sf[p],
+                psf=float(value[p]),
+                total_spend=float(total_spend[p]),
+                disconnection_days=count_disconnection_days(z, truth.grid),
+                first_disconnect_step=int(below[0]) if below.size else None,
+            )
+        )
+    return results
 
 
 def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -125,20 +145,22 @@ def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
     )
 
 
-def _simulate(power, thresholds, recharges, cost_factor, balance):
+def _simulate(power, thresholds, recharges, cost_factor, balance, mask=None):
     """Simulate a stack of plans at once, event to event.
 
-    ``power[1 or plan, load, step]`` is the demand each plan may serve,
-    ``thresholds[plan, load, span]`` and ``recharges[1 or plan, span]``
-    its virtual wallet; the spans split the horizon evenly. Returns the
-    actuation ``[plan, load, step]`` (bool), the start-of-step real and
-    virtual balances ``[plan, step]``, and the final real balance,
-    virtual balance and spend ``[plan]``.
+    ``power[load, step]`` is the demand every plan may serve and
+    ``mask[plan, load, step]`` (bool), if given, the steps each plan's
+    schedule may serve; ``thresholds[plan, load, span]`` and
+    ``recharges[1 or plan, span]`` are each plan's virtual wallet; the
+    spans split the horizon evenly. Returns the actuation
+    ``[plan, load, step]`` (0/1 int8), the start-of-step real and virtual
+    balances ``[plan, step]``, and the final real balance, virtual
+    balance and spend ``[plan]``.
     """
     plans, num_loads, num_spans = thresholds.shape
     n = power.shape[-1] // num_spans
     step = np.arange(n)
-    actuation = np.empty((plans, num_loads, n * num_spans), dtype=bool)
+    actuation = np.empty((plans, num_loads, n * num_spans), dtype=np.int8)
     z_trace = np.empty((plans, n * num_spans))
     x_trace = np.empty((plans, n * num_spans))
     real = np.full(plans, float(balance))
@@ -146,13 +168,16 @@ def _simulate(power, thresholds, recharges, cost_factor, balance):
     spend = np.zeros(plans)
     for s in range(num_spans):
         span = slice(s * n, (s + 1) * n)
-        w = power[..., span]
+        w = power[:, span]
+        scheduled = None if mask is None else mask[..., span]
         thr = thresholds[..., s]
         virtual = virtual + recharges[:, s]
         # off[p, k]: the step of the span from which load k stays off
         off = np.where((virtual[:, None] >= thr) & (real[:, None] > 0), n, 0)
         while True:
             on = step < off[..., None]
+            if scheduled is not None:
+                on &= scheduled
             cost = cost_factor * np.where(on, w, 0.0).sum(axis=1)
             z = _running(real, cost)
             x = _running(virtual, cost)
@@ -181,6 +206,46 @@ def _simulate(power, thresholds, recharges, cost_factor, balance):
     return actuation, z_trace, x_trace, real, virtual, spend
 
 
+def simulate_threshold_plans(
+    plans: list[ThresholdPlan],
+    truth: DemandSeries,
+    loads: LoadSet,
+    tariff: Tariff,
+    budget: Budget,
+) -> list[SimResult]:
+    """Run threshold plans against true demand, all in one kernel pass.
+
+    The virtual wallet starts empty and receives the day's recharge at
+    each day start. A load is enabled at a step iff the virtual balance
+    has stayed at or above its threshold for the day so far and the
+    real wallet is still positive. Both wallets pay for every served
+    step. Entry ``p`` of the result is plan ``p``'s run, the same as
+    ``simulate_thresholds`` on it alone.
+    """
+    num_loads = truth.num_loads
+    num_days = truth.grid.num_days
+    for plan in plans:
+        covered = plan.thresholds.shape[0]
+        if covered != num_loads or covered != len(loads):
+            raise PlanShapeMismatch(
+                f"plan covers {covered} loads, expected {len(loads)}"
+            )
+        if plan.num_days != num_days:
+            raise PlanShapeMismatch(
+                f"plan covers {plan.num_days} days, the horizon has {num_days}"
+            )
+    if not plans:
+        return []
+    actuation, z, x, real, virtual, spend = _simulate(
+        truth.power,
+        np.stack([plan.thresholds for plan in plans]),
+        np.stack([plan.recharges for plan in plans]),
+        tariff.alpha * truth.grid.step_hours,
+        budget.initial_balance,
+    )
+    return _finalize(truth, loads, actuation, z, x, real, virtual, spend)
+
+
 def simulate_thresholds(
     plan: ThresholdPlan,
     truth: DemandSeries,
@@ -188,42 +253,8 @@ def simulate_thresholds(
     tariff: Tariff,
     budget: Budget,
 ) -> SimResult:
-    """Run a threshold plan against true demand.
-
-    The virtual wallet starts empty and receives the day's recharge at
-    each day start. A load is enabled at a step iff the virtual balance
-    has stayed at or above its threshold for the day so far and the
-    real wallet is still positive. Both wallets pay for every served
-    step.
-    """
-    num_loads = truth.num_loads
-    grid = truth.grid
-    if plan.thresholds.shape[0] != num_loads or plan.thresholds.shape[0] != len(loads):
-        raise PlanShapeMismatch(
-            f"plan covers {plan.thresholds.shape[0]} loads, expected {len(loads)}"
-        )
-    if plan.num_days != grid.num_days:
-        raise PlanShapeMismatch(
-            f"plan covers {plan.num_days} days, the horizon has {grid.num_days}"
-        )
-    actuation, z, x, real, virtual, spend = _simulate(
-        truth.power[None],
-        plan.thresholds[None],
-        plan.recharges[None],
-        tariff.alpha * grid.step_hours,
-        budget.initial_balance,
-    )
-    return _finalize(
-        truth,
-        loads,
-        budget,
-        actuation[0].astype(np.int8),
-        z[0],
-        x[0],
-        float(real[0]),
-        float(virtual[0]),
-        float(spend[0]),
-    )
+    """Run one threshold plan; see :func:`simulate_threshold_plans`."""
+    return simulate_threshold_plans([plan], truth, loads, tariff, budget)[0]
 
 
 def threshold_psf(
@@ -238,13 +269,58 @@ def threshold_psf(
     ``recharges[day]``, simulated at once. Entry ``p`` equals the
     ``psf`` of ``simulate_thresholds`` on plan ``p``."""
     actuation = _simulate(
-        truth.power[None],
+        truth.power,
         thresholds,
         recharges[None],
         tariff.alpha * truth.grid.step_hours,
         budget.initial_balance,
     )[0]
     return psf(actuation, demand_indicator(truth), loads)[1]
+
+
+def simulate_schedules(
+    schedules: list[np.ndarray],
+    truth: DemandSeries,
+    loads: LoadSet,
+    tariff: Tariff,
+    budget: Budget,
+) -> list[SimResult]:
+    """Run fixed on/off schedules against true demand, all in one kernel
+    pass.
+
+    A scheduled step is served only where demand actually occurs, and
+    only while the prepaid wallet holds out; a schedule computed from a
+    wrong forecast simply burns its budget at the wrong times. Entry
+    ``p`` of the result is schedule ``p``'s run, the same as
+    ``simulate_schedule`` on it alone.
+    """
+    masks = []
+    for schedule in schedules:
+        sched = np.asarray(schedule)
+        if sched.shape != truth.power.shape:
+            raise ShapeMismatch(
+                f"schedule shape {sched.shape} != demand shape {truth.power.shape}"
+            )
+        if not ((sched == 0) | (sched == 1)).all():
+            raise ShapeMismatch("schedule must be a binary matrix")
+        masks.append(sched == 1)
+    if not masks:
+        return []
+    # Thresholds that never bind: only the schedule and the real wallet
+    # switch loads off. Day-long spans keep the kernel's arrays small; a
+    # one-step span would make numpy sum the loads pairwise rather than
+    # left to right, so one-step days run as one span.
+    grid = truth.grid
+    spans = grid.num_days if grid.steps_per_day > 1 else 1
+    actuation, z, _, real, _, spend = _simulate(
+        truth.power,
+        np.full((len(masks), truth.num_loads, spans), -np.inf),
+        np.zeros((1, spans)),
+        tariff.alpha * grid.step_hours,
+        budget.initial_balance,
+        mask=np.stack(masks),
+    )
+    return _finalize(truth, loads, actuation, z, None, real, None, spend)
 
 
 def simulate_schedule(
@@ -254,40 +330,8 @@ def simulate_schedule(
     tariff: Tariff,
     budget: Budget,
 ) -> SimResult:
-    """Run a fixed on/off schedule against true demand.
-
-    A scheduled step is served only where demand actually occurs, and
-    only while the prepaid wallet holds out; a schedule computed from a
-    wrong forecast simply burns its budget at the wrong times.
-    """
-    sched = np.asarray(schedule)
-    if sched.shape != truth.power.shape:
-        raise ShapeMismatch(
-            f"schedule shape {sched.shape} != demand shape {truth.power.shape}"
-        )
-    if not np.isin(sched, (0, 1)).all():
-        raise ShapeMismatch("schedule must be a binary matrix")
-
-    # One span over the whole horizon whose thresholds never bind: only
-    # the schedule and the real wallet switch loads off.
-    actuation, z, _, real, _, spend = _simulate(
-        (truth.power * (sched == 1))[None],
-        np.full((1, truth.num_loads, 1), -np.inf),
-        np.zeros((1, 1)),
-        tariff.alpha * truth.grid.step_hours,
-        budget.initial_balance,
-    )
-    return _finalize(
-        truth,
-        loads,
-        budget,
-        actuation[0].astype(np.int8),
-        z[0],
-        None,
-        float(real[0]),
-        None,
-        float(spend[0]),
-    )
+    """Run one fixed on/off schedule; see :func:`simulate_schedules`."""
+    return simulate_schedules([schedule], truth, loads, tariff, budget)[0]
 
 
 def simulate_baseline(
@@ -349,22 +393,3 @@ def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
         )
         fh.write("%d,%s,%s,%s\r\n" * total % tuple(fields))
 
-
-def write_summary_csv(result: SimResult, loads: LoadSet, path) -> None:
-    """One-run summary: service factors, spend, disconnection count."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerow(["psf", repr(result.psf)])
-        writer.writerow(["total_spend", repr(result.total_spend)])
-        writer.writerow(["disconnection_days", result.disconnection_days])
-        writer.writerow(
-            [
-                "first_disconnect_step",
-                "" if result.first_disconnect_step is None else result.first_disconnect_step,
-            ]
-        )
-        for k, name in enumerate(loads.names):
-            writer.writerow([f"sf_{name}", repr(float(result.sf[k]))])

@@ -23,6 +23,20 @@ from prepaid_ems.obm import BOUND_SLACK
 from prepaid_ems.sim import _finalize
 
 
+def _result(truth, loads, actuation, z_trace, x_trace, real, virtual, spend):
+    """The SimResult of one plan's run, finalized as a stack of one."""
+    return _finalize(
+        truth,
+        loads,
+        actuation[None],
+        z_trace[None],
+        None if x_trace is None else x_trace[None],
+        np.array([real]),
+        None if virtual is None else np.array([virtual]),
+        np.array([spend]),
+    )[0]
+
+
 def simulate_thresholds(plan, truth, loads, tariff, budget, latching=True):
     num_loads, total = truth.power.shape
     grid = truth.grid
@@ -60,9 +74,7 @@ def simulate_thresholds(plan, truth, loads, tariff, budget, latching=True):
             real -= cost
             virtual -= cost
             spend += cost
-    return _finalize(
-        truth, loads, budget, actuation, z_trace, x_trace, real, virtual, spend
-    )
+    return _result(truth, loads, actuation, z_trace, x_trace, real, virtual, spend)
 
 
 def simulate_schedule(schedule, truth, loads, tariff, budget):
@@ -88,7 +100,7 @@ def simulate_schedule(schedule, truth, loads, tariff, budget):
             cost = cost_factor * float(truth.power[served, t].sum())
             real -= cost
             spend += cost
-    return _finalize(truth, loads, budget, actuation, z_trace, None, real, None, spend)
+    return _result(truth, loads, actuation, z_trace, None, real, None, spend)
 
 
 def solve_dfm_grid(demand, loads, tariff, budget, grid_resolution):

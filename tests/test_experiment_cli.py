@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -16,6 +17,12 @@ from prepaid_ems.model import daily_average
 
 
 HEATER = {"name": "heater", "gamma": 0.3}
+ALL_REGIMES = [
+    "perfect-detailed",
+    "perfect-limited",
+    "imperfect-detailed",
+    "imperfect-limited",
+]
 
 
 def base_config(**overrides):
@@ -329,6 +336,37 @@ class TestEmitOutputs:
             for p in config.output_dir.rglob("*.csv")
         }
         assert first == second
+
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            (
+                {"policies": ["BSL", "AFG", "DFM", "OBM"]},
+                "c02b6c295f6e86fc1d09205de09f186078aee1b6b3eb67ed7f36585ecbf50ff1",
+            ),
+            (
+                {
+                    "step_minutes": 15,
+                    "horizon_days": 30,
+                    "budget_fractions": [0.6, 0.9],
+                },
+                "17ab60714a1545073dc12640e99775bb6bc9d48696b2280162aa2a7c65c5b5b0",
+            ),
+        ],
+        ids=["2d-60min-all-policies", "30d-15min"],
+    )
+    def test_bundle_digest_pinned(self, tmp_path, overrides, digest):
+        """The bundle's bytes for two fixed sweeps over all four regimes,
+        digested as the benchmark digests them (each CSV's path and
+        bytes, in path order)."""
+        config = from_dict(base_config(regimes=ALL_REGIMES, **overrides), tmp_path)
+        emit_outputs(run_experiment(config), config.output_dir)
+        sha = hashlib.sha256()
+        for path in sorted(config.output_dir.rglob("*.csv")):
+            sha.update(path.relative_to(config.output_dir).as_posix().encode() + b"\0")
+            sha.update(path.read_bytes())
+        assert sha.hexdigest() == digest
 
 
 class TestCli:

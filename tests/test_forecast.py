@@ -116,6 +116,68 @@ class TestIngest:
         with pytest.raises(CsvError):
             ingest_csv(path, four_loads, grid)
 
+    def test_cells_parse_bit_for_bit_as_float(self, tmp_path, four_loads):
+        # numpy parses the whole file at once; every cell must get the bits
+        # that float() gives it, as in the cell-by-cell loop.
+        cells = [
+            "1_000", " 5", "5 ", "-0", "5e-324", "1e-400", "\u0661\u0662",
+            "\u0be7", "+3", ".5", "1.", "0.1", "123456789012345678901234567890",
+            "2.2250738585072014e-308", "1e308", "0",
+        ]
+        grid = TimeGrid(6.0, 4, 1)
+        rows = [[f"t{i}", *cells[4 * i : 4 * i + 4]] for i in range(4)]
+        path = tmp_path / "d.csv"
+        write_csv(path, ["timestamp", *four_loads.names], rows)
+        power = ingest_csv(path, four_loads, grid).power
+        assert power.flags.c_contiguous
+        for i, row in enumerate(rows):
+            for k, cell in enumerate(row[1:]):
+                assert power[k, i].tobytes() == np.float64(float(cell)).tobytes(), cell
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (
+                {(3, 4): "nan"},
+                UnparseableNumber,
+                ":5: column 'washer' has non-finite value 'nan'",
+            ),
+            (
+                {(3, 1): "1e500"},
+                UnparseableNumber,
+                ":5: column 'fridge' has non-finite value '1e500'",
+            ),
+            (
+                {(2, 2): "-1"},
+                NegativePower,
+                ":4: column 'compressor' has negative power -1.0",
+            ),
+            ({(1, 3): "1,5"}, MissingColumn, ":3: expected 5 fields, got 6"),
+            (
+                {(5, 3): "oops", (4, 2): "-2"},
+                NegativePower,
+                ":6: column 'compressor' has negative power -2.0",
+            ),
+            (
+                {(4, 4): "-nan", (6, 1): "x"},
+                UnparseableNumber,
+                ":6: column 'washer' has non-finite value '-nan'",
+            ),
+        ],
+    )
+    def test_error_names_first_bad_line_and_column(
+        self, tmp_path, four_loads, bad, error, message
+    ):
+        grid = TimeGrid(6.0, 4, 2)
+        rows = [[f"t{i}", 1, 2, 3, 4] for i in range(8)]
+        for (i, k), cell in bad.items():
+            rows[i][k] = cell
+        path = tmp_path / "d.csv"
+        write_csv(path, ["timestamp", *four_loads.names], rows)
+        with pytest.raises(error) as info:
+            ingest_csv(path, four_loads, grid)
+        assert str(info.value) == f"{path}{message}"
+
 
 class TestShuffleDays:
     def test_single_day_identity(self):

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import constant_series
 from lp_text import parse_lp
+from prepaid_ems.afg import ThresholdPlan
+from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
     InfeasibleConstants,
     InstanceTooLarge,
@@ -38,6 +40,7 @@ from prepaid_ems.model import (
     LoadSet,
     Tariff,
     TimeGrid,
+    compute_budget,
     demand_indicator,
 )
 from prepaid_ems.sim import simulate_thresholds
@@ -443,15 +446,54 @@ class TestSolveDfmGrid:
 
 class TestExtractors:
     def test_threshold_extraction(self, two_loads, tariff):
+        # Steps cost 1.2 (heater) and 0.6 (pump); 5 is recharged each day.
+        # Day 0 serves both loads at step 0 and the pump at step 1, so the
+        # virtual balance runs 5 -> 3.2 -> 2.6; day 1 serves only the
+        # heater: 7.6 -> 6.4 -> 5.2.
         grid = TimeGrid(12.0, 2, 2)
         demand = constant_series(grid, [100.0, 50.0])
-        model = build_dfm(demand, two_loads, tariff, Budget(10.0))
+        budget = Budget(10.0)
+        model = build_dfm(demand, two_loads, tariff, budget)
+        served = np.array([[1, 0, 1, 1], [1, 1, 0, 0]], dtype=np.int8)
         values = {v.name: 0.0 for v in model.variables}
-        values["thr_k0_d1"] = 1.25
-        values["thr_k1_d0"] = 0.5
+        values.update(
+            (f"a_k{k}_t{t}", 1.0) for k, t in zip(*np.nonzero(served))
+        )
         solution = Solution(values, 0.0, SolveStatus.FEASIBLE)
-        thresholds = extract_thresholds(model, solution, 2, 2)
-        assert thresholds[0, 1] == 1.25 and thresholds[1, 0] == 0.5
+        recharges = np.array([5.0, 5.0])
+        thresholds = extract_thresholds(model, solution, demand, tariff, recharges)
+        assert thresholds == pytest.approx(
+            np.array([[(5.0 + 3.2) / 2, (6.4 + 5.2) / 2], [(3.2 + 2.6) / 2, 10.0001]])
+        )
+        plan = ThresholdPlan(thresholds, recharges)
+        result = simulate_thresholds(plan, demand, two_loads, tariff, budget)
+        assert np.array_equal(result.actuation, served)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_external_plan_realizes_the_milp_objective(self, seed):
+        """Under a perfect detailed view, the decoded thresholds do in
+        simulation exactly what the exact MILP optimum promised."""
+        pytest.importorskip("scipy")
+        from highs_milp import solve_highs
+
+        loads = LoadSet.from_pairs([("fridge", 0.7), ("heater", 0.3)])
+        profiles = {
+            "fridge": ApplianceProfile(160.0, 1.0, 10.0),
+            "heater": ApplianceProfile(1000.0, 1.0, 4.0),
+        }
+        grid = TimeGrid.from_minutes(60, 2)
+        truth = synth_household(seed, loads, grid, profiles)
+        tariff = Tariff(0.00016)
+        for fraction in (0.7, 0.8, 0.9):
+            budget = compute_budget(truth, tariff, fraction)
+            model = build_dfm(truth, loads, tariff, budget)
+            solution = solve_highs(model)
+            assert solution.status is SolveStatus.OPTIMAL
+            recharges = np.full(grid.num_days, budget.initial_balance / grid.num_days)
+            thresholds = extract_thresholds(model, solution, truth, tariff, recharges)
+            plan = ThresholdPlan(thresholds, recharges)
+            result = simulate_thresholds(plan, truth, loads, tariff, budget)
+            assert result.psf == pytest.approx(solution.objective, abs=1e-9), fraction
 
     def test_schedule_extraction_rejects_fractional(self):
         model, _, _ = three_step_obm()

@@ -24,8 +24,10 @@ from prepaid_ems.sim import (
     count_disconnection_days,
     simulate_baseline,
     simulate_schedule,
+    simulate_schedules,
+    simulate_threshold_plans,
     simulate_thresholds,
-    write_summary_csv,
+    threshold_psf,
     write_trace_csv,
 )
 
@@ -218,7 +220,7 @@ class TestInvariantsAcrossPolicies:
             assert_sim_invariants(scheduled, truth, two_loads, tariff, budget)
 
 
-def test_trace_and_summary_csv(tmp_path, two_loads, tariff):
+def test_trace_csv(tmp_path, two_loads, tariff):
     grid = TimeGrid(1.0, 24, 1)
     truth = constant_series(grid, [100.0, 50.0])
     budget = compute_budget(truth, tariff, 0.5)
@@ -233,10 +235,6 @@ def test_trace_and_summary_csv(tmp_path, two_loads, tariff):
         write_trace_csv(run, two_loads, trace_path)
         with open(trace_path, newline="") as fh:
             assert fh.read() == sim_reference.trace_csv_text(run, two_loads)
-    summary_path = tmp_path / "summary.csv"
-    write_summary_csv(result, two_loads, summary_path)
-    text = summary_path.read_text()
-    assert "psf," in text and "sf_pump," in text
 
 
 def assert_bit_identical(result, reference):
@@ -317,6 +315,92 @@ def test_kernel_matches_step_loop_bit_for_bit(seed):
                 np.ones_like(truth.power, dtype=np.int8), truth, loads, tariff, budget
             ),
         )
+
+
+def stack_instances(rng):
+    """``(instance, step_loop_agrees)`` pairs for the stacked-pass
+    identity: random instances (1-7 loads), a zero budget, a small
+    instance the DFM grid solves, and 9 loads, where numpy sums one-step
+    spans pairwise. The step loop sums the served loads with
+    ``ndarray.sum``, pairwise from 8 on, so on 9 loads it joins only on
+    whole-watt demand, which sums exactly in any order."""
+    for _ in range(10):
+        yield random_instance(rng), True
+    truth, loads, tariff, _ = random_instance(rng)
+    yield (truth, loads, tariff, Budget(0.0)), True
+    grid = TimeGrid(6.0, 4, 2)
+    power = rng.uniform(0, 1500, (2, grid.total_steps))
+    truth = DemandSeries(grid, power)
+    loads = LoadSet.from_pairs([("a", 0.7), ("b", 0.3)])
+    tariff = Tariff(0.001)
+    yield (truth, loads, tariff, compute_budget(truth, tariff, 0.7)), True
+    loads = LoadSet.from_pairs(
+        (f"l{k}", float(g)) for k, g in enumerate(rng.uniform(0.1, 1.0, 9))
+    )
+    for steps_per_day in (1, 24):
+        grid = TimeGrid(24.0 / steps_per_day, steps_per_day, 3)
+        noisy = rng.uniform(0, 1500, (9, grid.total_steps))
+        noisy *= rng.random(noisy.shape) < 0.8
+        for power, exact in ((noisy, False), (np.floor(noisy), True)):
+            truth = DemandSeries(grid, power)
+            yield (truth, loads, tariff, compute_budget(truth, tariff, 0.6)), exact
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_pass_matches_one_plan_and_step_loop(seed):
+    """Every result of a stacked pass is bit for bit the one-plan call's
+    and the step loop's: AFG, DFM-grid and random threshold plans share
+    one pass, the baseline and random schedules another."""
+    rng = np.random.default_rng(9300 + seed)
+    covered = {"dfm": 0, "mid_day_disconnect": 0}
+    for (truth, loads, tariff, budget), exact in stack_instances(rng):
+        plans = random_threshold_plans(rng, truth, loads, tariff, budget)
+        if truth.num_loads * truth.grid.num_days <= 4:
+            plans.insert(1, solve_dfm_grid(truth, loads, tariff, budget, 2)[0])
+            covered["dfm"] += 1
+        schedules = [np.ones_like(truth.power, dtype=np.int8)]
+        for _ in range(2):
+            on = rng.random(truth.power.shape) < rng.random()
+            schedules.append(on.astype(np.int8))
+        stacked = simulate_threshold_plans(plans, truth, loads, tariff, budget)
+        for plan, result in zip(plans, stacked, strict=True):
+            assert_bit_identical(
+                result, simulate_thresholds(plan, truth, loads, tariff, budget)
+            )
+            if exact:
+                reference = sim_reference.simulate_thresholds(
+                    plan, truth, loads, tariff, budget
+                )
+                assert_bit_identical(result, reference)
+        # The DFM grid's scores are the same stacked pass's PSFs.
+        recharges = plans[0].recharges
+        shared = [afg.ThresholdPlan(plan.thresholds, recharges) for plan in plans]
+        scores = threshold_psf(
+            np.stack([plan.thresholds for plan in plans]),
+            recharges,
+            truth,
+            loads,
+            tariff,
+            budget,
+        )
+        assert [score.hex() for score in scores] == [
+            r.psf.hex()
+            for r in simulate_threshold_plans(shared, truth, loads, tariff, budget)
+        ]
+        stacked = simulate_schedules(schedules, truth, loads, tariff, budget)
+        for schedule, result in zip(schedules, stacked, strict=True):
+            assert_bit_identical(
+                result, simulate_schedule(schedule, truth, loads, tariff, budget)
+            )
+            if exact:
+                reference = sim_reference.simulate_schedule(
+                    schedule, truth, loads, tariff, budget
+                )
+                assert_bit_identical(result, reference)
+            step = result.first_disconnect_step
+            if step is not None and step % truth.grid.steps_per_day > 0:
+                covered["mid_day_disconnect"] += 1
+    assert min(covered.values()) > 0, covered
 
 
 @pytest.mark.parametrize(
