@@ -1,17 +1,20 @@
 """Experiment orchestration and results emission.
 
 One experiment sweeps the cross product of budget fractions, forecast
-regimes and policies, one budget fraction at a time and in two phases.
-First every cell's policy computes its setpoints from the regime's
-forecast view. Then all of the fraction's setpoints are simulated
-against the true demand in two stacked simulator passes: one for the
-threshold plans (AFG, DFM), one for the unrationed baseline and the
-schedules (OBM). Service metrics plus the improvement over the baseline
-are recorded per cell. Everything is deterministic for a fixed config,
-including output bytes.
+regimes and policies in two phases. First every cell's policy computes
+its setpoints from the regime's forecast view, for every budget
+fraction. Then all setpoints of the sweep are simulated against the
+true demand in two stacked simulator passes, each plan with its
+fraction's budget: one for the threshold plans (AFG, DFM), one for
+every fraction's unrationed baseline and the schedules (OBM). Service
+metrics plus the improvement over the baseline are recorded per cell.
+The trace files of one budget fraction are formatted together.
+Everything is deterministic for a fixed config, including output
+bytes.
 """
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -165,42 +168,52 @@ def _plan_cells(config, views, loads, tariff, budget) -> list[tuple]:
     return planned
 
 
-def _simulate_cells(fraction, planned, truth, loads, tariff, budget):
-    """Simulate one budget fraction's plans against the true demand: its
-    threshold plans in one kernel pass, the unrationed baseline and the
-    schedules in another. Returns the fraction's cells in sweep order."""
-    plans, schedules = [], [np.ones_like(truth.power, dtype=np.int8)]
-    for _, _, plan, _, _ in planned:
-        if isinstance(plan, afg.ThresholdPlan):
-            plans.append(plan)
-        elif plan is not None:
-            schedules.append(plan)
-    by_plan = iter(sim.simulate_threshold_plans(plans, truth, loads, tariff, budget))
-    baseline, *scheduled = sim.simulate_schedules(
-        schedules, truth, loads, tariff, budget
+def _simulate_cells(planned, truth, loads, tariff):
+    """Simulate the plans of every budget fraction against the true
+    demand: all threshold plans of the sweep in one kernel pass, every
+    fraction's unrationed baseline and all schedules in another.
+    ``planned`` holds ``(fraction, budget, cells)`` per fraction, with
+    the cells of ``_plan_cells``; returns the cells in sweep order."""
+    plans, plan_budgets = [], []
+    # Each fraction's all-ones baseline first, then the OBM schedules.
+    schedules = [np.ones_like(truth.power, dtype=np.int8)] * len(planned)
+    schedule_budgets = [budget for _, budget, _ in planned]
+    for _, budget, cells in planned:
+        for _, _, plan, _, _ in cells:
+            if isinstance(plan, afg.ThresholdPlan):
+                plans.append(plan)
+                plan_budgets.append(budget)
+            elif plan is not None:
+                schedules.append(plan)
+                schedule_budgets.append(budget)
+    by_plan = iter(
+        sim.simulate_threshold_plans(plans, truth, loads, tariff, plan_budgets)
     )
-    by_schedule = iter(scheduled)
-    cells = []
-    for regime, policy, plan, objective, note in planned:
-        if policy == "BSL":
-            cells.append(CellResult(fraction, regime, "BSL", "ok", baseline, 0.0))
-        elif plan is None:
-            cells.append(CellResult(fraction, regime, policy, "unsolved", note=note))
-        else:
-            thresholds = isinstance(plan, afg.ThresholdPlan)
-            result = next(by_plan if thresholds else by_schedule)
-            improvement = (result.psf - baseline.psf) * 100.0
-            cells.append(
-                CellResult(
+    scheduled = sim.simulate_schedules(
+        schedules, truth, loads, tariff, schedule_budgets
+    )
+    by_schedule = iter(scheduled[len(planned) :])
+    results = []
+    for (fraction, _, cells), baseline in zip(planned, scheduled):
+        for regime, policy, plan, objective, note in cells:
+            if policy == "BSL":
+                cell = CellResult(fraction, regime, "BSL", "ok", baseline, 0.0)
+            elif plan is None:
+                cell = CellResult(fraction, regime, policy, "unsolved", note=note)
+            else:
+                thresholds = isinstance(plan, afg.ThresholdPlan)
+                result = next(by_plan if thresholds else by_schedule)
+                improvement = (result.psf - baseline.psf) * 100.0
+                cell = CellResult(
                     fraction, regime, policy, "ok", result, improvement, objective, note
                 )
-            )
-    return cells
+            results.append(cell)
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResults:
-    """Plan, then simulate, each budget fraction's cells (see the module
-    docstring)."""
+    """Plan every budget fraction's cells, then simulate them all (see
+    the module docstring)."""
     config.validate()
     truth = load_truth(config)
     loads = config.loads
@@ -213,11 +226,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
         if indicator[k].sum() == 0
     ]
 
-    cells: list[CellResult] = []
+    planned = []
     for fraction in config.budget_fractions:
         budget = compute_budget(truth, tariff, fraction)
-        planned = _plan_cells(config, views, loads, tariff, budget)
-        cells.extend(_simulate_cells(fraction, planned, truth, loads, tariff, budget))
+        planned.append(
+            (fraction, budget, _plan_cells(config, views, loads, tariff, budget))
+        )
+    cells = _simulate_cells(planned, truth, loads, tariff)
     return ExperimentResults(
         loads, truth.grid, config.alpha_per_wh, cells, excluded
     )
@@ -245,8 +260,8 @@ def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
     """Write the results bundle; returns the created file paths.
 
     A result shared by several cells (the baseline of one budget
-    fraction, across regimes) is formatted once: its trace file is
-    written for the first of them and copied for the rest.
+    fraction, across regimes) is formatted once, and its trace text is
+    written to each of their files.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -393,20 +408,17 @@ def _write_plotdata(results: ExperimentResults, out: Path) -> list[Path]:
 
 
 def _write_traces(results: ExperimentResults, trace_dir: Path) -> list[Path]:
-    import shutil
-
+    """One trace file per solved cell; the files of one budget fraction
+    are formatted together (see ``sim.write_trace_csvs``)."""
     trace_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    first = {}  # id(result) -> the trace already written for it
-    for cell in sorted(results.cells, key=_cell_key):
-        if cell.result is None:
-            continue
-        frac = int(round(cell.fraction * 100))
-        path = trace_dir / f"{cell.regime.label}_b{frac}_{cell.policy}.csv"
-        if id(cell.result) in first:
-            shutil.copyfile(first[id(cell.result)], path)
-        else:
-            sim.write_trace_csv(cell.result, results.loads, path)
-            first[id(cell.result)] = path
-        paths.append(path)
+    solved = [c for c in sorted(results.cells, key=_cell_key) if c.result is not None]
+    for fraction, group in itertools.groupby(solved, key=lambda c: c.fraction):
+        cells = list(group)
+        frac = int(round(fraction * 100))
+        group_paths = [
+            trace_dir / f"{c.regime.label}_b{frac}_{c.policy}.csv" for c in cells
+        ]
+        sim.write_trace_csvs([c.result for c in cells], results.loads, group_paths)
+        paths.extend(group_paths)
     return paths

@@ -128,6 +128,9 @@ def _count_search(costs, values, capacity: float) -> list[int]:
                 descend(level + 1, caps[i], vals[i], [*chosen, int(n[i])])
 
     descend(0, capacity, 0.0, [])
+    # descend reaches itself through its closure; dropping it frees the
+    # search's arrays now rather than at the next garbage collection.
+    del descend
     assert best_counts, "the search lost its incumbent"
     for k, n in zip(order, best_counts):
         counts[k] = n

@@ -24,28 +24,30 @@ horizon into spans, one a day (or one for the whole horizon, for
 schedules on one-step days). Within a span the virtual balance never
 rises, so a load is on from the span start until its threshold first
 trips and stays off after it; nothing runs from the first step that
-starts with a real balance <= 0. A schedule runs as a plan whose
-thresholds never trip, masked by its on/off steps. Between two such
-events the set of enabled loads is fixed, so each step's cost is a
-column sum over the enabled loads and both balances are running
-differences, paid in step order exactly as a step-by-step loop pays
-them. A step's cost sums the enabled loads left to right, except in
-spans of one step, where numpy sums 8 or more loads pairwise; so with
-8 or more loads the last bits can differ from a loop that sums the
-served loads with ``ndarray.sum``.
+starts with a real balance <= 0. A schedule runs without thresholds,
+masked by its on/off steps. Between two such events the set of enabled
+loads is fixed, so each step's cost is a column sum over the enabled
+loads and both balances are running differences, paid in step order
+exactly as a step-by-step loop pays them. A step's cost sums the
+enabled loads left to right, except in spans of one step, where numpy
+sums 8 or more loads pairwise; so with 8 or more loads the last bits
+can differ from a loop that sums the served loads with ``ndarray.sum``.
 
 The stacked entry points, :func:`simulate_threshold_plans` and
 :func:`simulate_schedules`, run any number of plans that share the true
-demand, the tariff and the budget in one kernel pass and score them
-with one ``psf`` call. Schedules reach the kernel as 0/1 masks on the
-shared demand, so a stack holds no per-plan copy of it. Each plan's
-result is the same, bit for bit, as a pass of that plan alone:
-:func:`simulate_thresholds`, :func:`simulate_schedule` and
-:func:`simulate_baseline` are such one-plan passes. An experiment
-plans all cells of a budget fraction first and then simulates them in
-two such passes, one per kind of plan.
+demand and the tariff, each with its own budget or all with one, in one
+kernel pass and score them with one ``psf`` call. Schedules reach the
+kernel as 0/1 masks on the shared demand, so a stack holds no per-plan
+copy of it, and have no virtual wallet, so their pass keeps no virtual
+balance. Each plan's result is the same, bit for bit, as a pass of that
+plan alone: :func:`simulate_thresholds`, :func:`simulate_schedule` and
+:func:`simulate_baseline` are such one-plan passes. An experiment plans
+the cells of every budget fraction first and then simulates the whole
+sweep in two such passes, one per kind of plan.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,33 +110,37 @@ def _finalize(
     final_virtual: np.ndarray | None,
     total_spend: np.ndarray,
 ) -> list[SimResult]:
-    """One :class:`SimResult` per plan of a kernel pass, scored with one
-    ``psf`` call over the whole stack. ``x_trace`` and ``final_virtual``
-    are ``None`` for plans without a virtual wallet."""
+    """One :class:`SimResult` per plan of a kernel pass, scored over the
+    whole stack at once: one ``psf`` call, and the disconnection days and
+    first disconnect steps as array expressions. ``x_trace`` and
+    ``final_virtual`` are ``None`` for plans without a virtual wallet."""
     sf, value = psf(actuation, demand_indicator(truth), loads)
     for trace in (actuation, z_trace, x_trace):
         if trace is not None:
             trace.setflags(write=False)
-    results = []
-    for p, z in enumerate(z_trace):
-        below = np.flatnonzero(z <= 0)
-        results.append(
-            SimResult(
-                actuation=actuation[p],
-                real_balance_trace=z,
-                virtual_balance_trace=None if x_trace is None else x_trace[p],
-                final_real_balance=float(final_real[p]),
-                final_virtual_balance=(
-                    None if final_virtual is None else float(final_virtual[p])
-                ),
-                sf=sf[p],
-                psf=float(value[p]),
-                total_spend=float(total_spend[p]),
-                disconnection_days=count_disconnection_days(z, truth.grid),
-                first_disconnect_step=int(below[0]) if below.size else None,
-            )
+    grid = truth.grid
+    below = z_trace <= 0
+    # Whole days at or below zero at every step, as count_disconnection_days.
+    days = below.reshape(len(below), grid.num_days, grid.steps_per_day).all(axis=2)
+    dark_days = days.sum(axis=1).tolist()
+    first = np.where(below.any(axis=1), below.argmax(axis=1), -1).tolist()
+    return [
+        SimResult(
+            actuation=actuation[p],
+            real_balance_trace=z_trace[p],
+            virtual_balance_trace=None if x_trace is None else x_trace[p],
+            final_real_balance=float(final_real[p]),
+            final_virtual_balance=(
+                None if final_virtual is None else float(final_virtual[p])
+            ),
+            sf=sf[p],
+            psf=float(value[p]),
+            total_spend=float(total_spend[p]),
+            disconnection_days=dark_days[p],
+            first_disconnect_step=None if first[p] < 0 else first[p],
         )
-    return results
+        for p in range(len(z_trace))
+    ]
 
 
 def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -145,65 +151,89 @@ def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
     )
 
 
-def _simulate(power, thresholds, recharges, cost_factor, balance, mask=None):
+def _simulate(power, cost_factor, balances, num_spans, wallet=None, mask=None):
     """Simulate a stack of plans at once, event to event.
 
-    ``power[load, step]`` is the demand every plan may serve and
-    ``mask[plan, load, step]`` (bool), if given, the steps each plan's
-    schedule may serve; ``thresholds[plan, load, span]`` and
-    ``recharges[1 or plan, span]`` are each plan's virtual wallet; the
-    spans split the horizon evenly. Returns the actuation
-    ``[plan, load, step]`` (0/1 int8), the start-of-step real and virtual
-    balances ``[plan, step]``, and the final real balance, virtual
-    balance and spend ``[plan]``.
+    ``power[load, step]`` is the demand every plan may serve,
+    ``balances[plan]`` each plan's initial real balance, and the
+    ``num_spans`` spans split the horizon evenly. ``wallet``, if given,
+    is each plan's virtual wallet: ``(thresholds[plan, load, span],
+    recharges[1 or plan, span])``; ``mask[plan, load, step]`` (bool), if
+    given, the steps each plan's schedule may serve. A pass without a
+    wallet keeps no virtual balance: only the schedule and the real
+    wallet switch loads off. Returns the actuation ``[plan, load, step]``
+    (0/1 int8), the start-of-step real and virtual balances ``[plan,
+    step]``, and the final real balance, virtual balance and spend
+    ``[plan]``; the virtual ones are ``None`` without a wallet.
     """
-    plans, num_loads, num_spans = thresholds.shape
-    n = power.shape[-1] // num_spans
+    num_loads, total = power.shape
+    plans = len(balances)
+    n = total // num_spans
     step = np.arange(n)
-    actuation = np.empty((plans, num_loads, n * num_spans), dtype=np.int8)
-    z_trace = np.empty((plans, n * num_spans))
-    x_trace = np.empty((plans, n * num_spans))
-    real = np.full(plans, float(balance))
-    virtual = np.zeros(plans)
+    actuation = np.empty((plans, num_loads, total), dtype=np.int8)
+    z_trace = np.empty((plans, total))
+    x_trace = None if wallet is None else np.empty((plans, total))
+    real = np.asarray(balances, dtype=float)
+    virtual = None if wallet is None else np.zeros(plans)
     spend = np.zeros(plans)
     for s in range(num_spans):
         span = slice(s * n, (s + 1) * n)
         w = power[:, span]
         scheduled = None if mask is None else mask[..., span]
-        thr = thresholds[..., s]
-        virtual = virtual + recharges[:, s]
-        # off[p, k]: the step of the span from which load k stays off
-        off = np.where((virtual[:, None] >= thr) & (real[:, None] > 0), n, 0)
+        # off[p, k]: the step of the span from which load k stays off;
+        # without a wallet all loads of a plan share one (off[p, 0]).
+        enabled = real[:, None] > 0
+        if wallet is not None:
+            thr = wallet[0][..., s]
+            virtual = virtual + wallet[1][:, s]
+            enabled = enabled & (virtual[:, None] >= thr)
+        off = np.where(enabled, n, 0)
         while True:
             on = step < off[..., None]
             if scheduled is not None:
-                on &= scheduled
+                on = on & scheduled
             cost = cost_factor * np.where(on, w, 0.0).sum(axis=1)
             z = _running(real, cost)
-            x = _running(virtual, cost)
             # Both balances only fall, so counting the steps that pass a
             # test finds where it first fails: a load's first step below
             # its threshold, and the first step begun with no money.
             # Only the earliest of these events per plan is certain; the
             # ones after it move once its load is off. A load already
             # off, or an empty wallet with every load off, is no event.
-            cross = (x[:, :n, None] >= thr[:, None, :]).sum(axis=1)
-            cross[cross >= off] = n
             dark = (z[:, :n] > 0).sum(axis=1)
             dark[dark >= off.max(axis=1, initial=0)] = n
-            event = np.minimum(cross.min(axis=1, initial=n), dark)
+            event = dark
+            if wallet is not None:
+                x = _running(virtual, cost)
+                cross = (x[:, :n, None] >= thr[:, None, :]).sum(axis=1)
+                cross[cross >= off] = n
+                event = np.minimum(cross.min(axis=1, initial=n), dark)
             if (event == n).all():
                 break
-            hit = (cross == event[:, None]) | (dark == event)[:, None]
+            hit = (dark == event)[:, None]
+            if wallet is not None:
+                hit = hit | (cross == event[:, None])
             off = np.where(hit, np.minimum(off, event[:, None]), off)
         actuation[..., span] = on & (w > 0)
         z_trace[:, span] = z[:, :n]
-        x_trace[:, span] = x[:, :n]
-        real, virtual = z[:, n], x[:, n]
+        real = z[:, n]
+        if wallet is not None:
+            x_trace[:, span] = x[:, :n]
+            virtual = x[:, n]
         spend = np.add.accumulate(
             np.concatenate([spend[:, None], cost], axis=1), axis=1
         )[:, n]
     return actuation, z_trace, x_trace, real, virtual, spend
+
+
+def _balances(budget, count: int) -> np.ndarray:
+    """Initial real balance of each of ``count`` plans, from one
+    ``Budget`` they all share or a sequence of one per plan."""
+    if isinstance(budget, Budget):
+        return np.full(count, budget.initial_balance, dtype=float)
+    if len(budget) != count:
+        raise ShapeMismatch(f"{len(budget)} budgets for {count} plans")
+    return np.array([b.initial_balance for b in budget], dtype=float)
 
 
 def simulate_threshold_plans(
@@ -211,7 +241,7 @@ def simulate_threshold_plans(
     truth: DemandSeries,
     loads: LoadSet,
     tariff: Tariff,
-    budget: Budget,
+    budget: Budget | list[Budget],
 ) -> list[SimResult]:
     """Run threshold plans against true demand, all in one kernel pass.
 
@@ -219,8 +249,9 @@ def simulate_threshold_plans(
     each day start. A load is enabled at a step iff the virtual balance
     has stayed at or above its threshold for the day so far and the
     real wallet is still positive. Both wallets pay for every served
-    step. Entry ``p`` of the result is plan ``p``'s run, the same as
-    ``simulate_thresholds`` on it alone.
+    step. ``budget`` is shared by all plans or is a list of one per
+    plan. Entry ``p`` of the result is plan ``p``'s run, the same as
+    ``simulate_thresholds`` on it alone with its budget.
     """
     num_loads = truth.num_loads
     num_days = truth.grid.num_days
@@ -234,14 +265,19 @@ def simulate_threshold_plans(
             raise PlanShapeMismatch(
                 f"plan covers {plan.num_days} days, the horizon has {num_days}"
             )
+    balances = _balances(budget, len(plans))
     if not plans:
         return []
-    actuation, z, x, real, virtual, spend = _simulate(
-        truth.power,
+    wallet = (
         np.stack([plan.thresholds for plan in plans]),
         np.stack([plan.recharges for plan in plans]),
+    )
+    actuation, z, x, real, virtual, spend = _simulate(
+        truth.power,
         tariff.alpha * truth.grid.step_hours,
-        budget.initial_balance,
+        balances,
+        num_days,
+        wallet,
     )
     return _finalize(truth, loads, actuation, z, x, real, virtual, spend)
 
@@ -270,10 +306,10 @@ def threshold_psf(
     ``psf`` of ``simulate_thresholds`` on plan ``p``."""
     actuation = _simulate(
         truth.power,
-        thresholds,
-        recharges[None],
         tariff.alpha * truth.grid.step_hours,
-        budget.initial_balance,
+        _balances(budget, len(thresholds)),
+        truth.grid.num_days,
+        (thresholds, recharges[None]),
     )[0]
     return psf(actuation, demand_indicator(truth), loads)[1]
 
@@ -283,42 +319,41 @@ def simulate_schedules(
     truth: DemandSeries,
     loads: LoadSet,
     tariff: Tariff,
-    budget: Budget,
+    budget: Budget | list[Budget],
 ) -> list[SimResult]:
     """Run fixed on/off schedules against true demand, all in one kernel
     pass.
 
     A scheduled step is served only where demand actually occurs, and
     only while the prepaid wallet holds out; a schedule computed from a
-    wrong forecast simply burns its budget at the wrong times. Entry
-    ``p`` of the result is schedule ``p``'s run, the same as
-    ``simulate_schedule`` on it alone.
+    wrong forecast simply burns its budget at the wrong times.
+    ``budget`` is shared by all schedules or is a list of one per
+    schedule. Entry ``p`` of the result is schedule ``p``'s run, the
+    same as ``simulate_schedule`` on it alone with its budget.
     """
-    masks = []
-    for schedule in schedules:
+    balances = _balances(budget, len(schedules))
+    mask = np.empty((len(schedules), *truth.power.shape), dtype=bool)
+    for scheduled, schedule in zip(mask, schedules):
         sched = np.asarray(schedule)
         if sched.shape != truth.power.shape:
             raise ShapeMismatch(
                 f"schedule shape {sched.shape} != demand shape {truth.power.shape}"
             )
-        if not ((sched == 0) | (sched == 1)).all():
+        np.equal(sched, 1, out=scheduled)
+        if not (scheduled | (sched == 0)).all():
             raise ShapeMismatch("schedule must be a binary matrix")
-        masks.append(sched == 1)
-    if not masks:
+    if not schedules:
         return []
-    # Thresholds that never bind: only the schedule and the real wallet
-    # switch loads off. Day-long spans keep the kernel's arrays small; a
-    # one-step span would make numpy sum the loads pairwise rather than
-    # left to right, so one-step days run as one span.
+    # Day-long spans keep the kernel's arrays small; a one-step span
+    # would make numpy sum the loads pairwise rather than left to right,
+    # so one-step days run as one span.
     grid = truth.grid
-    spans = grid.num_days if grid.steps_per_day > 1 else 1
     actuation, z, _, real, _, spend = _simulate(
         truth.power,
-        np.full((len(masks), truth.num_loads, spans), -np.inf),
-        np.zeros((1, spans)),
         tariff.alpha * grid.step_hours,
-        budget.initial_balance,
-        mask=np.stack(masks),
+        balances,
+        grid.num_days if grid.steps_per_day > 1 else 1,
+        mask=mask,
     )
     return _finalize(truth, loads, actuation, z, None, real, None, spend)
 
@@ -347,14 +382,91 @@ def simulate_baseline(
     )
 
 
-def _run_reprs(trace: np.ndarray) -> list[str]:
-    """``repr`` of every entry of a float trace, computed once per run of
-    equal bit patterns (so ``-0.0`` after ``0.0`` starts a new run)."""
-    trace = np.ascontiguousarray(trace, dtype=float)
-    bits = trace.view(np.int64)
-    starts = np.flatnonzero(np.concatenate([[True], bits[1:] != bits[:-1]]))
-    texts = np.array(list(map(repr, trace[starts].tolist())), dtype=object)
-    return np.repeat(texts, np.diff(starts, append=trace.size)).tolist()
+def _balance_texts(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``repr`` of every entry of equally long float traces, as
+    ``(texts, code)`` with ``texts[code[trace, step]]`` the text of that
+    entry. A value is ``repr``-ed only where no earlier trace has the
+    same bit pattern at the same step and the step before it in its own
+    trace has other bits; bits, not floats, are compared, so ``0.0`` and
+    ``-0.0`` keep their own text."""
+    bits = [np.ascontiguousarray(t, dtype=float).view(np.int64) for t in traces]
+    total = len(bits[0])
+    steps = np.arange(total)
+    code = np.empty((len(bits), total), dtype=np.int32)
+    texts = []
+    for j, row in enumerate(bits):
+        new = np.ones(total, dtype=bool)
+        np.not_equal(row[1:], row[:-1], out=new[1:])
+        known = new.copy()
+        for i in range(j):
+            # All earlier traces with these bits at a step share one code.
+            same = bits[i] == row
+            code[j, same] = code[i, same]
+            known |= same
+            new &= ~same
+        code[j, new] = np.arange(len(texts), len(texts) + np.count_nonzero(new))
+        texts.extend(map(repr, row[new].view(np.float64).tolist()))
+        # Every other step repeats the bits of the step before it.
+        code[j] = code[j, np.maximum.accumulate(np.where(known, steps, 0))]
+    return np.array(texts, dtype=object), code
+
+
+def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> None:
+    """Write the trace of ``results[i]`` to ``paths[i]``, each file
+    as :func:`write_trace_csv` writes it, formatting the results
+    together.
+
+    The results share one horizon. A result listed more than once is
+    formatted once and its text written to each of its paths. Balances
+    are ``repr``-ed once per text that :func:`_balance_texts` finds over
+    all traces of the call: the plans of one budget fraction keep
+    passing through the same balances at the same steps. The text table
+    lives until the call returns, so a call should hold one such group,
+    not a whole sweep.
+    """
+    groups = {}  # id(result) -> (result, its paths)
+    for result, path in zip(results, paths, strict=True):
+        groups.setdefault(id(result), (result, []))[1].append(path)
+    if not groups:
+        return
+    traces = []
+    for result, _ in groups.values():
+        traces.append(result.real_balance_trace)
+        if result.virtual_balance_trace is not None:
+            traces.append(result.virtual_balance_trace)
+    texts, code = _balance_texts(traces)
+    head = io.StringIO()
+    csv.writer(head).writerow(
+        ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
+    )
+    steps = list(map(str, range(code.shape[1])))
+    no_virtual = [""] * code.shape[1]
+    rows = iter(code)
+    for result, result_paths in groups.values():
+        real = texts[next(rows)].tolist()
+        virtual = no_virtual
+        if result.virtual_balance_trace is not None:
+            virtual = texts[next(rows)].tolist()
+        body = "".join(
+            map(",".join, zip(steps, real, virtual, _actuation_labels(result)))
+        )
+        for path in result_paths:
+            with open(path, "w", newline="") as fh:
+                fh.write(head.getvalue())
+                fh.write(body)
+
+
+def _actuation_labels(result: SimResult) -> list[str]:
+    """Each step's actuation as ``0,1,...`` plus the line end, from one
+    label per on/off pattern that occurs."""
+    num_loads = result.actuation.shape[0]
+    # Each step's on/off pattern as one byte string of '0'/'1' digits.
+    digits = np.asarray(result.actuation, dtype=np.uint8).T + np.uint8(ord("0"))
+    patterns, which = np.unique(
+        np.ascontiguousarray(digits).view(f"S{num_loads}"), return_inverse=True
+    )
+    labels = [",".join(p.decode()) + "\r\n" for p in patterns.tolist()]
+    return np.array(labels, dtype=object)[which.reshape(-1)].tolist()
 
 
 def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
@@ -367,29 +479,9 @@ def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
     wallet, i.e. a schedule), and each load's actuation as 0 or 1. Every
     line ends in ``\\r\\n``.
 
-    No body field needs quoting, so the body is built in one ``%``
-    format: balances are ``repr``-ed once per run of equal values and
-    the actuation columns come from one label per on/off pattern that
-    occurs.
+    This is :func:`write_trace_csvs` on one result. No body field needs
+    quoting, so each row is joined from the texts of its fields: a
+    balance is ``repr``-ed once per run of equal bits, and the actuation
+    columns come from one label per on/off pattern that occurs.
     """
-    import csv
-
-    num_loads, total = result.actuation.shape
-    # Each step's on/off pattern as one byte string of '0'/'1' digits.
-    digits = np.asarray(result.actuation, dtype=np.uint8).T + np.uint8(ord("0"))
-    patterns, which = np.unique(
-        np.ascontiguousarray(digits).view(f"S{num_loads}"), return_inverse=True
-    )
-    labels = np.array([",".join(p.decode()) for p in patterns.tolist()], dtype=object)
-    virtual = result.virtual_balance_trace
-    fields = [None] * (4 * total)
-    fields[0::4] = range(total)
-    fields[1::4] = _run_reprs(result.real_balance_trace)
-    fields[2::4] = [""] * total if virtual is None else _run_reprs(virtual)
-    fields[3::4] = labels[which.reshape(-1)].tolist()
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(
-            ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
-        )
-        fh.write("%d,%s,%s,%s\r\n" * total % tuple(fields))
-
+    write_trace_csvs([result], loads, [path])

@@ -287,25 +287,33 @@ class TestEmitOutputs:
 
     def test_shared_results_match_oracle_bundle(self, tmp_path, monkeypatch):
         # BSL cells of one fraction share one result across the regimes:
-        # its trace is formatted once and copied, and every file must be
-        # what the row-by-row writer gives for its own cell.
+        # the traces of a fraction are formatted in one writer call, and
+        # every file must be what the row-by-row writer gives for its
+        # own cell.
         results = run_experiment(from_dict(base_config(), tmp_path))
         solved = [c for c in results.cells if c.result is not None]
         distinct = {id(c.result) for c in solved}
         assert len(distinct) < len(solved)
         calls = []
-        write = sim.write_trace_csv
+        write = sim.write_trace_csvs
         monkeypatch.setattr(
-            sim, "write_trace_csv", lambda *args: calls.append(write(*args))
+            sim,
+            "write_trace_csvs",
+            lambda *args: calls.append(args[0]) or write(*args),
         )
         emit_outputs(results, tmp_path / "fast")
-        assert len(calls) == len(distinct)
+        fractions = sorted({c.fraction for c in solved})
+        assert [len(call) for call in calls] == [
+            sum(c.fraction == f for c in solved) for f in fractions
+        ]
+        assert {id(r) for call in calls for r in call} == distinct
 
-        def oracle(result, loads, path):
-            with open(path, "w", newline="") as fh:
-                fh.write(sim_reference.trace_csv_text(result, loads))
+        def oracle(results, loads, paths):
+            for result, path in zip(results, paths, strict=True):
+                with open(path, "w", newline="") as fh:
+                    fh.write(sim_reference.trace_csv_text(result, loads))
 
-        monkeypatch.setattr(sim, "write_trace_csv", oracle)
+        monkeypatch.setattr(sim, "write_trace_csvs", oracle)
         emit_outputs(results, tmp_path / "oracle")
         fast = {
             p.relative_to(tmp_path / "fast"): p.read_bytes()

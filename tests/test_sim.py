@@ -21,6 +21,7 @@ from prepaid_ems.sim import (
     PlanShapeMismatch,
     ShapeMismatch,
     SimResult,
+    _balance_texts,
     count_disconnection_days,
     simulate_baseline,
     simulate_schedule,
@@ -29,6 +30,7 @@ from prepaid_ems.sim import (
     simulate_thresholds,
     threshold_psf,
     write_trace_csv,
+    write_trace_csvs,
 )
 
 
@@ -350,8 +352,10 @@ def stack_instances(rng):
 def test_stacked_pass_matches_one_plan_and_step_loop(seed):
     """Every result of a stacked pass is bit for bit the one-plan call's
     and the step loop's: AFG, DFM-grid and random threshold plans share
-    one pass, the baseline and random schedules another."""
+    one pass, the baseline and random schedules another, under one
+    budget and under one budget per plan."""
     rng = np.random.default_rng(9300 + seed)
+    balance_rng = np.random.default_rng(9400 + seed)
     covered = {"dfm": 0, "mid_day_disconnect": 0}
     for (truth, loads, tariff, budget), exact in stack_instances(rng):
         plans = random_threshold_plans(rng, truth, loads, tariff, budget)
@@ -400,6 +404,22 @@ def test_stacked_pass_matches_one_plan_and_step_loop(seed):
             step = result.first_disconnect_step
             if step is not None and step % truth.grid.steps_per_day > 0:
                 covered["mid_day_disconnect"] += 1
+        # Each plan with its own initial balance, one of them empty, as
+        # the budget fractions of a sweep share one pass.
+        scale = max(budget.initial_balance, 1e-3)
+        for stack, many, one in (
+            (plans, simulate_threshold_plans, simulate_thresholds),
+            (schedules, simulate_schedules, simulate_schedule),
+        ):
+            budgets = [Budget(0.0)] + [
+                Budget(float(balance_rng.uniform(0.1, 1.5)) * scale)
+                for _ in stack[1:]
+            ]
+            stacked = many(stack, truth, loads, tariff, budgets)
+            for plan, own, result in zip(stack, budgets, stacked, strict=True):
+                assert_bit_identical(result, one(plan, truth, loads, tariff, own))
+            with pytest.raises(ShapeMismatch):
+                many(stack, truth, loads, tariff, budgets[1:])
     assert min(covered.values()) > 0, covered
 
 
@@ -508,3 +528,49 @@ def test_trace_writer_matches_oracle(tmp_path):
         assert path.read_bytes() == sim_reference.trace_csv_text(
             result, loads
         ).encode()
+
+
+def test_trace_group_matches_oracle(tmp_path):
+    """Results formatted together share balance texts at the same step
+    and across steps; every file is still the row-by-row writer's, with
+    0.0 and -0.0 at one step each keeping their own text, and a result
+    listed twice is written to both of its paths."""
+    rng = np.random.default_rng(77)
+    total = 300
+    base = np.repeat(rng.normal(0.0, 10.0, total), rng.integers(1, 9, total))[:total]
+    same_step = base.copy()
+    same_step[::7] = rng.normal(0.0, 10.0, len(same_step[::7]))
+    shifted = np.roll(base, 13)  # the same values at other steps
+    signed = base.copy()
+    signed[40:60] = 0.0
+    flipped = signed.copy()
+    flipped[40:60:3] = -0.0
+    on = (rng.random((3, total)) < 0.5).astype(np.int8)
+    shared = _traced(on, signed, None)
+    results = [
+        _traced(on, base, same_step),
+        shared,
+        _traced(1 - on, shifted, None),
+        _traced(on[::-1].copy(), flipped, signed),
+        _traced(on, same_step, flipped),
+        shared,
+    ]
+    loads = LoadSet.from_pairs([("a", 0.5), ("b,c", 0.3), ("d", 0.2)])
+    paths = [tmp_path / f"trace{i}.csv" for i in range(len(results))]
+    write_trace_csvs(results, loads, paths)
+    for result, path in zip(results, paths):
+        assert path.read_bytes() == sim_reference.trace_csv_text(
+            result, loads
+        ).encode()
+
+
+def test_balance_texts_repr_each_bit_pattern_once_per_step():
+    runs = np.repeat([1.5, 0.1 + 0.2, 1.5, -0.25], [3, 2, 4, 1])
+    texts, code = _balance_texts([runs, runs.copy(), runs[::-1].copy()])
+    # Runs of the first trace once each; the copy reuses every text; the
+    # reversed trace matches it only where the two agree at a step.
+    sum_ = "0.30000000000000004"
+    assert texts.tolist() == ["1.5", sum_, "1.5", "-0.25", "-0.25", sum_]
+    assert (code[1] == code[0]).all()
+    texts, code = _balance_texts([np.zeros(3), np.array([0.0, -0.0, 0.0])])
+    assert texts[code].tolist() == [["0.0"] * 3, ["0.0", "-0.0", "0.0"]]
