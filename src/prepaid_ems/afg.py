@@ -229,20 +229,3 @@ def compute_thresholds(
                 thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
     return ThresholdPlan(thresholds, recharges)
 
-
-def write_threshold_csv(plan: ThresholdPlan, loads: LoadSet, path) -> None:
-    """Serialize the control setpoints: one threshold row per load per
-    day plus a ``__recharge__`` row per day."""
-    import csv
-
-    if plan.thresholds.shape[0] != len(loads):
-        raise ValueError(
-            f"plan has {plan.thresholds.shape[0]} loads, load set has {len(loads)}"
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["day", "load", "dollars"])
-        for d in range(plan.num_days):
-            for k, name in enumerate(loads.names):
-                writer.writerow([d, name, repr(float(plan.thresholds[k, d]))])
-            writer.writerow([d, "__recharge__", repr(float(plan.recharges[d]))])

@@ -1,5 +1,12 @@
 """Experiment configuration: JSON parsing and validation.
 
+The ``data`` section holds either a ``csv`` path or a ``synthetic``
+household spec. A CSV holds whole days of ``step_minutes`` steps, as
+many as the file has; the sweep reads ``horizon_days`` of them from
+``start_day`` on. A synthetic household is generated for
+``horizon_days`` days. ``budget_fractions``, ``regimes`` and
+``policies`` each name an entry at most once.
+
 The optional ``dfm`` section takes three keys:
 
 * ``grid_resolution`` -- evenly spaced threshold levels per load-day in
@@ -98,6 +105,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown policies {unknown}; choose from {POLICIES}")
         if not self.regimes:
             raise ConfigError("at least one forecast regime is required")
+        for name, values in (
+            ("budget_fractions", self.budget_fractions),
+            ("regimes", [regime.label for regime in self.regimes]),
+            ("policies", self.policies),
+        ):
+            repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated} more than once")
         if (self.csv_path is None) == (self.profiles is None):
             raise ConfigError(
                 "data source must be exactly one of a CSV path or a synthetic spec"

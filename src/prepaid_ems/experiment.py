@@ -38,6 +38,7 @@ from prepaid_ems.milp import (
     SolverNotFound,
     SolverTimeout,
     build_dfm,
+    dfm_recharges,
     extract_thresholds,
     solve_dfm_grid,
     solve_external,
@@ -86,10 +87,10 @@ class ExperimentResults:
 
 def load_truth(config: ExperimentConfig) -> DemandSeries:
     """Materialize the true demand series for the experiment window."""
-    grid = TimeGrid.from_minutes(config.step_minutes, config.horizon_days)
     if config.csv_path is not None:
-        full = ingest_csv(config.csv_path, config.loads, grid, whole_days=True)
+        full = ingest_csv(config.csv_path, config.loads, config.step_minutes)
         return slice_days(full, config.start_day, config.horizon_days)
+    grid = TimeGrid.from_minutes(config.step_minutes, config.horizon_days)
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
 
 
@@ -121,12 +122,12 @@ def _external_dfm_plan(config, view, loads, tariff, budget):
         return None, None, f"{exc}; grid fallback; "
     if solution.status is not SolveStatus.OPTIMAL:
         logger.warning(
-            "external DFM solve returned %s; trying grid backend",
+            "external DFM solve returned %s (%s); trying grid backend",
             solution.status.value,
+            solution.message,
         )
         return None, None, "solver error; grid fallback; "
-    num_days = view.grid.num_days
-    recharges = np.full(num_days, budget.initial_balance / num_days)
+    recharges = dfm_recharges(budget, view.grid.num_days)
     thresholds = extract_thresholds(model, solution, view, tariff, recharges)
     return afg.ThresholdPlan(thresholds, recharges), solution.objective, ""
 
@@ -138,13 +139,13 @@ def _plan_dfm(config, view, loads, tariff, budget):
         if plan is not None:
             return plan, objective, note
     try:
-        plan, solution = solve_dfm_grid(
-            view, loads, tariff, budget, grid_resolution=config.dfm.grid_resolution
+        plan, objective = solve_dfm_grid(
+            view, loads, tariff, budget, config.dfm.grid_resolution
         )
     except InstanceTooLarge as exc:
         logger.warning("DFM grid backend skipped: %s", exc)
         return None, None, f"{note}unsolved: {exc}"
-    return plan, solution.objective, note
+    return plan, objective, note
 
 
 def _plan_cells(config, views, loads, tariff, budget) -> list[tuple]:

@@ -1,5 +1,8 @@
 """Load-data ingestion, synthetic households, and forecast views.
 
+A demand CSV holds whole days, as many as the file has;
+:func:`slice_days` cuts an experiment's window from them.
+
 A "forecast" here is just another :class:`~prepaid_ems.model.DemandSeries`:
 perfect forecasts are the true series, imperfect ones have their days
 shuffled, and limited-granularity forecasts are flattened to the daily
@@ -44,18 +47,18 @@ class UnparseableNumber(CsvError):
 _EXPORT_EPOCH = datetime(2000, 1, 1)
 
 
-def ingest_csv(
-    path, loads: LoadSet, grid: TimeGrid, whole_days: bool = False
-) -> DemandSeries:
-    """Read a demand series from ``path``.
+def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
+    """Read a demand series of ``step_minutes`` steps from ``path``.
 
     Expected schema: header ``timestamp,<load1>,...,<loadK>`` with the
-    loads in the same order as ``loads``, then exactly one row per grid
-    timestep, powers in W. With ``whole_days`` the file sets the number
-    of days instead: it must hold a positive whole number of the grid's
-    days. Any shape or value problem raises a :class:`CsvError` subclass
-    naming the offending line; nothing is silently truncated or padded.
+    loads in the same order as ``loads``, then one row per timestep,
+    powers in W. The file sets the number of days: it must hold a
+    positive whole number of days (:func:`slice_days` cuts a window from
+    them). Any shape or value problem raises a :class:`CsvError`
+    subclass naming the offending line; nothing is silently truncated or
+    padded.
     """
+    steps_per_day = TimeGrid.from_minutes(step_minutes, 1).steps_per_day
     expected_header = ["timestamp", *loads.names]
     rows: list[list[str]] = []
     with open(path, newline="") as fh:
@@ -75,27 +78,12 @@ def ingest_csv(
             )
         rows.extend(reader)
 
-    if whole_days:
-        if not rows or len(rows) % grid.steps_per_day != 0:
-            raise RowCountMismatch(
-                f"{path}: {len(rows)} data rows is not a whole number of "
-                f"{grid.steps_per_day}-step days"
-            )
-        grid = TimeGrid(
-            grid.step_hours, grid.steps_per_day, len(rows) // grid.steps_per_day
-        )
-    total = grid.total_steps
-    if len(rows) != total:
-        where = (
-            f"first extra row at line {total + 2}"
-            if len(rows) > total
-            else f"file ends at line {len(rows) + 1}"
-        )
+    if not rows or len(rows) % steps_per_day != 0:
         raise RowCountMismatch(
-            f"{path}: expected {total} data rows for the grid, found "
-            f"{len(rows)} ({where})"
+            f"{path}: {len(rows)} data rows is not a whole number of "
+            f"{steps_per_day}-step days"
         )
-
+    grid = TimeGrid.from_minutes(step_minutes, len(rows) // steps_per_day)
     return DemandSeries(grid, _parse_power(rows, loads, path))
 
 

@@ -1,28 +1,32 @@
 """Solver-agnostic MILP machinery.
 
-Builders translate rationing problems into a plain variable/constraint
-representation; desk-scale exact backends solve the small cases
-in-process; an LP-file writer and subprocess bridge hand bigger
-instances to any external solver; an independent checker verifies that
-whatever came back actually satisfies the constraints.
+Builders translate the rationing problems into a plain variable and
+constraint representation. An LP-file writer and subprocess bridge hand
+the DFM model to an external solver when one is configured, and the
+threshold grid search is the in-process DFM backend.
+
+The sweep runs neither the OBM model with its exact knapsack backend
+nor the feasibility checker: OBM is solved by
+``prepaid_ems.obm.solve_obm``, and these are oracles that the tests
+check the planners against. ``build_obm`` and ``solve_knapsack_bb``
+stay importable from ``prepaid_ems.experiment`` because the
+benchmark's per-layer run hooks them there.
 """
 
 from prepaid_ems.milp.builders import (
-    InfeasibleConstants,
     build_dfm,
     build_obm,
+    dfm_recharges,
     extract_schedule,
     extract_thresholds,
 )
 from prepaid_ems.milp.checker import MissingVariable, Violation, check_feasibility
 from prepaid_ems.milp.core import (
     Constraint,
-    MilpConstants,
     MilpModel,
     Solution,
     SolveStatus,
     Variable,
-    default_constants,
 )
 from prepaid_ems.milp.grid_search import InstanceTooLarge, solve_dfm_grid
 from prepaid_ems.milp.knapsack import StructureMismatch, solve_knapsack_bb
@@ -36,9 +40,7 @@ from prepaid_ems.milp.lp_io import (
 
 __all__ = [
     "Constraint",
-    "InfeasibleConstants",
     "InstanceTooLarge",
-    "MilpConstants",
     "MilpModel",
     "MissingVariable",
     "Solution",
@@ -52,7 +54,7 @@ __all__ = [
     "build_dfm",
     "build_obm",
     "check_feasibility",
-    "default_constants",
+    "dfm_recharges",
     "extract_schedule",
     "extract_thresholds",
     "solve_dfm_grid",

@@ -13,7 +13,7 @@ the conjunction of its enable signals.
 import numpy as np
 
 from prepaid_ems.afg import pinned_off
-from prepaid_ems.milp.core import MilpConstants, MilpModel, Solution, default_constants
+from prepaid_ems.milp.core import MilpModel, Solution
 from prepaid_ems.model import (
     Budget,
     DemandSeries,
@@ -23,9 +23,27 @@ from prepaid_ems.model import (
     effective_budget,
 )
 
+#: Smallest balance the indicator rows treat as "money in the wallet".
+INDICATOR_EPS = 1e-6
 
-class InfeasibleConstants(ValueError):
-    """The big-M constants cannot represent the wallet's range."""
+
+def dfm_recharges(budget: Budget, num_days: int) -> np.ndarray:
+    """The DFM's daily recharges: the budget split evenly over the days."""
+    return np.full(num_days, budget.initial_balance / num_days)
+
+
+def _wallet_bound(demand: DemandSeries, tariff: Tariff, budget: Budget) -> float:
+    """Big-M bound on the magnitude of every balance the wallets reach.
+
+    The wallet starts at the budget and can overshoot below zero by at
+    most one step's worth of every load running simultaneously, so
+    ``budget + alpha * dt * sum_k max_t P`` bounds its magnitude.
+    """
+    swing = tariff.alpha * demand.grid.step_hours * float(
+        demand.power.max(axis=1).sum()
+    )
+    bound = budget.initial_balance + swing
+    return bound if bound > 0 else 1.0  # degenerate zero-budget zero-demand model
 
 
 def build_obm(
@@ -36,9 +54,9 @@ def build_obm(
     Binary actuation variables exist only where demand occurs (steps
     without demand are fixed off by omission); the objective weighs each
     load's steps by its priority over its demanded-step count, and one
-    constraint keeps spend within the budget. The model serves LP export
-    and the knapsack oracle that ``prepaid_ems.obm.solve_obm`` is checked
-    against.
+    constraint keeps spend within the budget. The sweep solves OBM with
+    ``prepaid_ems.obm.solve_obm``; this model feeds the knapsack oracle
+    that ``solve_obm`` is checked against.
     """
     if demand.num_loads != len(loads):
         raise ValueError(
@@ -69,19 +87,14 @@ def build_obm(
 
 
 def build_dfm(
-    demand: DemandSeries,
-    loads: LoadSet,
-    tariff: Tariff,
-    budget: Budget,
-    constants: MilpConstants | None = None,
-    recharge_per_day: float | None = None,
+    demand: DemandSeries, loads: LoadSet, tariff: Tariff, budget: Budget
 ) -> MilpModel:
     """Threshold benchmark over per-timestep demand forecasts.
 
     Decision variables: per-load per-day thresholds, real and virtual
     wallet balances per step, real/virtual enable binaries, and binary
-    actuations. The recharge transferred to the virtual wallet at each
-    day start defaults to the budget split evenly over the days.
+    actuations. The virtual wallet gets :func:`dfm_recharges` at each
+    day start.
 
     The real balance needs one step beyond the horizon: serving the last
     step requires the wallet to stay positive after paying for it, so a
@@ -92,23 +105,14 @@ def build_dfm(
         raise ValueError(
             f"series has {demand.num_loads} loads, load set has {len(loads)}"
         )
-    if constants is None:
-        constants = default_constants(demand, tariff, budget)
-    z0 = budget.initial_balance
-    if constants.neg_big > -z0 or constants.pos_big < z0:
-        raise InfeasibleConstants(
-            f"constants must bracket the balance: need neg_big <= {-z0} and "
-            f"pos_big >= {z0}, got [{constants.neg_big}, {constants.pos_big}]"
-        )
-    eps = constants.indicator_eps
-    big = constants.pos_big
-    neg = constants.neg_big
+    eps = INDICATOR_EPS
+    big = _wallet_bound(demand, tariff, budget)
+    neg = -big
 
     grid = demand.grid
     num_loads = demand.num_loads
     total = grid.total_steps
-    if recharge_per_day is None:
-        recharge_per_day = z0 / grid.num_days
+    recharges = dfm_recharges(budget, grid.num_days)
     d = demand_indicator(demand)
     cost_factor = tariff.alpha * grid.step_hours
 
@@ -153,17 +157,17 @@ def build_dfm(
         }
 
     # Real wallet recurrence; the budget enters at the first step.
-    model.add_constraint("real_wallet_t0", {"z_t0": 1.0}, "=", z0)
+    model.add_constraint("real_wallet_t0", {"z_t0": 1.0}, "=", budget.initial_balance)
     for t in range(1, total + 1):
         coeffs = {f"z_t{t}": 1.0, f"z_t{t - 1}": -1.0}
         coeffs.update(spend_coeffs(t - 1))
         model.add_constraint(f"real_wallet_t{t}", coeffs, "=", 0.0)
     # Virtual wallet recurrence; the recharge enters at each day start.
-    model.add_constraint("virtual_wallet_t0", {"x_t0": 1.0}, "=", recharge_per_day)
+    model.add_constraint("virtual_wallet_t0", {"x_t0": 1.0}, "=", recharges[0])
     for t in range(1, total):
         coeffs = {f"x_t{t}": 1.0, f"x_t{t - 1}": -1.0}
         coeffs.update(spend_coeffs(t - 1))
-        rhs = recharge_per_day if t % grid.steps_per_day == 0 else 0.0
+        rhs = recharges[grid.day_of(t)] if t % grid.steps_per_day == 0 else 0.0
         model.add_constraint(f"virtual_wallet_t{t}", coeffs, "=", rhs)
 
     for k in range(num_loads):

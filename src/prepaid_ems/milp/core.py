@@ -4,8 +4,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-from prepaid_ems.model import Budget, DemandSeries, Tariff
-
 _SENSES = ("<=", ">=", "=")
 
 
@@ -108,46 +106,3 @@ class Solution:
     objective: float
     status: SolveStatus
     message: str = ""
-
-
-@dataclass(frozen=True)
-class MilpConstants:
-    """Numerical constants for the indicator (big-M) constraints.
-
-    ``indicator_eps`` is the smallest balance treated as "money in the
-    wallet"; ``neg_big``/``pos_big`` must bracket every balance the
-    wallet can reach (``neg_big <= -balance``, ``pos_big >= balance``).
-    """
-
-    indicator_eps: float
-    neg_big: float
-    pos_big: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.indicator_eps) and self.indicator_eps > 0):
-            raise ValueError(f"indicator_eps must be positive, got {self.indicator_eps}")
-        if not (math.isfinite(self.neg_big) and self.neg_big < 0):
-            raise ValueError(f"neg_big must be negative, got {self.neg_big}")
-        if not (math.isfinite(self.pos_big) and self.pos_big > 0):
-            raise ValueError(f"pos_big must be positive, got {self.pos_big}")
-
-
-def default_constants(
-    demand: DemandSeries, tariff: Tariff, budget: Budget, indicator_eps: float = 1e-6
-) -> MilpConstants:
-    """Constants with headroom for the wallet's full dynamic range.
-
-    The wallet starts at the budget and can overshoot below zero by at
-    most one step's worth of every load running simultaneously, so
-    ``budget + alpha * dt * sum_k max_t P`` bounds its magnitude.
-    """
-    if demand.power.size:
-        swing = tariff.alpha * demand.grid.step_hours * float(
-            demand.power.max(axis=1).sum()
-        )
-    else:
-        swing = 0.0
-    bound = budget.initial_balance + swing
-    if bound <= 0:
-        bound = 1.0  # degenerate zero-budget zero-demand model
-    return MilpConstants(indicator_eps, -bound, bound)

@@ -15,12 +15,15 @@ import numpy as np
 
 from prepaid_ems import sim
 from prepaid_ems.afg import ThresholdPlan, pinned_off
-from prepaid_ems.milp.core import Solution, SolveStatus
+from prepaid_ems.milp.builders import dfm_recharges
 from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, daily_average
 
 
 #: Candidate plans simulated per batch; bounds the memory of one batch.
 CHUNK = 256
+
+#: Most candidate combinations one search enumerates.
+CANDIDATE_CAP = 20000
 
 
 class InstanceTooLarge(ValueError):
@@ -32,25 +35,25 @@ def solve_dfm_grid(
     loads: LoadSet,
     tariff: Tariff,
     budget: Budget,
-    grid_resolution: int = 3,
-    candidate_cap: int = 20000,
-) -> tuple[ThresholdPlan, Solution]:
-    """Best threshold plan over a per-load-day candidate grid.
+    grid_resolution: int,
+) -> tuple[ThresholdPlan, float]:
+    """Best threshold plan over a per-load-day candidate grid, and its
+    PSF on ``demand``.
 
     Candidates per load-day: zero, ``grid_resolution`` evenly spaced
-    points up to the daily recharge, and ``afg.pinned_off``, just above
-    the recharges summed through that day. Load-days with no forecast
-    demand only get the pinned-off candidate -- their threshold cannot
-    matter. Ties keep the first combination in enumeration order,
-    so results are deterministic.
+    points up to the daily recharge (:func:`dfm_recharges`), and
+    ``afg.pinned_off``, just above the recharges summed through that
+    day. Load-days with no forecast demand only get the pinned-off
+    candidate -- their threshold cannot matter. Ties keep the first
+    combination in enumeration order, so results are deterministic.
     """
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
     grid = demand.grid
     num_loads = demand.num_loads
     num_days = grid.num_days
-    recharge = budget.initial_balance / num_days
-    recharges = np.full(num_days, recharge)
+    recharges = dfm_recharges(budget, num_days)
+    recharge = float(recharges[0])
     off = pinned_off(recharges).tolist()
 
     avg = daily_average(demand)
@@ -62,9 +65,9 @@ def solve_dfm_grid(
             cell = [0.0, *active, off[day]] if avg.power[k, day] > 0 else [off[day]]
             candidates.append(cell)
             count *= len(cell)
-            if count > candidate_cap:
+            if count > CANDIDATE_CAP:
                 raise InstanceTooLarge(
-                    f"threshold grid has more than {candidate_cap} combinations "
+                    f"threshold grid has more than {CANDIDATE_CAP} combinations "
                     f"({num_loads} loads x {num_days} days at resolution "
                     f"{grid_resolution})"
                 )
@@ -83,11 +86,4 @@ def solve_dfm_grid(
         ]
     )
     best = int(np.argmax(scores))
-    best_thresholds = plans[best]
-    best_plan = ThresholdPlan(best_thresholds, recharges)
-    values = {
-        f"thr_k{k}_d{day}": best_thresholds[k, day]
-        for k in range(num_loads)
-        for day in range(num_days)
-    }
-    return best_plan, Solution(values, float(scores[best]), SolveStatus.FEASIBLE)
+    return ThresholdPlan(plans[best], recharges), float(scores[best])

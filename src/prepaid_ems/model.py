@@ -116,9 +116,6 @@ class TimeGrid:
     def day_of(self, t: int) -> int:
         return t // self.steps_per_day
 
-    def day_slice(self, d: int) -> slice:
-        return slice(d * self.steps_per_day, (d + 1) * self.steps_per_day)
-
 
 @dataclass(frozen=True)
 class Tariff:

@@ -64,10 +64,6 @@ from prepaid_ems.model import (
 )
 
 
-class PlanShapeMismatch(ValueError):
-    pass
-
-
 class ShapeMismatch(ValueError):
     pass
 
@@ -258,11 +254,9 @@ def simulate_threshold_plans(
     for plan in plans:
         covered = plan.thresholds.shape[0]
         if covered != num_loads or covered != len(loads):
-            raise PlanShapeMismatch(
-                f"plan covers {covered} loads, expected {len(loads)}"
-            )
+            raise ShapeMismatch(f"plan covers {covered} loads, expected {len(loads)}")
         if plan.num_days != num_days:
-            raise PlanShapeMismatch(
+            raise ShapeMismatch(
                 f"plan covers {plan.num_days} days, the horizon has {num_days}"
             )
     balances = _balances(budget, len(plans))

@@ -591,13 +591,13 @@ def test_criterion_10_external_solver_cross_check():
     grid = TimeGrid(24.0, 1, 2)
     truth = DemandSeries(grid, [[100.0, 100.0], [5000.0, 0.0]])
     budget = Budget(6.0)
-    dplan, grid_solution = solve_dfm_grid(truth, loads, tariff, budget)
+    dplan, grid_objective = solve_dfm_grid(truth, loads, tariff, budget, 3)
     grid_sim = sim.simulate_thresholds(dplan, truth, loads, tariff, budget)
     assert grid_sim.total_spend <= effective_budget(budget) + 1e-12
     model = build_dfm(truth, loads, tariff, budget)
     external = solve_external(model, solver_cmd, timeout_seconds=600)
     assert external.status is SolveStatus.OPTIMAL
     assert check_feasibility(model, external) == []
-    assert grid_solution.objective <= external.objective + 1e-6
+    assert grid_objective <= external.objective + 1e-6
     assert grid_sim.psf <= external.objective + 1e-6
     report(10, "external OBM matches branch and bound; external DFM bounds the grid")

@@ -9,7 +9,6 @@ from prepaid_ems.afg import (
     compute_thresholds,
     max_durations,
     solve_greedy,
-    write_threshold_csv,
 )
 from prepaid_ems.model import (
     Budget,
@@ -290,16 +289,3 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ThresholdPlan(np.zeros((2, 1)), np.array([-0.5]))
 
-
-def test_threshold_csv_shape(tmp_path, worked):
-    loads, avg, tariff, budget = worked
-    plan = solve_greedy(avg, loads, tariff, budget)
-    recharges = compute_recharges(plan, avg, tariff)
-    tplan = compute_thresholds(plan, recharges, avg, tariff, 0.25)
-    path = tmp_path / "setpoints.csv"
-    write_threshold_csv(tplan, loads, path)
-    lines = path.read_text().splitlines()
-    # header + (loads + 1 recharge row) per day
-    assert len(lines) == 1 + (len(loads) + 1) * tplan.num_days
-    assert lines[0] == "day,load,dollars"
-    assert lines[3].startswith("0,__recharge__,")

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,9 @@ import sim_reference
 from prepaid_ems import cli, sim
 from prepaid_ems.config import ConfigError, from_dict, from_file
 from prepaid_ems.experiment import emit_outputs, load_truth, run_experiment
-from prepaid_ems.forecast import Fidelity, Granularity
-from prepaid_ems.model import daily_average
+from prepaid_ems.forecast import Fidelity, Granularity, export_csv, synth_household
+from prepaid_ems.model import DemandSeries, TimeGrid, daily_average
+from prepaid_ems.rng import SplitMix64
 
 
 HEATER = {"name": "heater", "gamma": 0.3}
@@ -49,6 +51,20 @@ def base_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def write_noisy_csv(path, days):
+    """The base config's household over ``days`` 60-minute days, each
+    power scaled by ``1 + 0.01 * u`` with ``u`` uniform on [-1, 1) from a
+    fixed splitmix64 stream, written by ``export_csv``."""
+    config = from_dict(base_config(), path.parent)
+    clean = synth_household(
+        4, config.loads, TimeGrid.from_minutes(60, days), config.profiles
+    )
+    rng = SplitMix64(17)
+    noise = [1.0 + 0.01 * (2.0 * rng.uniform() - 1.0) for _ in range(clean.power.size)]
+    power = clean.power * np.reshape(noise, clean.power.shape)
+    export_csv(DemandSeries(clean.grid, power), config.loads, path)
 
 
 class TestConfig:
@@ -361,13 +377,25 @@ class TestEmitOutputs:
                 },
                 "17ab60714a1545073dc12640e99775bb6bc9d48696b2280162aa2a7c65c5b5b0",
             ),
+            (
+                {
+                    "data": {"csv": "house.csv"},
+                    "start_day": 1,
+                    "horizon_days": 3,
+                    "policies": ["BSL", "AFG", "DFM", "OBM"],
+                },
+                "c156aa5f4cf4d001f7bd003626ccef2bb4f13f1009baadfbf4eec4942b020af7",
+            ),
         ],
-        ids=["2d-60min-all-policies", "30d-15min"],
+        ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy"],
     )
     def test_bundle_digest_pinned(self, tmp_path, overrides, digest):
-        """The bundle's bytes for two fixed sweeps over all four regimes,
+        """The bundle's bytes for three fixed sweeps over all four regimes,
         digested as the benchmark digests them (each CSV's path and
-        bytes, in path order)."""
+        bytes, in path order). The CSV sweep reads days 1-3 of a 5-day
+        file of noisy demand."""
+        if "data" in overrides:
+            write_noisy_csv(tmp_path / "house.csv", days=5)
         config = from_dict(base_config(regimes=ALL_REGIMES, **overrides), tmp_path)
         emit_outputs(run_experiment(config), config.output_dir)
         sha = hashlib.sha256()
@@ -457,6 +485,30 @@ class TestCli:
         assert row["status"] == "ok"
         assert "grid fallback" in row["note"]
 
+    def test_failing_solver_exit_status_and_stderr_logged(self, tmp_path, caplog):
+        failing = (
+            f"{sys.executable} -c "
+            "'import sys; sys.stderr.write(\"license expired\"); sys.exit(7)' "
+            "{lp} {sol}"
+        )
+        data = base_config(
+            policies=["DFM"],
+            budget_fractions=[0.7],
+            regimes=["perfect-detailed"],
+            dfm={"grid_resolution": 2, "solver_cmd": failing},
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(data))
+        with caplog.at_level(logging.WARNING, logger="prepaid_ems.experiment"):
+            assert cli.main(["run", "--config", str(config_path)]) == 0
+        assert "external DFM solve returned error" in caplog.text
+        assert "solver exited with status 7" in caplog.text
+        assert "stderr: license expired" in caplog.text
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["status"] == "ok"
+        assert row["note"] == "solver error; grid fallback; "
+
     @pytest.mark.parametrize(
         "template", ["mysolver", "mysolver {lp}", "mysolver {lp} {sol} {x}", "'{lp} {sol}"]
     )
@@ -505,6 +557,18 @@ class TestCli:
             ("loads[0] must be an object", {"loads": ["fridge", HEATER]}),
             ("loads[1] name", {"loads": [HEATER, {"name": 5, "gamma": 0.7}]}),
             ("loads must be a list", {"loads": {"fridge": 0.7}}),
+            (
+                "budget_fractions lists [0.8] more than once",
+                {"budget_fractions": [0.8, 0.8]},
+            ),
+            (
+                "regimes lists ['perfect-detailed'] more than once",
+                {"regimes": ["perfect-detailed", "perfect-detailed"]},
+            ),
+            (
+                "policies lists ['AFG'] more than once",
+                {"policies": ["AFG", "AFG", "BSL"]},
+            ),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):

@@ -47,41 +47,38 @@ class TestIngest:
         rows = [[f"t{i}", 1.0, 2.0, 3.0, 4.0] for i in range(grid.total_steps)]
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
-        series = ingest_csv(path, four_loads, grid)
+        series = ingest_csv(path, four_loads, 15)
+        assert series.grid == grid
         assert series.power.shape == (4, 2880)
 
     def test_negative_power_names_line(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(15, 1)
         rows = [[f"t{i}", 1.0, 2.0, 3.0, 4.0] for i in range(96)]
         rows[10][2] = -5.0
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
         with pytest.raises(NegativePower, match=":12:"):
-            ingest_csv(path, four_loads, grid)
+            ingest_csv(path, four_loads, 15)
 
     def test_missing_column(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(15, 1)
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", "fridge", "compressor"], [])
         with pytest.raises(MissingColumn, match="microwave"):
-            ingest_csv(path, four_loads, grid)
+            ingest_csv(path, four_loads, 15)
 
     def test_row_count_mismatch(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(15, 1)
         rows = [[f"t{i}", 1, 2, 3, 4] for i in range(95)]
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
-        with pytest.raises(RowCountMismatch, match="expected 96"):
-            ingest_csv(path, four_loads, grid)
+        with pytest.raises(RowCountMismatch, match="95 data rows .* 96-step days"):
+            ingest_csv(path, four_loads, 15)
 
     def test_unparseable_number(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(15, 1)
         rows = [[f"t{i}", 1, 2, 3, 4] for i in range(96)]
         rows[5][4] = "oops"
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
         with pytest.raises(UnparseableNumber, match="washer"):
-            ingest_csv(path, four_loads, grid)
+            ingest_csv(path, four_loads, 15)
 
     def test_round_trip(self, tmp_path, four_loads):
         grid = TimeGrid.from_minutes(30, 2)
@@ -89,11 +86,11 @@ class TestIngest:
         series = DemandSeries(grid, rng.uniform(0, 1500, (4, grid.total_steps)))
         path = tmp_path / "out.csv"
         export_csv(series, four_loads, path)
-        again = ingest_csv(path, four_loads, grid)
+        again = ingest_csv(path, four_loads, 30)
+        assert again.grid == grid
         assert np.array_equal(series.power, again.power)
 
     def test_whole_days_takes_the_day_count_from_the_file(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(60, 1)
         path = tmp_path / "d.csv"
         for rows, days in ((72, 3), (24, 1), (0, None), (30, None)):
             write_csv(
@@ -103,18 +100,17 @@ class TestIngest:
             )
             if days is None:
                 with pytest.raises(RowCountMismatch, match="whole number"):
-                    ingest_csv(path, four_loads, grid, whole_days=True)
+                    ingest_csv(path, four_loads, 60)
             else:
-                series = ingest_csv(path, four_loads, grid, whole_days=True)
+                series = ingest_csv(path, four_loads, 60)
                 assert series.grid == TimeGrid.from_minutes(60, days)
                 assert np.array_equal(series.power[3], np.arange(rows))
 
     def test_errors_are_csv_errors(self, tmp_path, four_loads):
-        grid = TimeGrid.from_minutes(15, 1)
         path = tmp_path / "d.csv"
         write_csv(path, ["nope"], [])
         with pytest.raises(CsvError):
-            ingest_csv(path, four_loads, grid)
+            ingest_csv(path, four_loads, 15)
 
     def test_cells_parse_bit_for_bit_as_float(self, tmp_path, four_loads):
         # numpy parses the whole file at once; every cell must get the bits
@@ -124,11 +120,10 @@ class TestIngest:
             "\u0be7", "+3", ".5", "1.", "0.1", "123456789012345678901234567890",
             "2.2250738585072014e-308", "1e308", "0",
         ]
-        grid = TimeGrid(6.0, 4, 1)
         rows = [[f"t{i}", *cells[4 * i : 4 * i + 4]] for i in range(4)]
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
-        power = ingest_csv(path, four_loads, grid).power
+        power = ingest_csv(path, four_loads, 360).power
         assert power.flags.c_contiguous
         for i, row in enumerate(rows):
             for k, cell in enumerate(row[1:]):
@@ -168,14 +163,13 @@ class TestIngest:
     def test_error_names_first_bad_line_and_column(
         self, tmp_path, four_loads, bad, error, message
     ):
-        grid = TimeGrid(6.0, 4, 2)
         rows = [[f"t{i}", 1, 2, 3, 4] for i in range(8)]
         for (i, k), cell in bad.items():
             rows[i][k] = cell
         path = tmp_path / "d.csv"
         write_csv(path, ["timestamp", *four_loads.names], rows)
         with pytest.raises(error) as info:
-            ingest_csv(path, four_loads, grid)
+            ingest_csv(path, four_loads, 360)
         assert str(info.value) == f"{path}{message}"
 
 

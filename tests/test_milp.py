@@ -12,9 +12,7 @@ from lp_text import parse_lp
 from prepaid_ems.afg import ThresholdPlan
 from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
-    InfeasibleConstants,
     InstanceTooLarge,
-    MilpConstants,
     MilpModel,
     MissingVariable,
     Solution,
@@ -26,7 +24,7 @@ from prepaid_ems.milp import (
     build_dfm,
     build_obm,
     check_feasibility,
-    default_constants,
+    dfm_recharges,
     extract_schedule,
     extract_thresholds,
     solve_dfm_grid,
@@ -208,28 +206,16 @@ class TestBuildDfm:
         assert len(core) == total * (3 * 2 + 2) + 2
         assert len(model.variables) == len(core) + 1 + len(two_loads)
 
-    def test_infeasible_constants_rejected(self, two_loads, tariff):
-        grid = TimeGrid(6.0, 4, 1)
-        demand = constant_series(grid, [100.0, 50.0])
-        with pytest.raises(InfeasibleConstants):
-            build_dfm(
-                demand,
-                two_loads,
-                tariff,
-                Budget(10.0),
-                constants=MilpConstants(1e-6, -5.0, 5.0),
-            )
-        with pytest.raises(ValueError):
-            MilpConstants(0.0, -5.0, 5.0)
-
-    def test_default_constants_bracket_wallet_range(self, two_loads, tariff):
+    def test_big_m_brackets_wallet_range(self, two_loads, tariff):
         grid = TimeGrid(1.0, 24, 1)
         demand = constant_series(grid, [100.0, 50.0])
-        budget = Budget(2.0)
-        constants = default_constants(demand, tariff, budget)
-        swing = 0.001 * 1.0 * 150.0
-        assert constants.pos_big == pytest.approx(2.0 + swing)
-        assert constants.neg_big == pytest.approx(-(2.0 + swing))
+        model = build_dfm(demand, two_loads, tariff, Budget(2.0))
+        bound = 2.0 + 0.001 * 1.0 * 150.0
+        thresholds = [v for v in model.variables if v.name.startswith("thr_")]
+        assert [v.upper for v in thresholds] == pytest.approx([bound, bound])
+        by_name = {c.name: c for c in model.constraints}
+        assert by_name["real_on_k0_t0"].coeffs["uz_k0_t0"] == pytest.approx(-bound)
+        assert by_name["virt_off_k1_t3"].rhs == pytest.approx(-bound)
 
     def test_all_zero_solution_violates_first_wallet_constraint(
         self, two_loads, tariff
@@ -386,27 +372,29 @@ class TestSolveDfmGrid:
     def test_affordable_demand_gets_zero_thresholds(self, one_load, tariff):
         grid = TimeGrid(6.0, 4, 1)
         truth = constant_series(grid, [100.0])
-        plan, solution = solve_dfm_grid(truth, one_load, tariff, Budget(50.0))
+        plan, objective = solve_dfm_grid(truth, one_load, tariff, Budget(50.0), 3)
         assert plan.thresholds[0, 0] == 0.0
-        assert solution.objective == pytest.approx(1.0)
+        assert objective == pytest.approx(1.0)
 
     def test_half_budget_serves_half(self, one_load, tariff):
         # 4 steps of 6 $ each, balance 12 $: wallet covers exactly half
         grid = TimeGrid(6.0, 4, 1)
         truth = constant_series(grid, [1000.0])
-        plan, solution = solve_dfm_grid(truth, one_load, tariff, Budget(12.0))
-        assert solution.objective == pytest.approx(0.5)
+        _, objective = solve_dfm_grid(truth, one_load, tariff, Budget(12.0), 3)
+        assert objective == pytest.approx(0.5)
 
     def test_instance_too_large(self, two_loads, tariff):
+        # 5 candidates for each of 14 demanded load-days: 5**7 already
+        # exceeds the cap, so the search stops before enumerating.
         grid = TimeGrid(1.0, 24, 7)
         truth = constant_series(grid, [100.0, 50.0])
-        with pytest.raises(InstanceTooLarge):
-            solve_dfm_grid(truth, two_loads, tariff, Budget(5.0), candidate_cap=1000)
+        with pytest.raises(InstanceTooLarge, match="more than 20000"):
+            solve_dfm_grid(truth, two_loads, tariff, Budget(5.0), 3)
 
     def test_zero_demand_days_pinned_off(self, two_loads, tariff):
         grid = TimeGrid(12.0, 2, 2)
         truth = DemandSeries(grid, [[100.0, 100.0, 0.0, 0.0], [0.0, 0.0, 50.0, 50.0]])
-        plan, _ = solve_dfm_grid(truth, two_loads, tariff, Budget(100.0))
+        plan, _ = solve_dfm_grid(truth, two_loads, tariff, Budget(100.0), 3)
         recharge = 50.0
         assert plan.thresholds[0, 1] > recharge
         assert plan.thresholds[1, 0] > recharge
@@ -418,8 +406,8 @@ class TestSolveDfmGrid:
         loads = LoadSet.from_pairs([("base", 0.7), ("spike", 0.3)])
         truth = constant_series(TimeGrid(6.0, 4, 2), [100.0, 5000.0])
         budget = Budget(12.0)
-        plan, solution = solve_dfm_grid(truth, loads, tariff, budget, grid_resolution=3)
-        assert solution.objective == pytest.approx(0.7, abs=1e-12)
+        plan, objective = solve_dfm_grid(truth, loads, tariff, budget, 3)
+        assert objective == pytest.approx(0.7, abs=1e-12)
         assert plan.thresholds[1, 1] > 2 * 6.0
         result = simulate_thresholds(plan, truth, loads, tariff, budget)
         assert result.psf == pytest.approx(0.7, abs=1e-12)
@@ -433,13 +421,13 @@ class TestSolveDfmGrid:
         grid = TimeGrid(24.0, 1, 2)
         truth = DemandSeries(grid, [[100.0, 100.0], [5000.0, 0.0]])
         budget = Budget(6.0)
-        plan, grid_solution = solve_dfm_grid(truth, loads, tariff, budget)
+        plan, grid_objective = solve_dfm_grid(truth, loads, tariff, budget, 3)
         grid_sim = simulate_thresholds(plan, truth, loads, tariff, budget)
         model = build_dfm(truth, loads, tariff, budget)
         external = solve_external(model, TOY_SOLVER, timeout_seconds=300)
         assert external.status is SolveStatus.OPTIMAL
         assert check_feasibility(model, external) == []
-        assert grid_solution.objective <= external.objective + 1e-6
+        assert grid_objective <= external.objective + 1e-6
         assert grid_sim.psf == pytest.approx(0.7, abs=1e-9)
         assert external.objective == pytest.approx(0.7, abs=1e-6)
 
@@ -489,7 +477,7 @@ class TestExtractors:
             model = build_dfm(truth, loads, tariff, budget)
             solution = solve_highs(model)
             assert solution.status is SolveStatus.OPTIMAL
-            recharges = np.full(grid.num_days, budget.initial_balance / grid.num_days)
+            recharges = dfm_recharges(budget, grid.num_days)
             thresholds = extract_thresholds(model, solution, truth, tariff, recharges)
             plan = ThresholdPlan(thresholds, recharges)
             result = simulate_thresholds(plan, truth, loads, tariff, budget)

@@ -37,7 +37,6 @@ class TestTypes:
         grid = TimeGrid(0.25, 96, 30)
         assert grid.total_steps == 2880
         assert grid.day_of(96) == 1
-        assert grid.day_slice(1) == slice(96, 192)
 
     def test_grid_from_minutes(self):
         grid = TimeGrid.from_minutes(15, 30)

@@ -18,7 +18,6 @@ from prepaid_ems.model import (
     demand_indicator,
 )
 from prepaid_ems.sim import (
-    PlanShapeMismatch,
     ShapeMismatch,
     SimResult,
     _balance_texts,
@@ -79,7 +78,7 @@ class TestSimulateThresholds:
     def test_plan_shape_mismatch(self, two_loads, tariff):
         truth = constant_series(TimeGrid(1.0, 24, 2), [100.0, 50.0])
         tplan = afg.ThresholdPlan(np.zeros((2, 1)), np.array([1.0]))
-        with pytest.raises(PlanShapeMismatch):
+        with pytest.raises(ShapeMismatch):
             simulate_thresholds(tplan, truth, two_loads, tariff, Budget(1.0))
 
     def test_latching_keeps_disabled_loads_off(self, two_loads, tariff):
@@ -444,14 +443,12 @@ def test_dfm_grid_matches_step_loop_enumeration(
     )
     tariff = Tariff(0.001)
     budget = compute_budget(truth, tariff, float(rng.uniform(0.3, 0.9)))
-    plan, solution = solve_dfm_grid(
-        truth, loads, tariff, budget, grid_resolution=resolution
-    )
+    plan, objective = solve_dfm_grid(truth, loads, tariff, budget, resolution)
     thresholds, best_psf, _ = sim_reference.solve_dfm_grid(
         truth, loads, tariff, budget, resolution
     )
     assert plan.thresholds.tobytes() == thresholds.tobytes()
-    assert solution.objective.hex() == best_psf.hex()
+    assert objective.hex() == best_psf.hex()
 
 
 def test_dfm_grid_tie_keeps_first_combination(tariff):
@@ -464,13 +461,13 @@ def test_dfm_grid_tie_keeps_first_combination(tariff):
         grid, [[100.0] * 8, [5000.0] * 4 + [0.0] * 4, [50.0] * 8]
     )
     budget = Budget(12.0)
-    plan, solution = solve_dfm_grid(truth, loads, tariff, budget, grid_resolution=3)
+    plan, objective = solve_dfm_grid(truth, loads, tariff, budget, 3)
     thresholds, best_psf, ties = sim_reference.solve_dfm_grid(
         truth, loads, tariff, budget, 3
     )
     assert ties[0] < CHUNK <= ties[-1]
     assert plan.thresholds.tobytes() == thresholds.tobytes()
-    assert solution.objective.hex() == best_psf.hex()
+    assert objective.hex() == best_psf.hex()
 
 
 
