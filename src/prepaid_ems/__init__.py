@@ -9,7 +9,8 @@ forecast regimes:
 * ``AFG`` -- average-forecast greedy: needs only daily average power
   per load, solved exactly by a fractional-knapsack greedy pass.
 * ``DFM`` -- detailed-forecast MILP: optimizes per-day wallet
-  thresholds against per-timestep demand forecasts.
+  thresholds against per-timestep demand forecasts, solved exactly by
+  a dynamic program over per-day served counts.
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
   every timestep, an upper bound under perfect forecasts.
 * ``BSL`` -- unrationed baseline: serve everything until the wallet

@@ -5,19 +5,22 @@ household spec. A CSV holds whole days of ``step_minutes`` steps, as
 many as the file has; the sweep reads ``horizon_days`` of them from
 ``start_day`` on. A synthetic household is generated for
 ``horizon_days`` days. ``budget_fractions``, ``regimes`` and
-``policies`` each name an entry at most once.
+``policies`` each name an entry at most once, and no two budget
+fractions share a trace file name (:func:`fraction_tag`).
 
-The optional ``dfm`` section takes three keys:
+DFM is solved exactly in process (``prepaid_ems.dfm``). The optional
+``dfm`` section takes two keys:
 
-* ``grid_resolution`` -- evenly spaced threshold levels per load-day in
-  the in-process grid search, an integer >= 1 (default 3).
 * ``solver_cmd`` -- an external MILP solver command with ``{lp}`` and
   ``{sol}`` placeholders. DFM is solved by that program if and only if
-  this is set, and falls back to the grid search when the solve fails.
+  this is set, and falls back to the in-process solver when the solve
+  fails.
 * ``solver_timeout`` -- wall-clock limit of one external solve, in
   seconds: a positive finite number, or null for none (the default).
 
-Unknown keys are ignored, in this section as in every other.
+Unknown keys are ignored, in this section as in every other. That
+includes ``backend`` and ``grid_resolution``, which chose and tuned a
+threshold grid search that the sweep no longer runs.
 """
 
 import json
@@ -56,9 +59,14 @@ class ConfigError(ValueError):
     pass
 
 
+def fraction_tag(fraction: float) -> str:
+    """The budget fraction's part of a trace file name: ``b`` and the
+    fraction in whole percent (0.8 -> ``b80``)."""
+    return f"b{int(round(fraction * 100))}"
+
+
 @dataclass
 class DfmSettings:
-    grid_resolution: int = 3
     solver_cmd: str | None = None
     solver_timeout: float | None = None
 
@@ -113,6 +121,15 @@ class ExperimentConfig:
             repeated = list(dict.fromkeys(v for v in values if values.count(v) > 1))
             if repeated:
                 raise ConfigError(f"{name} lists {repeated} more than once")
+        tags = [fraction_tag(f) for f in self.budget_fractions]
+        shared = [
+            f for f, tag in zip(self.budget_fractions, tags) if tags.count(tag) > 1
+        ]
+        if shared:
+            raise ConfigError(
+                f"budget_fractions {shared} share a trace file name "
+                f"({fraction_tag(shared[0])})"
+            )
         if (self.csv_path is None) == (self.profiles is None):
             raise ConfigError(
                 "data source must be exactly one of a CSV path or a synthetic spec"
@@ -121,11 +138,6 @@ class ExperimentConfig:
             missing = [n for n in self.loads.names if n not in self.profiles]
             if missing:
                 raise ConfigError(f"synthetic spec missing profiles for {missing}")
-        resolution = self.dfm.grid_resolution
-        if type(resolution) is not int or resolution < 1:
-            raise ConfigError(
-                f"dfm grid_resolution must be an integer >= 1, got {resolution!r}"
-            )
         timeout = self.dfm.solver_timeout
         if timeout is not None and not (
             type(timeout) in (int, float) and 0 < timeout < float("inf")
@@ -252,11 +264,6 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
 
     dfm_data = _typed(data.get("dfm", {}), dict, "dfm")
     dfm = DfmSettings(
-        grid_resolution=_number(
-            int,
-            dfm_data.get("grid_resolution", DfmSettings.grid_resolution),
-            "dfm grid_resolution",
-        ),
         solver_cmd=dfm_data.get("solver_cmd"),
         solver_timeout=dfm_data.get("solver_timeout"),
     )

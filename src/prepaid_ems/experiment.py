@@ -3,14 +3,17 @@
 One experiment sweeps the cross product of budget fractions, forecast
 regimes and policies in two phases. First every cell's policy computes
 its setpoints from the regime's forecast view, for every budget
-fraction. Then all setpoints of the sweep are simulated against the
-true demand in two stacked simulator passes, each plan with its
-fraction's budget: one for the threshold plans (AFG, DFM), one for
-every fraction's unrationed baseline and the schedules (OBM). Service
-metrics plus the improvement over the baseline are recorded per cell.
-The trace files of one budget fraction are formatted together.
-Everything is deterministic for a fixed config, including output
-bytes.
+fraction. DFM is solved exactly in process (``prepaid_ems.dfm``)
+unless an external solver is configured, from day options built once
+per distinct day of the sweep's views; a DFM cell past the solver's
+work bound reads ``unsolved`` with the reason. Then all setpoints of the sweep are
+simulated against the true demand in two stacked simulator passes,
+each plan with its fraction's budget: one for the threshold plans
+(AFG, DFM), one for every fraction's unrationed baseline and the
+schedules (OBM). Service metrics plus the improvement over the
+baseline are recorded per cell. The trace files of one budget fraction
+are formatted together. Everything is deterministic for a fixed
+config, including output bytes.
 """
 
 import csv
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from prepaid_ems import afg, sim
-from prepaid_ems.config import ExperimentConfig
+from prepaid_ems.config import ExperimentConfig, fraction_tag
 from prepaid_ems.forecast import (
     Fidelity,
     ForecastSpec,
@@ -32,7 +35,6 @@ from prepaid_ems.forecast import (
     synth_household,
 )
 from prepaid_ems.milp import (
-    InstanceTooLarge,
     SolutionParseError,
     SolveStatus,
     SolverNotFound,
@@ -40,7 +42,6 @@ from prepaid_ems.milp import (
     build_dfm,
     dfm_recharges,
     extract_thresholds,
-    solve_dfm_grid,
     solve_external,
 )
 
@@ -48,6 +49,7 @@ from prepaid_ems.milp import (
 from prepaid_ems.milp import (  # noqa: F401
     build_obm,
     extract_schedule,
+    solve_dfm_grid,
     solve_knapsack_bb,
 )
 from prepaid_ems.model import (
@@ -111,44 +113,48 @@ def _plan_afg(view, loads, tariff, budget):
 
 def _external_dfm_plan(config, view, loads, tariff, budget):
     """Thresholds from the external MILP solver, or ``None`` and the note
-    that prefixes the grid fallback's."""
+    that prefixes the in-process fallback's."""
     model = build_dfm(view, loads, tariff, budget)
     try:
         solution = solve_external(
             model, config.dfm.solver_cmd, config.dfm.solver_timeout
         )
     except (SolverNotFound, SolverTimeout, SolutionParseError) as exc:
-        logger.warning("external DFM solve failed (%s); trying grid backend", exc)
-        return None, None, f"{exc}; grid fallback; "
+        logger.warning("external DFM solve failed (%s); solving in process", exc)
+        return None, None, f"{exc}; exact fallback; "
     if solution.status is not SolveStatus.OPTIMAL:
         logger.warning(
-            "external DFM solve returned %s (%s); trying grid backend",
+            "external DFM solve returned %s (%s); solving in process",
             solution.status.value,
             solution.message,
         )
-        return None, None, "solver error; grid fallback; "
+        return None, None, "solver error; exact fallback; "
     recharges = dfm_recharges(budget, view.grid.num_days)
     thresholds = extract_thresholds(model, solution, view, tariff, recharges)
     return afg.ThresholdPlan(thresholds, recharges), solution.objective, ""
 
 
-def _plan_dfm(config, view, loads, tariff, budget):
+def _plan_dfm(config, view, known, loads, tariff, budget):
+    """DFM's plan on ``view``: the external solver's when one is set and
+    succeeds, else the exact in-process one, which keeps the day options
+    it builds in ``known`` for the sweep's other cells."""
+    # Loaded on first use: a sweep without DFM does not load the solver.
+    from prepaid_ems import dfm
+
     note = ""
     if config.dfm.solver_cmd:
         plan, objective, note = _external_dfm_plan(config, view, loads, tariff, budget)
         if plan is not None:
             return plan, objective, note
     try:
-        plan, objective = solve_dfm_grid(
-            view, loads, tariff, budget, config.dfm.grid_resolution
-        )
-    except InstanceTooLarge as exc:
-        logger.warning("DFM grid backend skipped: %s", exc)
+        plan, objective = dfm.solve_dfm(view, loads, tariff, budget, known)
+    except dfm.DfmTooLarge as exc:
+        logger.warning("DFM skipped: %s", exc)
         return None, None, f"{note}unsolved: {exc}"
     return plan, objective, note
 
 
-def _plan_cells(config, views, loads, tariff, budget) -> list[tuple]:
+def _plan_cells(config, views, dfm_known, loads, tariff, budget) -> list[tuple]:
     """``(regime, policy, plan, objective, note)`` for every cell of one
     budget fraction, in sweep order. The plan is a ``ThresholdPlan``
     (AFG, DFM), a schedule (OBM), or ``None`` for BSL and for a policy
@@ -164,7 +170,7 @@ def _plan_cells(config, views, loads, tariff, budget) -> list[tuple]:
             elif policy == "OBM":
                 cell = (*solve_obm(view, loads, tariff, budget), "")
             else:
-                cell = _plan_dfm(config, view, loads, tariff, budget)
+                cell = _plan_dfm(config, view, dfm_known, loads, tariff, budget)
             planned.append((regime, policy, *cell))
     return planned
 
@@ -227,12 +233,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
         if indicator[k].sum() == 0
     ]
 
-    planned = []
+    planned, dfm_known = [], {}
     for fraction in config.budget_fractions:
         budget = compute_budget(truth, tariff, fraction)
-        planned.append(
-            (fraction, budget, _plan_cells(config, views, loads, tariff, budget))
-        )
+        cells = _plan_cells(config, views, dfm_known, loads, tariff, budget)
+        planned.append((fraction, budget, cells))
     cells = _simulate_cells(planned, truth, loads, tariff)
     return ExperimentResults(
         loads, truth.grid, config.alpha_per_wh, cells, excluded
@@ -416,9 +421,9 @@ def _write_traces(results: ExperimentResults, trace_dir: Path) -> list[Path]:
     solved = [c for c in sorted(results.cells, key=_cell_key) if c.result is not None]
     for fraction, group in itertools.groupby(solved, key=lambda c: c.fraction):
         cells = list(group)
-        frac = int(round(fraction * 100))
+        tag = fraction_tag(fraction)
         group_paths = [
-            trace_dir / f"{c.regime.label}_b{frac}_{c.policy}.csv" for c in cells
+            trace_dir / f"{c.regime.label}_{tag}_{c.policy}.csv" for c in cells
         ]
         sim.write_trace_csvs([c.result for c in cells], results.loads, group_paths)
         paths.extend(group_paths)

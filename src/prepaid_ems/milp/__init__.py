@@ -2,15 +2,15 @@
 
 Builders translate the rationing problems into a plain variable and
 constraint representation. An LP-file writer and subprocess bridge hand
-the DFM model to an external solver when one is configured, and the
-threshold grid search is the in-process DFM backend.
+the DFM model to an external solver when one is configured.
 
-The sweep runs neither the OBM model with its exact knapsack backend
-nor the feasibility checker: OBM is solved by
-``prepaid_ems.obm.solve_obm``, and these are oracles that the tests
-check the planners against. ``build_obm`` and ``solve_knapsack_bb``
-stay importable from ``prepaid_ems.experiment`` because the
-benchmark's per-layer run hooks them there.
+The sweep runs neither the OBM model with its exact knapsack backend,
+nor the DFM threshold grid search, nor the feasibility checker: OBM is
+solved by ``prepaid_ems.obm.solve_obm`` and DFM by
+``prepaid_ems.dfm.solve_dfm``, and these are oracles that the tests
+check the planners against. ``build_obm``, ``solve_knapsack_bb`` and
+``solve_dfm_grid`` stay importable from ``prepaid_ems.experiment``
+because the benchmark's per-layer run hooks them there.
 """
 
 from prepaid_ems.milp.builders import (

@@ -275,19 +275,35 @@ def extract_thresholds(
 ) -> np.ndarray:
     """Threshold matrix ``[load, day]`` that makes the simulator repeat a
     solved DFM model's actuation on ``demand``, the model's forecast view,
-    with ``recharges`` the model's daily recharges.
+    with ``recharges`` the model's daily recharges: the
+    :func:`mid_band_thresholds` of the decoded actuation. The solver's
+    own thresholds sit on a balance the virtual wallet reaches, so float
+    dust in the simulator would decide whether the load is still on
+    there.
+    """
+    grid = demand.grid
+    served = extract_schedule(model, solution, demand.num_loads, grid.total_steps)
+    return mid_band_thresholds(served, demand, tariff, recharges)
 
-    The solver's own thresholds sit on a balance the virtual wallet
-    reaches, so float dust in the simulator decides whether the load is
-    still on there. Instead the decoded actuation is paid for on the
-    view, and each load-day's threshold goes mid-band: halfway between
-    the virtual balance at the start of the load's last served step and
-    the balance after paying for it, the next lower one the view
-    reaches. A load-day never served is pinned off, as in AFG.
+
+def mid_band_thresholds(
+    served: np.ndarray,
+    demand: DemandSeries,
+    tariff: Tariff,
+    recharges: np.ndarray,
+) -> np.ndarray:
+    """Threshold matrix ``[load, day]`` that makes the simulator repeat
+    the actuation ``served[load, step]`` on ``demand``, with
+    ``recharges`` the daily recharges.
+
+    The actuation is paid for on ``demand``, and each load-day's
+    threshold goes mid-band: halfway between the virtual balance at the
+    start of the load's last served step and the balance after paying
+    for it, the next lower one the view reaches. A load-day never
+    served is pinned off, as in AFG.
     """
     grid = demand.grid
     num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
-    served = extract_schedule(model, solution, num_loads, grid.total_steps)
     cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
     cost = cost.reshape(num_days, n)
     # Virtual balance at each step start of each day, and after its last step.
@@ -296,7 +312,7 @@ def extract_thresholds(
     balance = start[:, None] - np.concatenate(
         [np.zeros((num_days, 1)), np.cumsum(cost, axis=1)], axis=1
     )
-    served = served.reshape(num_loads, num_days, n).astype(bool)
+    served = np.asarray(served).reshape(num_loads, num_days, n).astype(bool)
     last = n - 1 - np.argmax(served[..., ::-1], axis=2)
     days = np.arange(num_days)
     mid = (balance[days, last] + balance[days, last + 1]) / 2

@@ -1,12 +1,15 @@
-"""Desk-scale threshold search: an oracle/fallback backend for the
-detailed-forecast model when no external MILP solver is available.
+"""Desk-scale threshold search over a candidate grid: a test oracle for
+the detailed-forecast model. The sweep solves DFM exactly with
+``prepaid_ems.dfm``.
 
 Thresholds are searched over a finite candidate grid per load-day and
 every combination is scored by actually simulating it against the
 forecast series, so the returned plan is optimal within its candidate
-set under the true simulator semantics (not a proven MILP optimum).
-The combination count is exponential in loads x days; a hard cap keeps
-this honest about the instance sizes it can handle.
+set under the simulator's semantics (not a proven MILP optimum). The
+simulator serves a step that overdraws the wallet, which the MILP
+forbids, so the grid can score above the MILP optimum with a plan
+that overdraws. The combination count is exponential in loads x days;
+a hard cap keeps this honest about the instance sizes it can handle.
 """
 
 import itertools

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sim_reference
-from prepaid_ems import cli, sim
+from prepaid_ems import cli, dfm, sim
 from prepaid_ems.config import ConfigError, from_dict, from_file
 from prepaid_ems.experiment import emit_outputs, load_truth, run_experiment
 from prepaid_ems.forecast import Fidelity, Granularity, export_csv, synth_household
@@ -175,19 +175,21 @@ class TestRunExperiment:
             if regime.granularity is Granularity.LIMITED:
                 assert np.allclose(view.power[:, 0], limited.power[:, 0])
 
-    def test_unsolved_dfm_cell_does_not_abort(self, tmp_path):
+    def test_unsolved_dfm_cell_does_not_abort(self, tmp_path, monkeypatch):
+        # Past the DFM solver's work bound a cell reads "unsolved" with
+        # the reason, and the rest of the sweep runs.
+        monkeypatch.setattr(dfm, "WORK_BOUND", 100)
         config = from_dict(
-            base_config(
-                policies=["BSL", "DFM"],
-                horizon_days=4,
-                dfm={"grid_resolution": 3},
-            ),
-            tmp_path,
+            base_config(policies=["BSL", "DFM"], horizon_days=4), tmp_path
         )
         results = run_experiment(config)
         dfm_cells = [c for c in results.cells if c.policy == "DFM"]
         assert dfm_cells and all(c.status == "unsolved" for c in dfm_cells)
         assert all(c.result is None for c in dfm_cells)
+        assert {c.note for c in dfm_cells} == {
+            "unsolved: DFM needs more than 100 candidate pairs"
+        }
+        assert all(c.status == "ok" for c in results.cells if c.policy == "BSL")
 
     def test_dfm_external_backend_with_toy_solver(self, tmp_path):
         solver = f"{sys.executable} {Path(__file__).parent / 'toy_milp_solver.py'} {{lp}} {{sol}}"
@@ -264,14 +266,12 @@ class TestEmitOutputs:
         assert header == "balance,detailed_AFG,detailed_OBM"
 
     def test_table_text(self, tmp_path):
-        # 4 days at resolution 3 exceed the DFM grid's candidate cap, so
-        # every DFM entry reads "unsolved"; BSL closes Table 3's rows.
+        # Every policy solves; BSL closes Table 3's rows.
         config = from_dict(
             base_config(
                 policies=["BSL", "AFG", "DFM", "OBM"],
                 horizon_days=4,
                 regimes=["perfect-detailed", "perfect-limited", "imperfect-limited"],
-                dfm={"grid_resolution": 3},
             ),
             tmp_path,
         )
@@ -279,13 +279,13 @@ class TestEmitOutputs:
         assert (config.output_dir / "table2.csv").read_bytes() == (
             b"balance,detailed_AFG,detailed_DFM,detailed_OBM,"
             b"limited_AFG,limited_DFM,limited_OBM\r\n"
-            b"70%,6.33,unsolved,11.2,6.33,unsolved,6.33\r\n"
-            b"100%,0,unsolved,-1.56,0,unsolved,0\r\n"
+            b"70%,6.33,11.2,11.2,6.33,8.22,6.33\r\n"
+            b"100%,0,-6,-1.56,0,-12.2,0\r\n"
         )
         assert (config.output_dir / "table3.csv").read_bytes() == (
             b"balance,limited_AFG,limited_DFM,limited_OBM,BSL,days\r\n"
-            b"70%,79 (8.22),unsolved,79 (8.22),70.8,1\r\n"
-            b"100%,88 (-12),unsolved,88 (-12),100,0\r\n"
+            b"70%,79 (8.22),76 (5.22),79 (8.22),70.8,1\r\n"
+            b"100%,88 (-12),80.2 (-19.8),88 (-12),100,0\r\n"
         )
 
     def test_table3_without_baseline(self, tmp_path):
@@ -367,7 +367,7 @@ class TestEmitOutputs:
         [
             (
                 {"policies": ["BSL", "AFG", "DFM", "OBM"]},
-                "c02b6c295f6e86fc1d09205de09f186078aee1b6b3eb67ed7f36585ecbf50ff1",
+                "c8e4489236eb25a89ea640790450b540f7ea2680710209f25be54433ef212a14",
             ),
             (
                 {
@@ -384,7 +384,7 @@ class TestEmitOutputs:
                     "horizon_days": 3,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "c156aa5f4cf4d001f7bd003626ccef2bb4f13f1009baadfbf4eec4942b020af7",
+                "528a921a71f26e18adf78343f09924e03b520d202fdf67767b768c2af9998544",
             ),
         ],
         ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy"],
@@ -483,7 +483,7 @@ class TestCli:
         with open(tmp_path / "out" / "summary.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["status"] == "ok"
-        assert "grid fallback" in row["note"]
+        assert "exact fallback" in row["note"]
 
     def test_failing_solver_exit_status_and_stderr_logged(self, tmp_path, caplog):
         failing = (
@@ -495,7 +495,7 @@ class TestCli:
             policies=["DFM"],
             budget_fractions=[0.7],
             regimes=["perfect-detailed"],
-            dfm={"grid_resolution": 2, "solver_cmd": failing},
+            dfm={"solver_cmd": failing},
         )
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(data))
@@ -507,7 +507,7 @@ class TestCli:
         with open(tmp_path / "out" / "summary.csv", newline="") as fh:
             (row,) = csv.DictReader(fh)
         assert row["status"] == "ok"
-        assert row["note"] == "solver error; grid fallback; "
+        assert row["note"] == "solver error; exact fallback; "
 
     @pytest.mark.parametrize(
         "template", ["mysolver", "mysolver {lp}", "mysolver {lp} {sol} {x}", "'{lp} {sol}"]
@@ -531,9 +531,11 @@ class TestCli:
     @pytest.mark.parametrize(
         "field, overrides",
         [
-            ("grid_resolution", {"dfm": {"grid_resolution": 0}}),
-            ("grid_resolution", {"dfm": {"grid_resolution": 2.5}}),
-            ("grid_resolution", {"dfm": {"grid_resolution": "x"}}),
+            # Fractions whose trace files would share one name; round()
+            # halves to even, so 0.125 and 0.12 are both b12.
+            ("budget_fractions", {"budget_fractions": [0.8, 0.804]}),
+            ("budget_fractions", {"budget_fractions": [0.125, 0.12]}),
+            ("budget_fractions", {"budget_fractions": [0.7, 0.8, 0.7951]}),
             ("solver_timeout", {"dfm": {"solver_timeout": "soon"}}),
             ("solver_timeout", {"dfm": {"solver_timeout": 0}}),
             ("solver_timeout", {"dfm": {"solver_timeout": float("inf")}}),
