@@ -12,8 +12,9 @@ each plan with its fraction's budget: one for the threshold plans
 (AFG, DFM), one for every fraction's unrationed baseline and the
 schedules (OBM). Service metrics plus the improvement over the
 baseline are recorded per cell. The trace files of one budget fraction
-are formatted together. Everything is deterministic for a fixed
-config, including output bytes.
+are formatted together, as bytes built in numpy with each distinct
+balance formatted once (see ``sim.write_trace_csvs``). Everything is
+deterministic for a fixed config, including output bytes.
 """
 
 import csv

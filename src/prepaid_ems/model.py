@@ -250,9 +250,11 @@ def psf(
         raise ValueError(f"actuation shape {a.shape} != indicator shape {d.shape}")
     if d.shape[0] != len(loads):
         raise ValueError(f"expected {len(loads)} loads, got {d.shape[0]} rows")
-    if not ((a == 0) | (a == 1)).all():
+    # Each check holds at most one temporary the size of the stack.
+    if np.count_nonzero(a == 0) + np.count_nonzero(a == 1) != a.size:
         raise ValueError("actuation matrix must be binary")
-    excess = (a == 1) & (d == 0)
+    excess = a == 1
+    excess &= d == 0
     if excess.any():
         k, t = np.argwhere(excess)[0][-2:]
         raise ValueError(

@@ -44,6 +44,13 @@ plan alone: :func:`simulate_thresholds`, :func:`simulate_schedule` and
 :func:`simulate_baseline` are such one-plan passes. An experiment plans
 the cells of every budget fraction first and then simulates the whole
 sweep in two such passes, one per kind of plan.
+
+Trace files (:func:`write_trace_csvs`) are built as bytes in numpy, one
+array per file, with no Python string per row or balance. The balances'
+texts come from ``floatrepr.repr_bytes``, the same bytes as ``repr``:
+computed in numpy for magnitudes in [1e-4, 1e16), and by ``repr`` itself
+only for 0.0, -0.0, non-finite values and the magnitudes it prints with
+an exponent.
 """
 
 import csv
@@ -53,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prepaid_ems.afg import ThresholdPlan
+from prepaid_ems.floatrepr import repr_bytes
 from prepaid_ems.model import (
     Budget,
     DemandSeries,
@@ -376,33 +384,23 @@ def simulate_baseline(
     )
 
 
-def _balance_texts(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``repr`` of every entry of equally long float traces, as
-    ``(texts, code)`` with ``texts[code[trace, step]]`` the text of that
-    entry. A value is ``repr``-ed only where no earlier trace has the
-    same bit pattern at the same step and the step before it in its own
-    trace has other bits; bits, not floats, are compared, so ``0.0`` and
+def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(texts, code)`` for equally long float traces: row
+    ``code[trace, step]`` of ``texts`` is the ``floatrepr.repr_bytes`` of that
+    entry, cut to the columns some text uses. Each distinct bit pattern
+    is formatted once; bits, not floats, are compared, so ``0.0`` and
     ``-0.0`` keep their own text."""
-    bits = [np.ascontiguousarray(t, dtype=float).view(np.int64) for t in traces]
-    total = len(bits[0])
-    steps = np.arange(total)
-    code = np.empty((len(bits), total), dtype=np.int32)
-    texts = []
-    for j, row in enumerate(bits):
-        new = np.ones(total, dtype=bool)
-        np.not_equal(row[1:], row[:-1], out=new[1:])
-        known = new.copy()
-        for i in range(j):
-            # All earlier traces with these bits at a step share one code.
-            same = bits[i] == row
-            code[j, same] = code[i, same]
-            known |= same
-            new &= ~same
-        code[j, new] = np.arange(len(texts), len(texts) + np.count_nonzero(new))
-        texts.extend(map(repr, row[new].view(np.float64).tolist()))
-        # Every other step repeats the bits of the step before it.
-        code[j] = code[j, np.maximum.accumulate(np.where(known, steps, 0))]
-    return np.array(texts, dtype=object), code
+    bits = np.array(traces, dtype=float).view(np.int64)
+    # A step with the bits of the step before it repeats that step's text.
+    new = np.ones(bits.shape, dtype=bool)
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    patterns, inverse = np.unique(bits[new], return_inverse=True)
+    texts = repr_bytes(patterns.view(np.float64))
+    shown = np.flatnonzero(texts.any(axis=0))
+    texts = texts[:, shown[0] : shown[-1] + 1].copy()
+    # The inverse's shape differs across numpy 2.0.x.
+    code = inverse.reshape(-1)[np.cumsum(new) - 1]
+    return texts, code.reshape(bits.shape)
 
 
 def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> None:
@@ -411,12 +409,17 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
     together.
 
     The results share one horizon. A result listed more than once is
-    formatted once and its text written to each of its paths. Balances
-    are ``repr``-ed once per text that :func:`_balance_texts` finds over
-    all traces of the call: the plans of one budget fraction keep
-    passing through the same balances at the same steps. The text table
-    lives until the call returns, so a call should hold one such group,
-    not a whole sweep.
+    formatted once and its bytes written to each of its paths. The
+    balances of all results are formatted together by
+    :func:`_balance_bytes`, once per distinct bit pattern: the plans of
+    one budget fraction keep passing through the same balances. The
+    texts live until the call returns, so a call should hold one such
+    group, not a whole sweep.
+
+    Each file's body is built as one byte array: a row per step of
+    fixed-width, NUL-padded fields, with the actuation digits taken
+    straight from the 0/1 actuation; the NULs are dropped once, and the
+    body is written after the header.
     """
     groups = {}  # id(result) -> (result, its paths)
     for result, path in zip(results, paths, strict=True):
@@ -428,39 +431,38 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
         traces.append(result.real_balance_trace)
         if result.virtual_balance_trace is not None:
             traces.append(result.virtual_balance_trace)
-    texts, code = _balance_texts(traces)
+    texts, code = _balance_bytes(traces)
     head = io.StringIO()
     csv.writer(head).writerow(
         ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
     )
-    steps = list(map(str, range(code.shape[1])))
-    no_virtual = [""] * code.shape[1]
+    # Row layout: the step, ',', the real balance, ',', the virtual
+    # balance, then ',' and a digit per load, and the line end.
+    total = code.shape[1]
+    steps = np.arange(total)
+    places = 10 ** np.arange(len(str(total - 1)))[::-1]
+    step_digits = steps[:, None] // places % 10 + ord("0")
+    step_digits[(steps[:, None] < places) & (places > 1)] = 0
+    real = len(places) + 1
+    virtual = real + texts.shape[1] + 1
+    acts = virtual + texts.shape[1] + 1
     rows = iter(code)
     for result, result_paths in groups.values():
-        real = texts[next(rows)].tolist()
-        virtual = no_virtual
+        body = np.zeros((total, acts + 2 * len(loads) + 1), dtype=np.uint8)
+        body[:, : real - 1] = step_digits
+        body[:, [real - 1, virtual - 1]] = ord(",")
+        body[:, real : virtual - 1] = texts.take(next(rows), axis=0)
         if result.virtual_balance_trace is not None:
-            virtual = texts[next(rows)].tolist()
-        body = "".join(
-            map(",".join, zip(steps, real, virtual, _actuation_labels(result)))
-        )
+            body[:, virtual : acts - 1] = texts.take(next(rows), axis=0)
+        body[:, acts - 1 : -2 : 2] = ord(",")
+        body[:, acts:-2:2] = result.actuation.T + ord("0")
+        body[:, -2:] = [ord("\r"), ord("\n")]
+        body = body[body != 0]
         for path in result_paths:
             with open(path, "w", newline="") as fh:
                 fh.write(head.getvalue())
-                fh.write(body)
-
-
-def _actuation_labels(result: SimResult) -> list[str]:
-    """Each step's actuation as ``0,1,...`` plus the line end, from one
-    label per on/off pattern that occurs."""
-    num_loads = result.actuation.shape[0]
-    # Each step's on/off pattern as one byte string of '0'/'1' digits.
-    digits = np.asarray(result.actuation, dtype=np.uint8).T + np.uint8(ord("0"))
-    patterns, which = np.unique(
-        np.ascontiguousarray(digits).view(f"S{num_loads}"), return_inverse=True
-    )
-    labels = [",".join(p.decode()) + "\r\n" for p in patterns.tolist()]
-    return np.array(labels, dtype=object)[which.reshape(-1)].tolist()
+                fh.flush()
+                fh.buffer.write(body)
 
 
 def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
@@ -471,11 +473,12 @@ def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
     step: the step index, ``repr`` of the start-of-step real and virtual
     balances (the virtual field is empty for a result without a virtual
     wallet, i.e. a schedule), and each load's actuation as 0 or 1. Every
-    line ends in ``\\r\\n``.
+    line ends in ``\\r\\n``. The header is written as text, in the
+    encoding ``open`` picks.
 
     This is :func:`write_trace_csvs` on one result. No body field needs
-    quoting, so each row is joined from the texts of its fields: a
-    balance is ``repr``-ed once per run of equal bits, and the actuation
-    columns come from one label per on/off pattern that occurs.
+    quoting, so the body is built as bytes in numpy; the balances'
+    digits are computed there too, and ``repr`` is called only for
+    0.0, -0.0, non-finite values and values outside ±[1e-4, 1e16).
     """
     write_trace_csvs([result], loads, [path])

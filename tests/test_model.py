@@ -182,6 +182,19 @@ class TestPsf:
         with pytest.raises(ValueError, match="without demand"):
             psf(a, d, two_loads)
 
+    def test_stacked_checks_report_the_first_offender(self, two_loads):
+        d = np.array([[1, 0, 1, 0], [0, 1, 1, 0]])
+        a = np.zeros((3, 2, 4), dtype=np.int8)
+        a[2, 0, 1] = 1
+        a[1, 1, 3] = 1
+        with pytest.raises(ValueError, match="'pump' marked served at step 3 "):
+            psf(a, d, two_loads)
+        for bad in (2, np.nan):
+            stack = a.astype(float)
+            stack[2, 1, 2] = bad
+            with pytest.raises(ValueError, match="must be binary"):
+                psf(stack, d, two_loads)
+
     def test_never_demanded_load_excluded(self, two_loads):
         d = np.array([[1, 1, 1, 1], [0, 0, 0, 0]])
         a = np.array([[1, 1, 0, 0], [0, 0, 0, 0]])

@@ -5,7 +5,7 @@ import pytest
 
 import sim_reference
 from conftest import assert_sim_invariants, constant_series
-from prepaid_ems import afg
+from prepaid_ems import afg, sim
 from prepaid_ems.milp.grid_search import CHUNK, solve_dfm_grid
 from prepaid_ems.model import (
     Budget,
@@ -20,7 +20,6 @@ from prepaid_ems.model import (
 from prepaid_ems.sim import (
     ShapeMismatch,
     SimResult,
-    _balance_texts,
     count_disconnection_days,
     simulate_baseline,
     simulate_schedule,
@@ -552,22 +551,37 @@ def test_trace_group_matches_oracle(tmp_path):
         _traced(on, same_step, flipped),
         shared,
     ]
-    loads = LoadSet.from_pairs([("a", 0.5), ("b,c", 0.3), ("d", 0.2)])
+    loads = LoadSet.from_pairs([("a", 0.5), ("b,c", 0.3), ("Küche", 0.2)])
     paths = [tmp_path / f"trace{i}.csv" for i in range(len(results))]
     write_trace_csvs(results, loads, paths)
+    expected = tmp_path / "expected.csv"
     for result, path in zip(results, paths):
-        assert path.read_bytes() == sim_reference.trace_csv_text(
-            result, loads
-        ).encode()
+        # The text encoded as a file opened for writing text encodes it.
+        with open(expected, "w", newline="") as fh:
+            fh.write(sim_reference.trace_csv_text(result, loads))
+        assert path.read_bytes() == expected.read_bytes()
 
 
-def test_balance_texts_repr_each_bit_pattern_once_per_step():
-    runs = np.repeat([1.5, 0.1 + 0.2, 1.5, -0.25], [3, 2, 4, 1])
-    texts, code = _balance_texts([runs, runs.copy(), runs[::-1].copy()])
-    # Runs of the first trace once each; the copy reuses every text; the
-    # reversed trace matches it only where the two agree at a step.
-    sum_ = "0.30000000000000004"
-    assert texts.tolist() == ["1.5", sum_, "1.5", "-0.25", "-0.25", sum_]
-    assert (code[1] == code[0]).all()
-    texts, code = _balance_texts([np.zeros(3), np.array([0.0, -0.0, 0.0])])
-    assert texts[code].tolist() == [["0.0"] * 3, ["0.0", "-0.0", "0.0"]]
+def test_group_formats_each_bit_pattern_once(tmp_path, monkeypatch):
+    """The balances of a group go to the formatter once per distinct bit
+    pattern, whatever step and trace they occur at; 0.0 and -0.0 at the
+    same step keep their own text."""
+    formatted = []
+    format_all = sim.repr_bytes
+    monkeypatch.setattr(
+        sim, "repr_bytes", lambda values: formatted.append(values.copy()) or format_all(values)
+    )
+    runs = np.repeat([1.5, 0.1 + 0.2, 1.5, -0.25, 0.0], [3, 2, 4, 1, 2])
+    signed = runs.copy()
+    signed[-1] = -0.0
+    on = np.ones((2, len(runs)), dtype=np.int8)
+    results = [_traced(on, runs, runs[::-1].copy()), _traced(on, signed, runs)]
+    loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.5)])
+    paths = [tmp_path / "zero.csv", tmp_path / "signed.csv"]
+    write_trace_csvs(results, loads, paths)
+    (values,) = formatted
+    patterns = values.view(np.int64).tolist()
+    assert len(set(patterns)) == len(patterns)
+    assert set(patterns) == set(np.concatenate([runs, signed]).view(np.int64).tolist())
+    last = [path.read_text().splitlines()[-1].split(",")[1] for path in paths]
+    assert last == ["0.0", "-0.0"]
