@@ -43,7 +43,7 @@ _TEMPLATES = np.frombuffer(
     ),
     dtype=np.uint8,
 ).reshape(-1, WIDTH)
-_CHUNK = 1024  # values formatted per pass; bounds the temporaries
+_CHUNK = 2048  # values formatted per pass; bounds the temporaries
 
 
 def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -437,26 +437,27 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
         ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
     )
     # Row layout: the step, ',', the real balance, ',', the virtual
-    # balance, then ',' and a digit per load, and the line end.
+    # balance, then ',' and a digit per load, and the line end. The
+    # frame holds what all files of the call share.
     total = code.shape[1]
     steps = np.arange(total)
     places = 10 ** np.arange(len(str(total - 1)))[::-1]
-    step_digits = steps[:, None] // places % 10 + ord("0")
-    step_digits[(steps[:, None] < places) & (places > 1)] = 0
     real = len(places) + 1
     virtual = real + texts.shape[1] + 1
     acts = virtual + texts.shape[1] + 1
+    frame = np.zeros((total, acts + 2 * len(loads) + 1), dtype=np.uint8)
+    frame[:, : real - 1] = steps[:, None] // places % 10 + ord("0")
+    frame[:, : real - 1][(steps[:, None] < places) & (places > 1)] = 0
+    frame[:, [real - 1, virtual - 1]] = ord(",")
+    frame[:, acts - 1 : -2 : 2] = ord(",")
+    frame[:, -2:] = [ord("\r"), ord("\n")]
     rows = iter(code)
     for result, result_paths in groups.values():
-        body = np.zeros((total, acts + 2 * len(loads) + 1), dtype=np.uint8)
-        body[:, : real - 1] = step_digits
-        body[:, [real - 1, virtual - 1]] = ord(",")
+        body = frame.copy()
         body[:, real : virtual - 1] = texts.take(next(rows), axis=0)
         if result.virtual_balance_trace is not None:
             body[:, virtual : acts - 1] = texts.take(next(rows), axis=0)
-        body[:, acts - 1 : -2 : 2] = ord(",")
         body[:, acts:-2:2] = result.actuation.T + ord("0")
-        body[:, -2:] = [ord("\r"), ord("\n")]
         body = body[body != 0]
         for path in result_paths:
             with open(path, "w", newline="") as fh:

@@ -568,9 +568,12 @@ def test_group_formats_each_bit_pattern_once(tmp_path, monkeypatch):
     same step keep their own text."""
     formatted = []
     format_all = sim.repr_bytes
-    monkeypatch.setattr(
-        sim, "repr_bytes", lambda values: formatted.append(values.copy()) or format_all(values)
-    )
+
+    def recording(values):
+        formatted.append(values.copy())
+        return format_all(values)
+
+    monkeypatch.setattr(sim, "repr_bytes", recording)
     runs = np.repeat([1.5, 0.1 + 0.2, 1.5, -0.25, 0.0], [3, 2, 4, 1, 2])
     signed = runs.copy()
     signed[-1] = -0.0
