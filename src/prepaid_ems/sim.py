@@ -394,13 +394,18 @@ def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     # A step with the bits of the step before it repeats that step's text.
     new = np.ones(bits.shape, dtype=bool)
     np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
-    patterns, inverse = np.unique(bits[new], return_inverse=True)
+    starts = bits[new]
+    # Each array goes once used: a group's arrays set the emit's peak
+    # memory.
+    del bits
+    patterns, inverse = np.unique(starts, return_inverse=True)
+    # The inverse's shape differs across numpy 2.0.x.
+    inverse = inverse.reshape(-1).astype(np.int32)
+    code = inverse[np.cumsum(new, dtype=np.int32) - 1].reshape(new.shape)
+    del starts, inverse, new
     texts = repr_bytes(patterns.view(np.float64))
     shown = np.flatnonzero(texts.any(axis=0))
-    texts = texts[:, shown[0] : shown[-1] + 1].copy()
-    # The inverse's shape differs across numpy 2.0.x.
-    code = inverse.reshape(-1)[np.cumsum(new) - 1]
-    return texts, code.reshape(bits.shape)
+    return texts[:, shown[0] : shown[-1] + 1].copy(), code
 
 
 def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> None:
