@@ -452,7 +452,7 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
     acts = virtual + texts.shape[1] + 1
     frame = np.zeros((total, acts + 2 * len(loads) + 1), dtype=np.uint8)
     frame[:, : real - 1] = steps[:, None] // places % 10 + ord("0")
-    frame[:, : real - 1][(steps[:, None] < places) & (places > 1)] = 0
+    frame[:, : real - 1][(steps[:, None] < places) & (places > 1)] = 0  # no leading 0s
     frame[:, [real - 1, virtual - 1]] = ord(",")
     frame[:, acts - 1 : -2 : 2] = ord(",")
     frame[:, -2:] = [ord("\r"), ord("\n")]
