@@ -37,13 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON experiment config")
     run.add_argument("--out", help="output directory (overrides the config)")
     run.add_argument(
-        "--solver-cmd",
-        help=(
-            "external MILP solver command template with {lp} and {sol} "
-            "placeholders (overrides the config)"
-        ),
-    )
-    run.add_argument(
         "--seed", type=int, help="day-shuffle seed (overrides the config)"
     )
 
@@ -64,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.out:
         config.output_dir = Path(args.out)
-    if args.solver_cmd:
-        config.dfm.solver_cmd = args.solver_cmd
     if args.seed is not None:
         config.shuffle_seed = args.seed
         config.regimes = [

@@ -8,22 +8,15 @@ many as the file has; the sweep reads ``horizon_days`` of them from
 ``policies`` each name an entry at most once, and no two budget
 fractions share a trace file name (:func:`fraction_tag`).
 
-DFM is solved exactly in process (``prepaid_ems.dfm``). The optional
-``dfm`` section takes two keys:
-
-* ``solver_cmd`` -- an external MILP solver command with ``{lp}`` and
-  ``{sol}`` placeholders. DFM is solved by that program if and only if
-  this is set, and falls back to the in-process solver when the solve
-  fails.
-* ``solver_timeout`` -- wall-clock limit of one external solve, in
-  seconds: a positive finite number, or null for none (the default).
-
-Unknown keys are ignored, in this section as in every other. That
-includes ``backend`` and ``grid_resolution``, which chose and tuned a
-threshold grid search that the sweep no longer runs.
+DFM is solved exactly in process (``prepaid_ems.dfm``) and takes no
+settings. Unknown keys are ignored, at the top level as in every
+section. That includes a ``dfm`` section, whose ``backend``,
+``grid_resolution``, ``solver_cmd`` and ``solver_timeout`` chose and
+tuned solvers that the sweep no longer runs.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +26,6 @@ from prepaid_ems.forecast import (
     ForecastSpec,
     Granularity,
 )
-from prepaid_ems.milp.lp_io import check_command_template
 from prepaid_ems.model import LoadSet
 
 POLICIES = ("BSL", "AFG", "DFM", "OBM")
@@ -66,12 +58,6 @@ def fraction_tag(fraction: float) -> str:
 
 
 @dataclass
-class DfmSettings:
-    solver_cmd: str | None = None
-    solver_timeout: float | None = None
-
-
-@dataclass
 class ExperimentConfig:
     loads: LoadSet
     alpha_per_wh: float
@@ -85,14 +71,15 @@ class ExperimentConfig:
     regimes: list[ForecastSpec] = field(default_factory=list)
     shuffle_seed: int = 1
     policies: list[str] = field(default_factory=lambda: list(POLICIES))
-    dfm: DfmSettings = field(default_factory=DfmSettings)
     output_dir: Path = Path("out")
 
     def validate(self) -> None:
         if len(self.loads) == 0:
             raise ConfigError("at least one load is required")
-        if not (self.alpha_per_wh > 0):
-            raise ConfigError(f"alpha_per_wh must be positive, got {self.alpha_per_wh}")
+        if not (0 < self.alpha_per_wh < math.inf):
+            raise ConfigError(
+                f"alpha_per_wh must be positive finite, got {self.alpha_per_wh}"
+            )
         if self.step_minutes <= 0 or 1440 % self.step_minutes != 0:
             raise ConfigError(
                 f"step_minutes must divide 1440 evenly, got {self.step_minutes}"
@@ -138,19 +125,6 @@ class ExperimentConfig:
             missing = [n for n in self.loads.names if n not in self.profiles]
             if missing:
                 raise ConfigError(f"synthetic spec missing profiles for {missing}")
-        timeout = self.dfm.solver_timeout
-        if timeout is not None and not (
-            type(timeout) in (int, float) and 0 < timeout < float("inf")
-        ):
-            raise ConfigError(
-                "dfm solver_timeout must be null or a positive finite number "
-                f"of seconds, got {timeout!r}"
-            )
-        if self.dfm.solver_cmd:
-            try:
-                check_command_template(self.dfm.solver_cmd)
-            except ValueError as exc:
-                raise ConfigError(f"dfm solver_cmd: {exc}") from None
 
 
 def parse_regime(name: str, shuffle_seed: int) -> ForecastSpec:
@@ -189,14 +163,18 @@ def _typed(value, kind, name: str):
 
 
 def _number(kind, value, name: str):
-    """``kind(value)`` (``int`` or ``float``). A value it rejects, or a
-    float it would change (2.5 as an int, NaN), is a config error naming
-    the field."""
+    """``kind(value)`` (``int`` or ``float``). A value it rejects, a float
+    it would change (2.5 as an int, NaN) or a JSON boolean (a ``bool`` is
+    an ``int`` to Python) is a config error naming the field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (isinstance(value, float) and number != value):
+    if (
+        number is None
+        or isinstance(value, bool)
+        or (isinstance(value, float) and number != value)
+    ):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
     return number
 
@@ -262,12 +240,6 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     )
     budget_fractions = [_number(float, f, "budget_fractions") for f in fractions]
 
-    dfm_data = _typed(data.get("dfm", {}), dict, "dfm")
-    dfm = DfmSettings(
-        solver_cmd=dfm_data.get("solver_cmd"),
-        solver_timeout=dfm_data.get("solver_timeout"),
-    )
-
     config = ExperimentConfig(
         loads=loads,
         alpha_per_wh=_number(float, _require(data, "alpha_per_wh"), "alpha_per_wh"),
@@ -281,7 +253,6 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         regimes=regimes,
         shuffle_seed=shuffle_seed,
         policies=list(_typed(data.get("policies", list(POLICIES)), list, "policies")),
-        dfm=dfm,
         output_dir=base / _typed(data.get("output_dir", "out"), str, "output_dir"),
     )
     config.validate()

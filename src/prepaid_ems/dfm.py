@@ -54,8 +54,8 @@ option) pair; ties go to the first in option order.
 
 **Decoding.** The counts become an actuation on the view, and each
 load-day's threshold goes mid-band on that actuation's virtual
-balances (``milp.builders.mid_band_thresholds``), as for an external
-solver's plan.
+balances (``milp.builders.mid_band_thresholds``), as
+``milp.builders.extract_thresholds`` decodes a solved DFM model.
 """
 
 from dataclasses import dataclass

@@ -3,10 +3,10 @@
 One experiment sweeps the cross product of budget fractions, forecast
 regimes and policies in two phases. First every cell's policy computes
 its setpoints from the regime's forecast view, for every budget
-fraction. DFM is solved exactly in process (``prepaid_ems.dfm``)
-unless an external solver is configured, from day options built once
-per distinct day of the sweep's views; a DFM cell past the solver's
-work bound reads ``unsolved`` with the reason. Then all setpoints of the sweep are
+fraction. DFM is solved exactly in process (``prepaid_ems.dfm``), from
+day options built once per distinct day of the sweep's views; a DFM
+cell past the solver's work bound reads ``unsolved`` with the reason,
+the only note a cell can carry. Then all setpoints of the sweep are
 simulated against the true demand in two stacked simulator passes,
 each plan with its fraction's budget: one for the threshold plans
 (AFG, DFM), one for every fraction's unrationed baseline and the
@@ -35,17 +35,6 @@ from prepaid_ems.forecast import (
     slice_days,
     synth_household,
 )
-from prepaid_ems.milp import (
-    SolutionParseError,
-    SolveStatus,
-    SolverNotFound,
-    SolverTimeout,
-    build_dfm,
-    dfm_recharges,
-    extract_thresholds,
-    solve_external,
-)
-
 # Not called here: the benchmark's per-layer run still hooks these names.
 from prepaid_ems.milp import (  # noqa: F401
     build_obm,
@@ -112,47 +101,18 @@ def _plan_afg(view, loads, tariff, budget):
     return thresholds, planned, ""
 
 
-def _external_dfm_plan(config, view, loads, tariff, budget):
-    """Thresholds from the external MILP solver, or ``None`` and the note
-    that prefixes the in-process fallback's."""
-    model = build_dfm(view, loads, tariff, budget)
-    try:
-        solution = solve_external(
-            model, config.dfm.solver_cmd, config.dfm.solver_timeout
-        )
-    except (SolverNotFound, SolverTimeout, SolutionParseError) as exc:
-        logger.warning("external DFM solve failed (%s); solving in process", exc)
-        return None, None, f"{exc}; exact fallback; "
-    if solution.status is not SolveStatus.OPTIMAL:
-        logger.warning(
-            "external DFM solve returned %s (%s); solving in process",
-            solution.status.value,
-            solution.message,
-        )
-        return None, None, "solver error; exact fallback; "
-    recharges = dfm_recharges(budget, view.grid.num_days)
-    thresholds = extract_thresholds(model, solution, view, tariff, recharges)
-    return afg.ThresholdPlan(thresholds, recharges), solution.objective, ""
-
-
-def _plan_dfm(config, view, known, loads, tariff, budget):
-    """DFM's plan on ``view``: the external solver's when one is set and
-    succeeds, else the exact in-process one, which keeps the day options
-    it builds in ``known`` for the sweep's other cells."""
+def _plan_dfm(view, known, loads, tariff, budget):
+    """DFM's exact plan on ``view``; the day options it builds are kept
+    in ``known`` for the sweep's other cells."""
     # Loaded on first use: a sweep without DFM does not load the solver.
     from prepaid_ems import dfm
 
-    note = ""
-    if config.dfm.solver_cmd:
-        plan, objective, note = _external_dfm_plan(config, view, loads, tariff, budget)
-        if plan is not None:
-            return plan, objective, note
     try:
         plan, objective = dfm.solve_dfm(view, loads, tariff, budget, known)
     except dfm.DfmTooLarge as exc:
         logger.warning("DFM skipped: %s", exc)
-        return None, None, f"{note}unsolved: {exc}"
-    return plan, objective, note
+        return None, None, f"unsolved: {exc}"
+    return plan, objective, ""
 
 
 def _plan_cells(config, views, dfm_known, loads, tariff, budget) -> list[tuple]:
@@ -171,7 +131,7 @@ def _plan_cells(config, views, dfm_known, loads, tariff, budget) -> list[tuple]:
             elif policy == "OBM":
                 cell = (*solve_obm(view, loads, tariff, budget), "")
             else:
-                cell = _plan_dfm(config, view, dfm_known, loads, tariff, budget)
+                cell = _plan_dfm(view, dfm_known, loads, tariff, budget)
             planned.append((regime, policy, *cell))
     return planned
 

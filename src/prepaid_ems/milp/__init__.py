@@ -1,14 +1,12 @@
 """Solver-agnostic MILP machinery.
 
 Builders translate the rationing problems into a plain variable and
-constraint representation. An LP-file writer and subprocess bridge hand
-the DFM model to an external solver when one is configured.
+constraint representation.
 
-The sweep runs neither the OBM model with its exact knapsack backend,
-nor the DFM threshold grid search, nor the feasibility checker: OBM is
-solved by ``prepaid_ems.obm.solve_obm`` and DFM by
-``prepaid_ems.dfm.solve_dfm``, and these are oracles that the tests
-check the planners against. ``build_obm``, ``solve_knapsack_bb`` and
+The sweep runs none of it: OBM is solved by ``prepaid_ems.obm.solve_obm``
+and DFM by ``prepaid_ems.dfm.solve_dfm``. The models, the exact knapsack
+backend, the DFM threshold grid search and the feasibility checker are
+oracles that the tests check the planners against. ``build_obm``, ``solve_knapsack_bb`` and
 ``solve_dfm_grid`` stay importable from ``prepaid_ems.experiment``
 because the benchmark's per-layer run hooks them there.
 """
@@ -30,13 +28,6 @@ from prepaid_ems.milp.core import (
 )
 from prepaid_ems.milp.grid_search import InstanceTooLarge, solve_dfm_grid
 from prepaid_ems.milp.knapsack import StructureMismatch, solve_knapsack_bb
-from prepaid_ems.milp.lp_io import (
-    SolutionParseError,
-    SolverNotFound,
-    SolverTimeout,
-    solve_external,
-    write_lp,
-)
 
 __all__ = [
     "Constraint",
@@ -44,10 +35,7 @@ __all__ = [
     "MilpModel",
     "MissingVariable",
     "Solution",
-    "SolutionParseError",
     "SolveStatus",
-    "SolverNotFound",
-    "SolverTimeout",
     "StructureMismatch",
     "Variable",
     "Violation",
@@ -58,7 +46,5 @@ __all__ = [
     "extract_schedule",
     "extract_thresholds",
     "solve_dfm_grid",
-    "solve_external",
     "solve_knapsack_bb",
-    "write_lp",
 ]

@@ -91,9 +91,6 @@ class MilpModel:
             raise ValueError(f"objective references unknown {unknown}")
         self.objective = {v: float(c) for v, c in coeffs.items()}
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
-
     def objective_value(self, values: dict[str, float]) -> float:
         return float(sum(c * values.get(v, 0.0) for v, c in self.objective.items()))
 

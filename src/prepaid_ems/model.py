@@ -125,7 +125,7 @@ class Tariff:
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"tariff must be positive, got {self.alpha}")
+            raise ValueError(f"tariff must be positive finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, TimeGrid
+from prepaid_ems.model import DemandSeries, LoadSet, Tariff, TimeGrid
 
 
 @pytest.fixture

@@ -1,10 +1,64 @@
-"""Parser for the LP files this package writes.
+"""CPLEX LP text for the test oracles: a writer for ``MilpModel`` and a
+parser for exactly the subset of the grammar the writer emits.
 
-Used by the round-trip tests and by the toy external solver; handles
-exactly the subset of the CPLEX LP grammar that ``write_lp`` emits.
+The toy solver (``toy_milp_solver.py``) reads a model only through this
+text, so it shares no code with the package's own backends.
 """
 
+import math
 from dataclasses import dataclass, field
+
+from prepaid_ems.milp import MilpModel
+
+
+def _format_terms(coeffs: dict[str, float]) -> str:
+    parts: list[str] = []
+    for name, coeff in coeffs.items():
+        if not parts:
+            parts.append(f"{coeff!r} {name}")
+        elif coeff < 0:
+            parts.append(f"- {-coeff!r} {name}")
+        else:
+            parts.append(f"+ {coeff!r} {name}")
+    return " ".join(parts)
+
+
+def format_lp(model: MilpModel) -> str:
+    """The model in CPLEX LP text format.
+
+    Variables and constraints appear in declaration order, coefficients
+    in full float precision, so the text is deterministic for a given
+    model.
+    """
+    objective = _format_terms(model.objective) or "0"
+    lines = ["Maximize", f" obj: {objective}", "Subject To"]
+    for constraint in model.constraints:
+        if not constraint.coeffs:
+            continue
+        lines.append(
+            f" {constraint.name}: {_format_terms(constraint.coeffs)} "
+            f"{constraint.sense} {constraint.rhs!r}"
+        )
+    lines.append("Bounds")
+    for var in model.variables:
+        if var.binary:
+            continue
+        lower_inf = math.isinf(var.lower) and var.lower < 0
+        upper_inf = math.isinf(var.upper) and var.upper > 0
+        if lower_inf and upper_inf:
+            lines.append(f" {var.name} free")
+        elif lower_inf:
+            lines.append(f" -infinity <= {var.name} <= {var.upper!r}")
+        elif upper_inf:
+            lines.append(f" {var.name} >= {var.lower!r}")
+        else:
+            lines.append(f" {var.lower!r} <= {var.name} <= {var.upper!r}")
+    lines.append("Binary")
+    for var in model.variables:
+        if var.binary:
+            lines.append(f" {var.name}")
+    lines.append("End")
+    return "\n".join(lines) + "\n"
 
 
 @dataclass

@@ -12,14 +12,12 @@ import functools
 import itertools
 import json
 import operator
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import assert_sim_invariants, constant_series
+from conftest import assert_sim_invariants
 from prepaid_ems import afg, sim
 from prepaid_ems.config import from_dict
 from prepaid_ems.experiment import emit_outputs, run_experiment
@@ -33,11 +31,9 @@ from prepaid_ems.milp import (
     check_feasibility,
     extract_schedule,
     solve_dfm_grid,
-    solve_external,
     solve_knapsack_bb,
 )
 from prepaid_ems.model import (
-    BUDGET_MARGIN,
     Budget,
     DailyAverageDemand,
     DemandSeries,
@@ -49,9 +45,6 @@ from prepaid_ems.model import (
     demand_indicator,
     effective_budget,
 )
-
-TOY_SOLVER_PATH = Path(__file__).parent / "toy_milp_solver.py"
-
 
 def report(criterion: int, detail: str):
     print(f"[criterion {criterion}] PASS {detail}")
@@ -560,15 +553,14 @@ def test_criterion_9_end_to_end_reproducibility(tmp_path):
 
 
 def test_criterion_10_external_solver_cross_check():
-    """With a solver command configured, external solutions agree with
-    the in-process backends."""
-    if not TOY_SOLVER_PATH.exists():
-        pytest.skip("no external solver configured")
+    """An independent MILP solver, reading each model only as LP text,
+    agrees with the in-process backends."""
     pytest.importorskip("scipy")
-    solver_cmd = f"{sys.executable} {TOY_SOLVER_PATH} {{lp}} {{sol}}"
+    from toy_milp_solver import solve_model
+
     tariff = Tariff(0.001)
 
-    # schedule benchmark: external optimum matches branch and bound
+    # schedule benchmark: the toy solver's optimum matches branch and bound
     rng = np.random.default_rng(7)
     for _ in range(3):
         grid = TimeGrid(2.0, 12, 1)
@@ -579,11 +571,11 @@ def test_criterion_10_external_solver_cross_check():
         model = build_obm(truth, loads, tariff, budget)
         if not model.variables:
             continue
-        external = solve_external(model, solver_cmd, timeout_seconds=300)
-        assert external.status is SolveStatus.OPTIMAL
+        toy = solve_model(model)
+        assert toy.status is SolveStatus.OPTIMAL
         internal = solve_knapsack_bb(model)
-        assert abs(external.objective - internal.objective) <= 1e-6
-        assert check_feasibility(model, external) == []
+        assert abs(toy.objective - internal.objective) <= 1e-6
+        assert check_feasibility(model, toy) == []
 
     # threshold benchmark on a shared tiny instance: the exact MILP
     # optimum bounds the grid search, which here stays within budget
@@ -595,9 +587,9 @@ def test_criterion_10_external_solver_cross_check():
     grid_sim = sim.simulate_thresholds(dplan, truth, loads, tariff, budget)
     assert grid_sim.total_spend <= effective_budget(budget) + 1e-12
     model = build_dfm(truth, loads, tariff, budget)
-    external = solve_external(model, solver_cmd, timeout_seconds=600)
-    assert external.status is SolveStatus.OPTIMAL
-    assert check_feasibility(model, external) == []
-    assert grid_objective <= external.objective + 1e-6
-    assert grid_sim.psf <= external.objective + 1e-6
-    report(10, "external OBM matches branch and bound; external DFM bounds the grid")
+    toy = solve_model(model)
+    assert toy.status is SolveStatus.OPTIMAL
+    assert check_feasibility(model, toy) == []
+    assert grid_objective <= toy.objective + 1e-6
+    assert grid_sim.psf <= toy.objective + 1e-6
+    report(10, "toy-solver OBM matches branch and bound; DFM optimum bounds the grid")

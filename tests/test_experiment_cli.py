@@ -1,4 +1,3 @@
-import csv
 import hashlib
 import json
 import logging
@@ -190,57 +189,6 @@ class TestRunExperiment:
             "unsolved: DFM needs more than 100 candidate pairs"
         }
         assert all(c.status == "ok" for c in results.cells if c.policy == "BSL")
-
-    def test_dfm_external_backend_with_toy_solver(self, tmp_path):
-        solver = f"{sys.executable} {Path(__file__).parent / 'toy_milp_solver.py'} {{lp}} {{sol}}"
-        config = from_dict(
-            base_config(
-                loads=[{"name": "fridge", "gamma": 1.0}],
-                data={
-                    "synthetic": {
-                        "seed": 3,
-                        "profiles": {
-                            "fridge": {
-                                "rated_w": 1000,
-                                "on_probability": 1.0,
-                                "mean_on_hours": 20,
-                            }
-                        },
-                    }
-                },
-                step_minutes=480,
-                horizon_days=1,
-                budget_fractions=[0.6],
-                regimes=["perfect-detailed"],
-                policies=["DFM"],
-                dfm={"solver_cmd": solver, "solver_timeout": 300},
-            ),
-            tmp_path,
-        )
-        results = run_experiment(config)
-        (cell,) = results.cells
-        assert cell.status == "ok"
-        assert cell.note == ""
-        # both the optimizer's objective and the simulated value are
-        # recorded so their gap is visible in the outputs
-        assert cell.solver_objective is not None
-        assert 0.0 <= cell.result.psf <= 1.0 + 1e-9
-        assert abs(cell.solver_objective - cell.result.psf) < 0.5
-
-    def test_external_backend_falls_back_to_grid(self, tmp_path):
-        config = from_dict(
-            base_config(
-                policies=["DFM"],
-                budget_fractions=[0.7],
-                regimes=["perfect-detailed"],
-                dfm={"solver_cmd": "/missing/solver {lp} {sol}"},
-            ),
-            tmp_path,
-        )
-        results = run_experiment(config)
-        (cell,) = results.cells
-        assert cell.status == "ok"
-        assert "fallback" in cell.note
 
 
 class TestEmitOutputs:
@@ -471,62 +419,44 @@ class TestCli:
         )
         assert (out / "summary.csv").exists()
 
-    def test_solver_cmd_override_without_dfm_section(self, tmp_path):
-        data = base_config(
-            policies=["DFM"], budget_fractions=[0.7], regimes=["perfect-detailed"]
-        )
-        del data["dfm"]
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(data))
-        argv = ["run", "--config", str(config_path)]
-        assert cli.main([*argv, "--solver-cmd", "/missing/solver {lp} {sol}"]) == 0
-        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert row["status"] == "ok"
-        assert "exact fallback" in row["note"]
+    def test_dfm_section_is_an_ignored_key(self, tmp_path, caplog):
+        """A ``dfm`` section, even one naming a solver that does not
+        exist, validates and runs without a warning and leaves the bundle
+        byte-identical to the same config without it."""
+        section = {
+            "backend": "grid",
+            "grid_resolution": 16,
+            "solver_cmd": "/missing/solver {lp} {sol}",
+            "solver_timeout": 5,
+        }
+        policies = ["BSL", "AFG", "DFM", "OBM"]
+        configs = {
+            "with": base_config(policies=policies, dfm=section, output_dir="with"),
+            "without": base_config(policies=policies, output_dir="without"),
+        }
+        del configs["without"]["dfm"]
+        bundles = []
+        for name, data in configs.items():
+            config_path = tmp_path / f"{name}.json"
+            config_path.write_text(json.dumps(data))
+            with caplog.at_level(logging.WARNING):
+                assert cli.main(["validate", "--config", str(config_path)]) == 0
+                assert cli.main(["run", "--config", str(config_path)]) == 0
+            out = tmp_path / name
+            bundles.append(
+                {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+            )
+        assert not caplog.records
+        assert bundles[0] and bundles[0] == bundles[1]
 
-    def test_failing_solver_exit_status_and_stderr_logged(self, tmp_path, caplog):
-        failing = (
-            f"{sys.executable} -c "
-            "'import sys; sys.stderr.write(\"license expired\"); sys.exit(7)' "
-            "{lp} {sol}"
-        )
-        data = base_config(
-            policies=["DFM"],
-            budget_fractions=[0.7],
-            regimes=["perfect-detailed"],
-            dfm={"solver_cmd": failing},
-        )
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(data))
-        with caplog.at_level(logging.WARNING, logger="prepaid_ems.experiment"):
-            assert cli.main(["run", "--config", str(config_path)]) == 0
-        assert "external DFM solve returned error" in caplog.text
-        assert "solver exited with status 7" in caplog.text
-        assert "stderr: license expired" in caplog.text
-        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
-            (row,) = csv.DictReader(fh)
-        assert row["status"] == "ok"
-        assert row["note"] == "solver error; exact fallback; "
-
-    @pytest.mark.parametrize(
-        "template", ["mysolver", "mysolver {lp}", "mysolver {lp} {sol} {x}", "'{lp} {sol}"]
-    )
-    def test_malformed_solver_cmd_exit_2(self, tmp_path, capsys, template):
+    def test_solver_cmd_option_is_gone(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(base_config()))
-        argv = ["run", "--config", str(config_path), "--solver-cmd", template]
-        assert cli.main(argv) == 2
-        config_path.write_text(json.dumps(base_config(dfm={"solver_cmd": template})))
-        assert cli.main(["validate", "--config", str(config_path)]) == 2
-        assert "config error: dfm solver_cmd" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", "--config", str(config_path), "--solver-cmd", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --solver-cmd" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
-
-    def test_non_string_solver_cmd_exit_2(self, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(base_config(dfm={"solver_cmd": 5})))
-        assert cli.main(["validate", "--config", str(config_path)]) == 2
-        assert "config error: dfm solver_cmd" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, overrides",
@@ -536,10 +466,11 @@ class TestCli:
             ("budget_fractions", {"budget_fractions": [0.8, 0.804]}),
             ("budget_fractions", {"budget_fractions": [0.125, 0.12]}),
             ("budget_fractions", {"budget_fractions": [0.7, 0.8, 0.7951]}),
-            ("solver_timeout", {"dfm": {"solver_timeout": "soon"}}),
-            ("solver_timeout", {"dfm": {"solver_timeout": 0}}),
-            ("solver_timeout", {"dfm": {"solver_timeout": float("inf")}}),
-            ("solver_timeout", {"dfm": {"solver_timeout": True}}),
+            # A JSON boolean is an int to Python, but no number here.
+            ("horizon_days", {"horizon_days": True}),
+            ("step_minutes", {"step_minutes": True}),
+            ("alpha_per_wh", {"alpha_per_wh": True}),
+            ("budget_fractions", {"budget_fractions": [True]}),
             ("step_minutes", {"step_minutes": "hourly"}),
             ("horizon_days", {"horizon_days": [2]}),
             ("alpha_per_wh", {"alpha_per_wh": "cheap"}),
@@ -549,7 +480,7 @@ class TestCli:
             ("budget_fractions", {"budget_fractions": 0.5}),
             ("regimes", {"regimes": "perfect-detailed"}),
             ("policies", {"policies": "AFG"}),
-            ("dfm", {"dfm": [1]}),
+            ("alpha_per_wh", {"alpha_per_wh": float("inf")}),
             ("data", {"data": "house.csv"}),
             ("synthetic", {"data": {"synthetic": 3}}),
             ("csv", {"data": {"csv": 3}}),

@@ -23,7 +23,7 @@ from prepaid_ems.forecast import (
     synth_household,
     to_limited,
 )
-from prepaid_ems.model import DemandSeries, LoadSet, TimeGrid, daily_average
+from prepaid_ems.model import DemandSeries, LoadSet, TimeGrid
 from prepaid_ems.rng import SplitMix64
 
 

@@ -1,14 +1,11 @@
 import functools
-import itertools
 import operator
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import constant_series
-from lp_text import parse_lp
+from lp_text import format_lp, parse_lp
 from prepaid_ems.afg import ThresholdPlan
 from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
@@ -16,10 +13,7 @@ from prepaid_ems.milp import (
     MilpModel,
     MissingVariable,
     Solution,
-    SolutionParseError,
     SolveStatus,
-    SolverNotFound,
-    SolverTimeout,
     StructureMismatch,
     build_dfm,
     build_obm,
@@ -28,9 +22,7 @@ from prepaid_ems.milp import (
     extract_schedule,
     extract_thresholds,
     solve_dfm_grid,
-    solve_external,
     solve_knapsack_bb,
-    write_lp,
 )
 from prepaid_ems.model import (
     Budget,
@@ -42,9 +34,6 @@ from prepaid_ems.model import (
     demand_indicator,
 )
 from prepaid_ems.sim import simulate_thresholds
-
-TOY_SOLVER = f"{sys.executable} {Path(__file__).parent / 'toy_milp_solver.py'} {{lp}} {{sol}}"
-
 
 @pytest.fixture
 def one_load():
@@ -188,6 +177,16 @@ class TestKnapsackBb:
         assert solve_knapsack_bb(model_small).objective == small
         assert solution.objective > 0
 
+    def test_toy_solver_matches_bb_on_obm(self):
+        from toy_milp_solver import solve_model
+
+        model, _, _ = three_step_obm()
+        toy = solve_model(model)
+        assert toy.status is SolveStatus.OPTIMAL
+        internal = solve_knapsack_bb(model)
+        assert toy.objective == pytest.approx(internal.objective, abs=1e-6)
+        assert check_feasibility(model, toy) == []
+
 
 class TestBuildDfm:
     def test_core_variable_count(self, two_loads, tariff):
@@ -276,96 +275,27 @@ class TestChecker:
 
 
 class TestWriteLp:
-    def test_sections_and_name_coverage(self, tmp_path, two_loads, tariff):
+    def test_sections_and_name_coverage(self, two_loads, tariff):
         grid = TimeGrid(6.0, 4, 1)
         demand = DemandSeries(grid, [[100, 0, 50, 25], [0, 200, 0, 100]])
         model = build_dfm(demand, two_loads, tariff, Budget(1.0))
-        path = tmp_path / "model.lp"
-        write_lp(model, path)
-        text = path.read_text()
+        text = format_lp(model)
         assert text.count("Maximize") == 1 and text.count("End") == 1
         problem = parse_lp(text)
         assert set(problem.variables) == {v.name for v in model.variables}
         assert len(problem.constraints) == len(model.constraints)
 
-    def test_deterministic_bytes(self, tmp_path):
+    def test_deterministic_bytes(self):
         model = knapsack_model([1.5, 2.5], [1.0, 2.0], 2.0)
-        a, b = tmp_path / "a.lp", tmp_path / "b.lp"
-        write_lp(model, a)
-        write_lp(model, b)
-        assert a.read_bytes() == b.read_bytes()
+        assert format_lp(model) == format_lp(model)
 
-    def test_parse_back_values(self, tmp_path):
+    def test_parse_back_values(self):
         model = knapsack_model([6.0, 5.0, 4.0], [4.0, 3.0, 2.0], 5.0)
-        path = tmp_path / "k.lp"
-        write_lp(model, path)
-        problem = parse_lp(path.read_text())
+        problem = parse_lp(format_lp(model))
         assert problem.objective == {"item0": 6.0, "item1": 5.0, "item2": 4.0}
         name, coeffs, sense, rhs = problem.constraints[0]
         assert (name, sense, rhs) == ("cap", "<=", 5.0)
         assert coeffs == {"item0": 4.0, "item1": 3.0, "item2": 2.0}
-
-
-class TestSolveExternal:
-    def test_missing_executable(self):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        with pytest.raises(SolverNotFound):
-            solve_external(model, "/nonexistent/solver {lp} {sol}")
-
-    def test_template_placeholders_required(self):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        with pytest.raises(ValueError, match="placeholders"):
-            solve_external(model, "solver only-{lp}")
-
-    def test_toy_solver_matches_bb_on_obm(self):
-        model, _, _ = three_step_obm()
-        external = solve_external(model, TOY_SOLVER)
-        assert external.status is SolveStatus.OPTIMAL
-        internal = solve_knapsack_bb(model)
-        assert external.objective == pytest.approx(internal.objective, abs=1e-6)
-        assert check_feasibility(model, external) == []
-
-    def test_nonzero_exit_is_error_status(self, tmp_path):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        script = tmp_path / "fail.py"
-        script.write_text("import sys; sys.exit(3)\n")
-        solution = solve_external(model, f"{sys.executable} {script} {{lp}} {{sol}}")
-        assert solution.status is SolveStatus.ERROR
-        assert "status 3" in solution.message
-
-    def test_timeout(self, tmp_path):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        script = tmp_path / "slow.py"
-        script.write_text("import time; time.sleep(30)\n")
-        with pytest.raises(SolverTimeout):
-            solve_external(
-                model,
-                f"{sys.executable} {script} {{lp}} {{sol}}",
-                timeout_seconds=0.5,
-            )
-
-    def test_unknown_names_warned_and_ignored(self, tmp_path, caplog):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        script = tmp_path / "chatty.py"
-        script.write_text(
-            "import sys\n"
-            "open(sys.argv[2], 'w').write('item0 1.0\\nmystery 5.0\\n')\n"
-        )
-        import logging
-
-        with caplog.at_level(logging.WARNING):
-            solution = solve_external(
-                model, f"{sys.executable} {script} {{lp}} {{sol}}"
-            )
-        assert solution.values["item0"] == 1.0
-        assert "mystery" in caplog.text
-
-    def test_missing_solution_file(self, tmp_path):
-        model = knapsack_model([1.0], [1.0], 1.0)
-        script = tmp_path / "silent.py"
-        script.write_text("pass\n")
-        with pytest.raises(SolutionParseError):
-            solve_external(model, f"{sys.executable} {script} {{lp}} {{sol}}")
 
 
 class TestSolveDfmGrid:
@@ -413,6 +343,8 @@ class TestSolveDfmGrid:
         assert result.psf == pytest.approx(0.7, abs=1e-12)
 
     def test_dominated_by_external_milp_on_shared_instance(self, tariff):
+        from toy_milp_solver import solve_model
+
         # Two loads over two one-step days; the spike is unaffordable in
         # any feasible plan, so thresholds must pin it off. Real-wallet
         # margins stay clear of zero, keeping the simulator inside the
@@ -424,12 +356,12 @@ class TestSolveDfmGrid:
         plan, grid_objective = solve_dfm_grid(truth, loads, tariff, budget, 3)
         grid_sim = simulate_thresholds(plan, truth, loads, tariff, budget)
         model = build_dfm(truth, loads, tariff, budget)
-        external = solve_external(model, TOY_SOLVER, timeout_seconds=300)
-        assert external.status is SolveStatus.OPTIMAL
-        assert check_feasibility(model, external) == []
-        assert grid_objective <= external.objective + 1e-6
+        exact = solve_model(model)
+        assert exact.status is SolveStatus.OPTIMAL
+        assert check_feasibility(model, exact) == []
+        assert grid_objective <= exact.objective + 1e-6
         assert grid_sim.psf == pytest.approx(0.7, abs=1e-9)
-        assert external.objective == pytest.approx(0.7, abs=1e-6)
+        assert exact.objective == pytest.approx(0.7, abs=1e-6)
 
 
 class TestExtractors:

@@ -1,25 +1,23 @@
-#!/usr/bin/env python3
-"""Reference MILP solver for the external-solver bridge tests.
-
-Usage: toy_milp_solver.py MODEL.lp SOLUTION.sol
+"""Reference MILP solver that the tests compare the package's backends
+against.
 
 Solves tiny maximization MILPs exactly: enumerate every assignment of
 the binary variables, reject assignments that violate any binary-only
 constraint, solve the remaining LP over the continuous variables with
 scipy, and keep the best. When the objective touches no continuous
 variable, assignments are tried in descending objective order and the
-first feasible one is optimal. Writes one ``name value`` line per
-variable. Deliberately independent of the package under test: it only
-shares the LP text format.
+first feasible one is optimal. Deliberately independent of the
+package's solvers: it reads a model only through its LP text
+(``lp_text``).
 """
 
 import itertools
-import sys
 
 import numpy as np
 from scipy.optimize import linprog
 
-from lp_text import parse_lp
+from lp_text import format_lp, parse_lp
+from prepaid_ems.milp import MilpModel, Solution, SolveStatus
 
 MAX_BINARIES = 16
 
@@ -27,7 +25,7 @@ MAX_BINARIES = 16
 def solve(problem):
     binaries = problem.binaries
     if len(binaries) > MAX_BINARIES:
-        raise SystemExit(f"instance too large: {len(binaries)} binaries")
+        raise ValueError(f"instance too large: {len(binaries)} binaries")
     bin_index = {name: i for i, name in enumerate(binaries)}
     continuous = [name for name in problem.bounds if name not in bin_index]
     cont_index = {name: i for i, name in enumerate(continuous)}
@@ -110,18 +108,10 @@ def solve(problem):
     return best
 
 
-def main():
-    if len(sys.argv) != 3:
-        raise SystemExit("usage: toy_milp_solver.py MODEL.lp SOLUTION.sol")
-    with open(sys.argv[1]) as fh:
-        problem = parse_lp(fh.read())
-    best = solve(problem)
+def solve_model(model: MilpModel) -> Solution:
+    """The optimum of ``model``, solved from its LP text."""
+    best = solve(parse_lp(format_lp(model)))
     if best is None:
-        raise SystemExit("no feasible assignment found")
-    with open(sys.argv[2], "w") as fh:
-        for name, value in best[1].items():
-            fh.write(f"{name} {float(value)!r}\n")
-
-
-if __name__ == "__main__":
-    main()
+        return Solution({}, float("nan"), SolveStatus.INFEASIBLE)
+    values = {name: float(value) for name, value in best[1].items()}
+    return Solution(values, model.objective_value(values), SolveStatus.OPTIMAL)
