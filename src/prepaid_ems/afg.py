@@ -6,7 +6,10 @@ strictly less than the wallet balance. Each load-day is an item in a
 fractional knapsack: value density is the load's priority per hour of
 its demanded time, cost is the price of running it for an hour. The
 greedy pass over items in non-increasing benefit/cost order is exact
-for this problem.
+for this problem. The ranking does not depend on the budget, so
+:func:`plan_view` builds a view's daily averages and ranking once and
+each budget only walks it: the money left before every item is one
+running difference over the ranked items' full-day costs.
 
 The resulting durations are turned into the control artifact actually
 shipped to the household: one virtual-wallet recharge per day plus one
@@ -27,9 +30,11 @@ from prepaid_ems.model import (
     BUDGET_MARGIN,
     Budget,
     DailyAverageDemand,
+    DemandSeries,
     LoadSet,
     Tariff,
     _frozen,
+    daily_average,
     effective_budget,
 )
 
@@ -135,40 +140,86 @@ def solve_greedy(
     break toward higher priority, then earlier day, then load order, so
     results are reproducible.
     """
+    return _greedy_walk(_ranked_items(avg, loads, tariff), budget)
+
+
+def plan_view(
+    view: DemandSeries, loads: LoadSet, tariff: Tariff, budgets: list[Budget]
+) -> list[tuple[ThresholdPlan, float]]:
+    """AFG's threshold plan on ``view`` and its planned objective, the
+    priority-weighted share of demanded hours enabled, for each budget.
+    The daily averages and the item ranking are built once; each budget
+    only walks the ranking and places its thresholds."""
+    avg = daily_average(view)
+    items = _ranked_items(avg, loads, tariff)
+    cap = items.max_durations.sum(axis=1)
+    demanded = cap > 0
+    plans = []
+    for budget in budgets:
+        plan = _greedy_walk(items, budget)
+        recharges = compute_recharges(plan, avg, tariff)
+        thresholds = compute_thresholds(
+            plan, recharges, avg, tariff, view.grid.step_hours
+        )
+        enabled = plan.durations.sum(axis=1)
+        planned = loads.gammas[demanded] * enabled[demanded] / cap[demanded]
+        plans.append((thresholds, float(planned.sum())))
+    return plans
+
+
+@dataclass(frozen=True)
+class _Items:
+    """The demanded load-days in greedy order, and the duration caps."""
+
+    load: np.ndarray
+    day: np.ndarray
+    cost_per_hour: np.ndarray  # $ per hour at the day's average power
+    max_durations: np.ndarray  # [load, day], hours
+
+
+def _ranked_items(avg: DailyAverageDemand, loads: LoadSet, tariff: Tariff) -> _Items:
+    """Every demanded load-day ranked by falling benefit per dollar,
+    then falling priority, then day, then load. A load's benefit is its
+    priority per hour of its demanded time; a never-demanded load has no
+    item and stays out of the objective."""
     if avg.power.shape[0] != len(loads):
         raise ValueError(
             f"averages have {avg.power.shape[0]} loads, load set has {len(loads)}"
         )
     smax = max_durations(avg)
-    per_load_cap = smax.sum(axis=1)  # demanded hours across the horizon
-    gammas = loads.gammas
+    load, day = np.nonzero(smax)
+    gammas = loads.gammas[load]
+    benefit = gammas / smax.sum(axis=1)[load]
+    cost_per_hour = tariff.alpha * avg.power[load, day]
+    assert (cost_per_hour > 0).all()  # zero-cost items imply zero demand
+    rank = np.lexsort((load, day, -gammas, -(benefit / cost_per_hour)))
+    return _Items(load[rank], day[rank], cost_per_hour[rank], smax)
+
+
+def _greedy_walk(items: _Items, budget: Budget) -> EnablePlan:
+    """The greedy pass over ``items`` within the budget.
+
+    The money left before each item is one running difference,
+    ``np.subtract.accumulate`` over the items' full-day costs: the same
+    floats as subtracting them one at a time. Items are served in full
+    while the money left is positive and buys the whole cap; the first
+    that is not gets what the money left buys, if it is positive, and
+    everything ranked after it stays off."""
+    smax = items.max_durations
+    caps = smax[items.load, items.day]
+    left = np.subtract.accumulate(
+        np.concatenate(([effective_budget(budget)], items.cost_per_hour * caps))
+    )[:-1]
+    full = (left > 0) & (left / items.cost_per_hour >= caps)
+    stop = int(np.argmin(full)) if not full.all() else len(full)
     s = np.zeros_like(smax)
-
-    items = []
-    for k in range(len(loads)):
-        if per_load_cap[k] == 0:
-            continue  # never demanded; excluded from the objective
-        benefit = gammas[k] / per_load_cap[k]
-        for d in range(avg.num_days):
-            if smax[k, d] == 0:
-                continue
-            cost_per_hour = tariff.alpha * avg.power[k, d]
-            assert cost_per_hour > 0  # zero-cost items imply zero demand
-            items.append((benefit / cost_per_hour, gammas[k], d, k, cost_per_hour))
-    items.sort(key=lambda it: (-it[0], -it[1], it[2], it[3]))
-
-    remaining = effective_budget(budget)
+    s[items.load[:stop], items.day[:stop]] = caps[:stop]
     marginal = None
-    for _, _, d, k, cost_per_hour in items:
-        if remaining <= 0:
-            break
-        hours = min(smax[k, d], remaining / cost_per_hour)
-        s[k, d] = hours
-        remaining -= cost_per_hour * hours
-        if hours < smax[k, d]:
-            if hours > 0:
-                marginal = (k, d)
-            break  # budget exhausted; everything ranked lower stays zero
+    if stop < len(full) and left[stop] > 0:
+        k, d = int(items.load[stop]), int(items.day[stop])
+        s[k, d] = left[stop] / items.cost_per_hour[stop]
+        if s[k, d] > 0:
+            marginal = (k, d)
     return EnablePlan(s, smax, marginal)
 
 
@@ -190,10 +241,11 @@ def compute_thresholds(
     """Translate planned durations into wallet thresholds for a meter
     that steps every ``step_hours``.
 
-    Per load-day: fully enabled loads get zero. Disabled loads get a
-    threshold above the recharges summed through that day, the most the
-    virtual wallet can hold, so unspent balance carried over from
-    earlier days never switches them on.
+    Per load-day, over the whole ``[load, day]`` matrix at once: fully
+    enabled loads get zero. Disabled loads get a threshold above the
+    recharges summed through that day, the most the virtual wallet can
+    hold, so unspent balance carried over from earlier days never
+    switches them on.
 
     The marginal load is served in whole steps: the balance is checked
     at each step start and, from the day's recharge ``R``, falls by
@@ -203,29 +255,19 @@ def compute_thresholds(
     ``(R - n*c, R - (n-1)*c]``, clear of the float dust on either edge.
     A marginal load with ``n = 0`` is disabled.
     """
-    num_loads, num_days = plan.durations.shape
     # Counting whole steps must forgive the sliver the greedy pass held
     # back (BUDGET_MARGIN of the balance), or a plan meant to fill n
     # steps comes out a hair short and gets n - 1. Twice the sliver
     # keeps division dust from tipping the count; a step rounded up so
     # spends at most BUDGET_MARGIN of the balance past it.
     slack = 2 * BUDGET_MARGIN * float(np.sum(recharges))
-    thresholds = np.zeros((num_loads, num_days))
-    off = pinned_off(recharges)
-    for d in range(num_days):
-        enabled = plan.durations[:, d] > 0
-        step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()
-        for k in range(num_loads):
-            s = plan.durations[k, d]
-            if s == plan.max_durations[k, d] and s > 0:
-                continue  # fully enabled: threshold zero
-            n = 0
-            if s > 0:
-                load_rate = tariff.alpha * avg.power[k, d]  # $ per hour
-                n = math.floor((s + slack / load_rate) / step_hours)
-            if n == 0:
-                thresholds[k, d] = off[d]
-            else:
-                thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
+    s, smax = plan.durations, plan.max_durations
+    thresholds = np.where((s == smax) & (s > 0), 0.0, pinned_off(recharges))
+    for k, d in np.argwhere((s > 0) & (s < smax)):  # the marginal load-day
+        load_rate = tariff.alpha * avg.power[k, d]  # $ per hour
+        n = math.floor((s[k, d] + slack / load_rate) / step_hours)
+        if n > 0:
+            enabled = s[:, d] > 0
+            step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()
+            thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
     return ThresholdPlan(thresholds, recharges)
-

@@ -164,15 +164,16 @@ def _typed(value, kind, name: str):
 
 def _number(kind, value, name: str):
     """``kind(value)`` (``int`` or ``float``). A value it rejects, a float
-    it would change (2.5 as an int, NaN) or a JSON boolean (a ``bool`` is
-    an ``int`` to Python) is a config error naming the field."""
+    it would change (2.5 as an int, NaN), a JSON boolean (a ``bool`` is
+    an ``int`` to Python) or a string (``float("1")`` is 1.0) is a config
+    error naming the field."""
     try:
         number = kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if (
         number is None
-        or isinstance(value, bool)
+        or isinstance(value, (bool, str))
         or (isinstance(value, float) and number != value)
     ):
         raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
@@ -190,6 +191,21 @@ def _load_pair(entry, where: str) -> tuple[str, float]:
         _typed(entry["name"], str, f"{where} name"),
         _number(float, entry["gamma"], f"{where} gamma"),
     )
+
+
+def _profile(entry, where: str) -> ApplianceProfile:
+    """One synthetic profile; a malformed one is a config error naming
+    the profile and the field."""
+    _typed(entry, dict, where)
+    fields = ("rated_w", "on_probability", "mean_on_hours")
+    for field in fields:
+        if field not in entry:
+            raise ConfigError(f"{where} is missing {field!r}")
+    numbers = [_number(float, entry[field], f"{where} {field}") for field in fields]
+    try:
+        return ApplianceProfile(*numbers)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
@@ -215,19 +231,12 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     elif "synthetic" in source:
         synth = _typed(source["synthetic"], dict, "synthetic")
         synth_seed = _number(int, synth.get("seed", 1), "synthetic seed")
-        try:
-            profiles = {
-                name: ApplianceProfile(
-                    float(p["rated_w"]),
-                    float(p["on_probability"]),
-                    float(p["mean_on_hours"]),
-                )
-                for name, p in _typed(
-                    synth.get("profiles", {}), dict, "synthetic profiles"
-                ).items()
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid synthetic profiles: {exc}") from None
+        profiles = {
+            name: _profile(entry, f"synthetic profile {name!r}")
+            for name, entry in _typed(
+                synth.get("profiles", {}), dict, "synthetic profiles"
+            ).items()
+        }
     else:
         raise ConfigError("data section must contain 'csv' or 'synthetic'")
 

@@ -1,20 +1,24 @@
 """Experiment orchestration and results emission.
 
 One experiment sweeps the cross product of budget fractions, forecast
-regimes and policies in two phases. First every cell's policy computes
-its setpoints from the regime's forecast view, for every budget
-fraction. DFM is solved exactly in process (``prepaid_ems.dfm``), from
-day options built once per distinct day of the sweep's views; a DFM
-cell past the solver's work bound reads ``unsolved`` with the reason,
-the only note a cell can carry. Then all setpoints of the sweep are
-simulated against the true demand in two stacked simulator passes,
-each plan with its fraction's budget: one for the threshold plans
-(AFG, DFM), one for every fraction's unrationed baseline and the
-schedules (OBM). Service metrics plus the improvement over the
-baseline are recorded per cell. The trace files of one budget fraction
-are formatted together, as bytes built in numpy with each distinct
-balance formatted once (see ``sim.write_trace_csvs``). Everything is
-deterministic for a fixed config, including output bytes.
+regimes and policies in two phases. First each policy plans each
+regime's forecast view once for every budget fraction: AFG ranks the
+view's daily averages once and walks the ranking per budget
+(``afg.plan_view``); OBM builds the view's count-search tables once and
+searches them per budget, and a shuffled view reuses its source's
+search (``obm.plan_view``); DFM is solved exactly in process
+(``prepaid_ems.dfm``), from day options built once per distinct day of
+the sweep's views. A DFM cell past the solver's work bound reads
+``unsolved`` with the reason, the only note a cell can carry. Then all
+setpoints of the sweep are simulated against the true demand in two
+stacked simulator passes, each plan with its fraction's budget: one
+for the threshold plans (AFG, DFM), one for every fraction's
+unrationed baseline and the schedules (OBM). Service metrics plus the
+improvement over the baseline are recorded per cell. The trace files
+of one budget fraction are formatted together, as bytes built in numpy
+with each distinct balance formatted once (see
+``sim.write_trace_csvs``). Everything is deterministic for a fixed
+config, including output bytes.
 """
 
 import csv
@@ -25,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from prepaid_ems import afg, sim
+from prepaid_ems import afg, obm, sim
 from prepaid_ems.config import ExperimentConfig, fraction_tag
 from prepaid_ems.forecast import (
     Fidelity,
@@ -48,10 +52,8 @@ from prepaid_ems.model import (
     Tariff,
     TimeGrid,
     compute_budget,
-    daily_average,
     demand_indicator,
 )
-from prepaid_ems.obm import solve_obm
 
 logger = logging.getLogger(__name__)
 
@@ -86,21 +88,6 @@ def load_truth(config: ExperimentConfig) -> DemandSeries:
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
 
 
-def _plan_afg(view, loads, tariff, budget):
-    avg = daily_average(view)
-    plan = afg.solve_greedy(avg, loads, tariff, budget)
-    recharges = afg.compute_recharges(plan, avg, tariff)
-    thresholds = afg.compute_thresholds(
-        plan, recharges, avg, tariff, view.grid.step_hours
-    )
-    cap = plan.max_durations.sum(axis=1)
-    mask = cap > 0
-    planned = float(
-        (loads.gammas[mask] * plan.durations.sum(axis=1)[mask] / cap[mask]).sum()
-    )
-    return thresholds, planned, ""
-
-
 def _plan_dfm(view, known, loads, tariff, budget):
     """DFM's exact plan on ``view``; the day options it builds are kept
     in ``known`` for the sweep's other cells."""
@@ -115,24 +102,27 @@ def _plan_dfm(view, known, loads, tariff, budget):
     return plan, objective, ""
 
 
-def _plan_cells(config, views, dfm_known, loads, tariff, budget) -> list[tuple]:
-    """``(regime, policy, plan, objective, note)`` for every cell of one
-    budget fraction, in sweep order. The plan is a ``ThresholdPlan``
-    (AFG, DFM), a schedule (OBM), or ``None`` for BSL and for a policy
-    that found no plan."""
-    planned = []
+def _plan_cells(config, views, loads, tariff, budgets) -> list[list[tuple]]:
+    """Per budget, ``(regime, policy, plan, objective, note)`` for every
+    cell, in sweep order. The plan is a ``ThresholdPlan`` (AFG, DFM), a
+    schedule (OBM), or ``None`` for BSL and for a policy that found no
+    plan. Each regime's view is planned once for every budget."""
+    planned = [[] for _ in budgets]
+    obm_known, dfm_known = {}, {}
     for regime in config.regimes:
         view = views[regime]
         for policy in config.policies:
             if policy == "BSL":
-                cell = (None, None, "")
+                plans = [(None, None, "")] * len(budgets)
             elif policy == "AFG":
-                cell = _plan_afg(view, loads, tariff, budget)
+                plans = [(*p, "") for p in afg.plan_view(view, loads, tariff, budgets)]
             elif policy == "OBM":
-                cell = (*solve_obm(view, loads, tariff, budget), "")
+                plans = obm.plan_view(view, loads, tariff, budgets, obm_known)
+                plans = [(*p, "") for p in plans]
             else:
-                cell = _plan_dfm(view, dfm_known, loads, tariff, budget)
-            planned.append((regime, policy, *cell))
+                plans = [_plan_dfm(view, dfm_known, loads, tariff, b) for b in budgets]
+            for cells, plan in zip(planned, plans):
+                cells.append((regime, policy, *plan))
     return planned
 
 
@@ -194,11 +184,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
         if indicator[k].sum() == 0
     ]
 
-    planned, dfm_known = [], {}
-    for fraction in config.budget_fractions:
-        budget = compute_budget(truth, tariff, fraction)
-        cells = _plan_cells(config, views, dfm_known, loads, tariff, budget)
-        planned.append((fraction, budget, cells))
+    fractions = config.budget_fractions
+    budgets = [compute_budget(truth, tariff, fraction) for fraction in fractions]
+    cells = _plan_cells(config, views, loads, tariff, budgets)
+    planned = list(zip(fractions, budgets, cells))
     cells = _simulate_cells(planned, truth, loads, tariff)
     return ExperimentResults(
         loads, truth.grid, config.alpha_per_wh, cells, excluded

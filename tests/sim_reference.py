@@ -7,18 +7,20 @@ against bit for bit. Threshold plans run under either enable rule:
 threshold trips, ``latching=False`` re-evaluates every step. The two
 agree because the virtual balance never rises within a day. The DFM
 grid search's original enumeration loop, the original row-by-row trace
-writer and the OBM count search as it was before it started from a
-greedy incumbent are kept the same way.
+writer, the OBM count search as it was before it started from a
+greedy incumbent, and AFG's item-by-item greedy pass and load-day by
+load-day threshold loop are kept the same way.
 """
 
 import csv
 import io
 import itertools
+import math
 
 import numpy as np
 
-from prepaid_ems.afg import ThresholdPlan, pinned_off
-from prepaid_ems.model import daily_average
+from prepaid_ems.afg import EnablePlan, ThresholdPlan, max_durations, pinned_off
+from prepaid_ems.model import BUDGET_MARGIN, daily_average, effective_budget
 from prepaid_ems.obm import BOUND_SLACK
 from prepaid_ems.sim import _finalize
 
@@ -236,3 +238,62 @@ def _dantzig(table, caps: np.ndarray) -> np.ndarray:
     cum_cost, cum_value, ratio = table
     j = np.searchsorted(cum_cost, caps, side="right") - 1
     return cum_value[j] + (caps - cum_cost[j]) * ratio[j]
+
+
+def solve_greedy(avg, loads, tariff, budget):
+    """AFG's greedy pass as it was: the items sorted as tuples, then
+    served one at a time from a running ``remaining``."""
+    smax = max_durations(avg)
+    per_load_cap = smax.sum(axis=1)  # demanded hours across the horizon
+    gammas = loads.gammas
+    s = np.zeros_like(smax)
+
+    items = []
+    for k in range(len(loads)):
+        if per_load_cap[k] == 0:
+            continue  # never demanded; excluded from the objective
+        benefit = gammas[k] / per_load_cap[k]
+        for d in range(avg.num_days):
+            if smax[k, d] == 0:
+                continue
+            cost_per_hour = tariff.alpha * avg.power[k, d]
+            items.append((benefit / cost_per_hour, gammas[k], d, k, cost_per_hour))
+    items.sort(key=lambda it: (-it[0], -it[1], it[2], it[3]))
+
+    remaining = effective_budget(budget)
+    marginal = None
+    for _, _, d, k, cost_per_hour in items:
+        if remaining <= 0:
+            break
+        hours = min(smax[k, d], remaining / cost_per_hour)
+        s[k, d] = hours
+        remaining -= cost_per_hour * hours
+        if hours < smax[k, d]:
+            if hours > 0:
+                marginal = (k, d)
+            break  # budget exhausted; everything ranked lower stays zero
+    return EnablePlan(s, smax, marginal)
+
+
+def compute_thresholds(plan, recharges, avg, tariff, step_hours):
+    """AFG's thresholds as they were placed: load-day by load-day."""
+    num_loads, num_days = plan.durations.shape
+    slack = 2 * BUDGET_MARGIN * float(np.sum(recharges))
+    thresholds = np.zeros((num_loads, num_days))
+    off = pinned_off(recharges)
+    for d in range(num_days):
+        enabled = plan.durations[:, d] > 0
+        step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()
+        for k in range(num_loads):
+            s = plan.durations[k, d]
+            if s == plan.max_durations[k, d] and s > 0:
+                continue  # fully enabled: threshold zero
+            n = 0
+            if s > 0:
+                load_rate = tariff.alpha * avg.power[k, d]  # $ per hour
+                n = math.floor((s + slack / load_rate) / step_hours)
+            if n == 0:
+                thresholds[k, d] = off[d]
+            else:
+                thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
+    return ThresholdPlan(thresholds, recharges)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import sim_reference
 from prepaid_ems.afg import (
     THRESHOLD_MARGIN,
     EnablePlan,
@@ -8,15 +9,19 @@ from prepaid_ems.afg import (
     compute_recharges,
     compute_thresholds,
     max_durations,
+    pinned_off,
+    plan_view,
     solve_greedy,
 )
 from prepaid_ems.model import (
+    BUDGET_MARGIN,
     Budget,
     DailyAverageDemand,
     DemandSeries,
     LoadSet,
     Tariff,
     TimeGrid,
+    daily_average,
     effective_budget,
 )
 from prepaid_ems.sim import simulate_thresholds
@@ -289,3 +294,72 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             ThresholdPlan(np.zeros((2, 1)), np.array([-0.5]))
 
+
+
+def afg_corpus():
+    """Views and budgets: 1-10 loads over 1-30 days at steps of 1 h,
+    4 h and 15 min; quantised powers and shared priorities, so ranks
+    tie; a never-demanded load in some;
+    zero, partial and ample budgets; and a budget that leaves the
+    marginal load-day less than one step, so its count n is 0."""
+    rng = np.random.default_rng(20241015)
+    tariff = Tariff(0.00016)
+    for _ in range(150):
+        num_loads = int(rng.integers(1, 11))
+        step_hours, steps = [(1.0, 24), (4.0, 6), (0.25, 96)][int(rng.integers(3))]
+        grid = TimeGrid(step_hours, steps, int(rng.integers(1, 31)))
+        power = np.zeros((num_loads, grid.total_steps))
+        for k in range(num_loads):
+            if k and rng.random() < 0.15:
+                continue  # never demanded
+            rated = float(rng.choice([150.0, 500.0, 1100.0, 1200.0]))
+            on = rng.random(grid.total_steps) < rng.uniform(0.1, 1.0)
+            level = np.round(rated * rng.uniform(0.5, 1.5, grid.total_steps), -2)
+            power[k] = np.where(on, level, 0.0)
+        gammas = rng.choice([0.1, 0.2, 0.3, 0.45], num_loads)
+        loads = LoadSet.from_pairs((f"l{k}", float(g)) for k, g in enumerate(gammas))
+        view = DemandSeries(grid, power)
+        full = tariff.alpha * step_hours * power.sum()
+        budgets = [Budget(full * f) for f in (0.0, 0.3, rng.uniform(0.1, 0.95), 2.0)]
+        # Shrink a budget until its marginal load-day gets 0.3 of a step.
+        avg = daily_average(view)
+        plan = sim_reference.solve_greedy(avg, loads, tariff, budgets[2])
+        if plan.marginal is not None:
+            k, d = plan.marginal
+            extra = plan.durations[k, d] - 0.3 * step_hours
+            if extra > 0:
+                spare = tariff.alpha * avg.power[k, d] * extra / (1 - BUDGET_MARGIN)
+                budgets.append(Budget(budgets[2].initial_balance - spare))
+        yield view, loads, tariff, budgets
+
+
+def test_view_plans_match_the_item_loops():
+    """``plan_view``, ``solve_greedy`` and ``compute_thresholds`` give
+    the bytes of the item-by-item pass and the load-day loop they
+    replaced (``sim_reference``), on every budget of every view."""
+    cells = marginal = disabled_marginal = 0
+    for view, loads, tariff, budgets in afg_corpus():
+        avg, step_hours = daily_average(view), view.grid.step_hours
+        plans = plan_view(view, loads, tariff, budgets)
+        for budget, (thresholds, planned) in zip(budgets, plans):
+            want = sim_reference.solve_greedy(avg, loads, tariff, budget)
+            plan = solve_greedy(avg, loads, tariff, budget)
+            assert plan.durations.tobytes() == want.durations.tobytes()
+            assert plan.marginal == want.marginal
+            recharges = compute_recharges(want, avg, tariff)
+            want_plan = sim_reference.compute_thresholds(
+                want, recharges, avg, tariff, step_hours
+            )
+            got_plan = compute_thresholds(plan, recharges, avg, tariff, step_hours)
+            for got in (got_plan, thresholds):
+                assert got.thresholds.tobytes() == want_plan.thresholds.tobytes()
+                assert got.recharges.tobytes() == recharges.tobytes()
+            assert planned.hex() == greedy_psf(want, loads).hex()
+            cells += 1
+            if want.marginal is not None:
+                k, d = want.marginal
+                marginal += 1
+                disabled_marginal += (
+                    want_plan.thresholds[k, d] == pinned_off(recharges)[d]
+                )
+    assert cells > 700 and marginal > 400 and disabled_marginal > 100

@@ -18,6 +18,7 @@ from prepaid_ems.rng import SplitMix64
 
 
 HEATER = {"name": "heater", "gamma": 0.3}
+FRIDGE_PROFILE = {"rated_w": 150, "on_probability": 1.0, "mean_on_hours": 10}
 ALL_REGIMES = [
     "perfect-detailed",
     "perfect-limited",
@@ -33,7 +34,7 @@ def base_config(**overrides):
             "synthetic": {
                 "seed": 3,
                 "profiles": {
-                    "fridge": {"rated_w": 150, "on_probability": 1.0, "mean_on_hours": 10},
+                    "fridge": dict(FRIDGE_PROFILE),
                     "heater": {"rated_w": 900, "on_probability": 0.8, "mean_on_hours": 4},
                 },
             }
@@ -50,6 +51,13 @@ def base_config(**overrides):
     }
     data.update(overrides)
     return data
+
+
+def with_profiles(**profiles):
+    """Overrides replacing the base config's synthetic ``profiles``."""
+    data = base_config()["data"]
+    data["synthetic"]["profiles"].update(profiles)
+    return {"data": data}
 
 
 def write_noisy_csv(path, days):
@@ -474,6 +482,7 @@ class TestCli:
             ("step_minutes", {"step_minutes": "hourly"}),
             ("horizon_days", {"horizon_days": [2]}),
             ("alpha_per_wh", {"alpha_per_wh": "cheap"}),
+            ("alpha_per_wh", {"alpha_per_wh": "0.00016"}),
             ("shuffle_seed", {"shuffle_seed": "s"}),
             ("start_day", {"start_day": None}),
             ("budget_fractions", {"budget_fractions": ["x"]}),
@@ -485,6 +494,28 @@ class TestCli:
             ("synthetic", {"data": {"synthetic": 3}}),
             ("csv", {"data": {"csv": 3}}),
             ("output_dir", {"output_dir": None}),
+            # Synthetic profiles: booleans and numeric strings are no numbers.
+            (
+                "profile 'fridge' rated_w",
+                with_profiles(fridge={**FRIDGE_PROFILE, "rated_w": True}),
+            ),
+            (
+                "profile 'fridge' on_probability",
+                with_profiles(fridge={**FRIDGE_PROFILE, "on_probability": "1"}),
+            ),
+            (
+                "profile 'fridge' mean_on_hours",
+                with_profiles(fridge={**FRIDGE_PROFILE, "mean_on_hours": "10"}),
+            ),
+            (
+                "profile 'fridge': on_probability must lie in [0, 1]",
+                with_profiles(fridge={**FRIDGE_PROFILE, "on_probability": 2.0}),
+            ),
+            (
+                "profile 'fridge' is missing 'mean_on_hours'",
+                with_profiles(fridge={"rated_w": 150, "on_probability": 1.0}),
+            ),
+            ("profile 'heater' must be an object", with_profiles(heater=900)),
             ("loads[0] gamma", {"loads": [{"name": "fridge", "gamma": "x"}, HEATER]}),
             ("loads[0] is missing 'gamma'", {"loads": [{"name": "fridge"}, HEATER]}),
             ("loads[0] must be an object", {"loads": ["fridge", HEATER]}),

@@ -14,7 +14,14 @@ import pytest
 import sim_reference
 from prepaid_ems.config import DEFAULT_HOUSEHOLD, from_dict
 from prepaid_ems.experiment import run_experiment
-from prepaid_ems.forecast import export_csv, synth_household, to_limited
+from prepaid_ems.forecast import (
+    Fidelity,
+    ForecastSpec,
+    Granularity,
+    export_csv,
+    synth_household,
+    to_limited,
+)
 from prepaid_ems.milp import build_obm, extract_schedule, solve_knapsack_bb
 from prepaid_ems.model import (
     BUDGET_MARGIN,
@@ -26,7 +33,8 @@ from prepaid_ems.model import (
     compute_budget,
     effective_budget,
 )
-from prepaid_ems.obm import solve_obm
+from prepaid_ems import obm
+from prepaid_ems.obm import plan_view, solve_obm
 
 KINDS = ("flat", "tied", "quantised", "noisy")
 
@@ -410,3 +418,130 @@ def test_limited_view_without_a_long_tail():
         solve_obm(view, loads, tariff, budget)
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.1
+
+
+def reference_plan(view, loads, tariff, budget):
+    """Counts and objective bits of the plain search for one budget."""
+    costs, values = search_items(view, loads, tariff)
+    counts = sim_reference.count_search(costs, values, effective_budget(budget))
+    served = itertools.chain.from_iterable(
+        itertools.repeat(values[k], n) for k, n in enumerate(counts)
+    )
+    return counts, functools.reduce(operator.add, served, 0.0).hex()
+
+
+@pytest.mark.parametrize("pair_calls", [obm.PAIR_CALLS_BEFORE_FRONTIER, 0])
+def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls):
+    """One ``plan_view`` over all of a view's budgets gives each budget
+    the schedule and objective bits of its own ``solve_obm`` and the
+    counts of the plain search, with the staircase bound built as late
+    as the sweep builds it and from the first pair call on."""
+    monkeypatch.setattr(obm, "PAIR_CALLS_BEFORE_FRONTIER", pair_calls)
+    cells = 0
+    for _, group in itertools.groupby(identity_corpus(), key=lambda c: id(c[0])):
+        group = list(group)
+        view, loads, tariff, _ = group[0]
+        plans = plan_view(view, loads, tariff, [budget for *_, budget in group])
+        for (_, _, _, budget), (schedule, objective) in zip(group, plans):
+            alone, alone_objective = solve_obm(view, loads, tariff, budget)
+            assert (schedule == alone).all()
+            assert objective.hex() == alone_objective.hex()
+            want = reference_plan(view, loads, tariff, budget)
+            assert (schedule.sum(axis=1).tolist(), objective.hex()) == want
+            cells += 1
+    assert cells > 600
+
+
+def test_shuffled_view_reuses_its_source_counts():
+    truth, loads = default_household(11)
+    tariff = Tariff(0.00016)
+    budgets = [compute_budget(truth, tariff, f) for f in (0.7, 0.8, 0.9)]
+    shuffled = ForecastSpec(Fidelity.IMPERFECT_SHUFFLED, Granularity.LIMITED, 4)
+    views = [to_limited(truth), shuffled.apply(truth)]
+    known = {}
+    for view in views:
+        plans = plan_view(view, loads, tariff, budgets, known)
+        for budget, (schedule, objective) in zip(budgets, plans):
+            alone, alone_objective = solve_obm(view, loads, tariff, budget)
+            assert (schedule == alone).all()
+            assert objective.hex() == alone_objective.hex()
+    assert len(known) == 1
+
+
+def test_limited_view_plateau():
+    """A paper-scale limited view where thousands of count vectors tie
+    the optimum: the plain search took ~2 s, proving each tie against a
+    bound one step loose. Counts and objective bits are the plain
+    search's."""
+    truth, loads = default_household((77 << 20) + 18)
+    view, tariff = to_limited(truth), Tariff(0.00016)
+    budget = compute_budget(truth, tariff, 0.8)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        schedule, objective = solve_obm(view, loads, tariff, budget)
+        elapsed.append(time.perf_counter() - start)
+    assert schedule.sum(axis=1).tolist() == [2802, 768, 2396, 1156]
+    assert objective.hex() == "0x1.b86d61f8f0677p-1"
+    assert min(elapsed) < 0.1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pair_staircase_is_the_best_value_within_each_cap(seed):
+    """The staircase's best value within a cap is the most the two
+    loads reach within it, on flat costs with tying values."""
+    rng = np.random.default_rng(seed)
+    costs, values = [], []
+    for _ in range(2):
+        levels = rng.choice([0.001, 0.0015, 0.002, 0.003], int(rng.integers(1, 4)))
+        costs.append(np.sort(rng.choice(levels, int(rng.integers(1, 120)))))
+        values.append(float(rng.integers(1, 5)) / 1000.0)
+    costs.append(np.array([0.0005]))  # a third load, so the search keeps tables
+    values.append(1.0)
+    search = obm._CountSearch(costs, values)
+    a, b = search.order[-2:]
+    frontier = obm._pair_frontier(
+        search.prefix[a],
+        values[a],
+        search.prefix[b],
+        values[b],
+        search.tables[1],
+        search.pair_a,
+        search.slack,
+    )
+    caps = rng.uniform(0.0, search.prefix[a][-1] + search.prefix[b][-1], 200)
+    best, _ = obm._staircase(frontier, caps)
+    for cap, got in zip(caps, best):
+        na = np.arange(np.searchsorted(search.prefix[a], cap, side="right"))
+        nb = np.searchsorted(search.prefix[b], cap - search.prefix[a][na], side="right")
+        want = float(np.max(na * values[a] + (nb - 1) * values[b]))
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("loads", [2, 3])
+def test_equal_ratios_keep_the_first_maximum(loads):
+    """Loads whose steps all give the same value per dollar: every count
+    of the first of the last two loads comes within a step of the most,
+    and float rounding alone picks the first maximum visited."""
+    grid = TimeGrid(1.0, 24, 10)
+    power = np.zeros((loads, grid.total_steps))
+    power[0, ::2] = 3000.0
+    power[1, 1::3] = 7000.0
+    if loads == 3:
+        power[2, ::5] = 1100.0
+    demand = DemandSeries(grid, power)
+    demanded = (power > 0).sum(axis=1)
+    # gamma_k / N_k proportional to the step cost: one ratio for all.
+    load_set = LoadSet.from_pairs(
+        (f"l{k}", float(power[k].max() * demanded[k] / 2e4)) for k in range(loads)
+    )
+    tariff = Tariff(0.001)
+    costs, values = search_items(demand, load_set, tariff)
+    full = float(sum(c.sum() for c in costs))
+    for capacity in np.linspace(0.0, full, 61):
+        budget = budget_spending(float(capacity))
+        if budget is None:
+            continue
+        schedule, objective = solve_obm(demand, load_set, tariff, budget)
+        want = reference_plan(demand, load_set, tariff, budget)
+        assert (schedule.sum(axis=1).tolist(), objective.hex()) == want
