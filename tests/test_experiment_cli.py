@@ -482,7 +482,6 @@ class TestCli:
             ("step_minutes", {"step_minutes": "hourly"}),
             ("horizon_days", {"horizon_days": [2]}),
             ("alpha_per_wh", {"alpha_per_wh": "cheap"}),
-            ("alpha_per_wh", {"alpha_per_wh": "0.00016"}),
             ("shuffle_seed", {"shuffle_seed": "s"}),
             ("start_day", {"start_day": None}),
             ("budget_fractions", {"budget_fractions": ["x"]}),
@@ -494,6 +493,25 @@ class TestCli:
             ("synthetic", {"data": {"synthetic": 3}}),
             ("csv", {"data": {"csv": 3}}),
             ("output_dir", {"output_dir": None}),
+            ("loads[0] gamma", {"loads": [{"name": "fridge", "gamma": "x"}, HEATER]}),
+            ("loads[0] is missing 'gamma'", {"loads": [{"name": "fridge"}, HEATER]}),
+            ("loads[0] must be an object", {"loads": ["fridge", HEATER]}),
+            ("loads[1] name", {"loads": [HEATER, {"name": 5, "gamma": 0.7}]}),
+            ("loads must be a list", {"loads": {"fridge": 0.7}}),
+            (
+                "budget_fractions lists [0.8] more than once",
+                {"budget_fractions": [0.8, 0.8]},
+            ),
+            (
+                "regimes lists ['perfect-detailed'] more than once",
+                {"regimes": ["perfect-detailed", "perfect-detailed"]},
+            ),
+            (
+                "policies lists ['AFG'] more than once",
+                {"policies": ["AFG", "AFG", "BSL"]},
+            ),
+            # Added last, so the cases above keep their ids.
+            ("alpha_per_wh", {"alpha_per_wh": "0.00016"}),
             # Synthetic profiles: booleans and numeric strings are no numbers.
             (
                 "profile 'fridge' rated_w",
@@ -516,23 +534,6 @@ class TestCli:
                 with_profiles(fridge={"rated_w": 150, "on_probability": 1.0}),
             ),
             ("profile 'heater' must be an object", with_profiles(heater=900)),
-            ("loads[0] gamma", {"loads": [{"name": "fridge", "gamma": "x"}, HEATER]}),
-            ("loads[0] is missing 'gamma'", {"loads": [{"name": "fridge"}, HEATER]}),
-            ("loads[0] must be an object", {"loads": ["fridge", HEATER]}),
-            ("loads[1] name", {"loads": [HEATER, {"name": 5, "gamma": 0.7}]}),
-            ("loads must be a list", {"loads": {"fridge": 0.7}}),
-            (
-                "budget_fractions lists [0.8] more than once",
-                {"budget_fractions": [0.8, 0.8]},
-            ),
-            (
-                "regimes lists ['perfect-detailed'] more than once",
-                {"regimes": ["perfect-detailed", "perfect-detailed"]},
-            ),
-            (
-                "policies lists ['AFG'] more than once",
-                {"policies": ["AFG", "AFG", "BSL"]},
-            ),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):
