@@ -4,7 +4,8 @@ The ``data`` section holds either a ``csv`` path or a ``synthetic``
 household spec. A CSV holds whole days of ``step_minutes`` steps, as
 many as the file has; the sweep reads ``horizon_days`` of them from
 ``start_day`` on. A synthetic household is generated for
-``horizon_days`` days. ``budget_fractions``, ``regimes`` and
+``horizon_days`` days from its first, so it takes no ``start_day``
+other than 0. ``budget_fractions``, ``regimes`` and
 ``policies`` each name an entry at most once, and no two budget
 fractions share a trace file name (:func:`fraction_tag`).
 
@@ -120,6 +121,11 @@ class ExperimentConfig:
         if (self.csv_path is None) == (self.profiles is None):
             raise ConfigError(
                 "data source must be exactly one of a CSV path or a synthetic spec"
+            )
+        if self.profiles is not None and self.start_day != 0:
+            raise ConfigError(
+                f"start_day applies to a CSV source only; a synthetic household "
+                f"starts at day 0, got {self.start_day}"
             )
         if self.profiles is not None:
             missing = [n for n in self.loads.names if n not in self.profiles]

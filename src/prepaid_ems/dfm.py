@@ -1,7 +1,7 @@
 """Exact in-process solver for the detailed-forecast threshold model (DFM).
 
 DFM gives the virtual wallet an even share of the budget at each day
-start (``milp.dfm_recharges``) and sets one threshold per load-day.
+start (:func:`dfm_recharges`) and sets one threshold per load-day.
 Within a day the virtual balance only falls, so a load is on from the
 day start until its threshold trips and stays off after: a threshold
 plan comes down to one served count per load-day, the load serving the
@@ -54,16 +54,15 @@ option) pair; ties go to the first in option order.
 
 **Decoding.** The counts become an actuation on the view, and each
 load-day's threshold goes mid-band on that actuation's virtual
-balances (``milp.builders.mid_band_thresholds``), as
-``milp.builders.extract_thresholds`` decodes a solved DFM model.
+balances (:func:`mid_band_thresholds`). The tests decode a solved
+threshold MILP the same way.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.afg import ThresholdPlan
-from prepaid_ems.milp.builders import dfm_recharges, mid_band_thresholds
+from prepaid_ems.afg import ThresholdPlan, pinned_off
 from prepaid_ems.model import (
     BUDGET_MARGIN,
     Budget,
@@ -93,6 +92,11 @@ BOUND_SLACK = 1e-9
 
 class DfmTooLarge(ValueError):
     """The solve would form more than ``WORK_BOUND`` pairs."""
+
+
+def dfm_recharges(budget: Budget, num_days: int) -> np.ndarray:
+    """The DFM's daily recharges: the budget split evenly over the days."""
+    return np.full(num_days, budget.initial_balance / num_days)
 
 
 @dataclass(frozen=True)
@@ -317,11 +321,7 @@ def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work)
         )
         if d == last:
             break
-        order = np.lexsort((-new_value, new_spend))
-        rising = np.maximum.accumulate(
-            np.concatenate(([-np.inf], new_value[order][:-1]))
-        )
-        order = order[new_value[order] > rising]
+        order = _staircase(new_spend, new_value)
         if beam is not None and len(order) > beam:
             top = np.argsort(-bound[order], kind="stable")[:beam]
             order = order[np.sort(top)]
@@ -333,6 +333,39 @@ def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work)
         chosen.append(int(opt[index]))
         index = prev[index]
     return float(new_value[best]), chosen[::-1], work
+
+
+def mid_band_thresholds(
+    served: np.ndarray,
+    demand: DemandSeries,
+    tariff: Tariff,
+    recharges: np.ndarray,
+) -> np.ndarray:
+    """Threshold matrix ``[load, day]`` that makes the simulator repeat
+    the actuation ``served[load, step]`` on ``demand``, with
+    ``recharges`` the daily recharges.
+
+    The actuation is paid for on ``demand``, and each load-day's
+    threshold goes mid-band: halfway between the virtual balance at the
+    start of the load's last served step and the balance after paying
+    for it, the next lower one the view reaches. A load-day never
+    served is pinned off, as in AFG.
+    """
+    grid = demand.grid
+    num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
+    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
+    cost = cost.reshape(num_days, n)
+    # Virtual balance at each step start of each day, and after its last step.
+    spent = np.cumsum(cost.sum(axis=1))
+    start = np.cumsum(recharges) - np.concatenate([[0.0], spent[:-1]])
+    balance = start[:, None] - np.concatenate(
+        [np.zeros((num_days, 1)), np.cumsum(cost, axis=1)], axis=1
+    )
+    served = np.asarray(served).reshape(num_loads, num_days, n).astype(bool)
+    last = n - 1 - np.argmax(served[..., ::-1], axis=2)
+    days = np.arange(num_days)
+    mid = (balance[days, last] + balance[days, last + 1]) / 2
+    return np.where(served.any(axis=2), np.maximum(mid, 0.0), pinned_off(recharges))
 
 
 def solve_dfm(

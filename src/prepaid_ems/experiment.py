@@ -19,6 +19,14 @@ of one budget fraction are formatted together, as bytes built in numpy
 with each distinct balance formatted once (see
 ``sim.write_trace_csvs``). Everything is deterministic for a fixed
 config, including output bytes.
+
+OBM fixes a set of served steps. On a perfect detailed view that is the
+optimal schedule, but on a shuffled view the meter serves a scheduled
+step only where the true demand falls on it. So OBM is no upper bound
+outside perfect forecasts: on the benchmark's ``paper-synth`` household
+of seed 11, imperfect-detailed OBM realizes a PSF of 0.29 and leaves
+8.3-12.0 $ unspent, where AFG realizes 0.72-0.78. That is why Table 3's
+OBM column reads low under imperfect forecasts.
 """
 
 import csv

@@ -1,50 +1,27 @@
-"""Solver-agnostic MILP machinery.
+"""Solver-agnostic MILP machinery, left only for the benchmark's hooks.
 
-Builders translate the rationing problems into a plain variable and
-constraint representation.
-
-The sweep runs none of it: OBM is solved by ``prepaid_ems.obm.solve_obm``
-and DFM by ``prepaid_ems.dfm.solve_dfm``. The models, the exact knapsack
-backend, the DFM threshold grid search and the feasibility checker are
-oracles that the tests check the planners against. ``build_obm``, ``solve_knapsack_bb`` and
-``solve_dfm_grid`` stay importable from ``prepaid_ems.experiment``
-because the benchmark's per-layer run hooks them there.
+The sweep runs none of it: OBM is solved by ``prepaid_ems.obm`` and DFM
+by ``prepaid_ems.dfm``. The package stays in the program only because
+the benchmark's per-layer run hooks four of its names through
+``prepaid_ems.experiment``: ``build_obm``, ``extract_schedule``,
+``solve_knapsack_bb`` and ``solve_dfm_grid``. The tests use the same
+code as oracles for the planners; the DFM threshold model and the
+feasibility checker live with them, in ``tests/milp_reference.py``.
 """
 
-from prepaid_ems.milp.builders import (
-    build_dfm,
-    build_obm,
-    dfm_recharges,
-    extract_schedule,
-    extract_thresholds,
-)
-from prepaid_ems.milp.checker import MissingVariable, Violation, check_feasibility
-from prepaid_ems.milp.core import (
-    Constraint,
-    MilpModel,
-    Solution,
-    SolveStatus,
-    Variable,
-)
+from prepaid_ems.milp.builders import build_obm, extract_schedule
+from prepaid_ems.milp.core import MilpModel, Solution, SolveStatus
 from prepaid_ems.milp.grid_search import InstanceTooLarge, solve_dfm_grid
 from prepaid_ems.milp.knapsack import StructureMismatch, solve_knapsack_bb
 
 __all__ = [
-    "Constraint",
     "InstanceTooLarge",
     "MilpModel",
-    "MissingVariable",
     "Solution",
     "SolveStatus",
     "StructureMismatch",
-    "Variable",
-    "Violation",
-    "build_dfm",
     "build_obm",
-    "check_feasibility",
-    "dfm_recharges",
     "extract_schedule",
-    "extract_thresholds",
     "solve_dfm_grid",
     "solve_knapsack_bb",
 ]

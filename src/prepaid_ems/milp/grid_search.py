@@ -18,7 +18,6 @@ import numpy as np
 
 from prepaid_ems import sim
 from prepaid_ems.afg import ThresholdPlan, pinned_off
-from prepaid_ems.milp.builders import dfm_recharges
 from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, daily_average
 
 
@@ -44,12 +43,15 @@ def solve_dfm_grid(
     PSF on ``demand``.
 
     Candidates per load-day: zero, ``grid_resolution`` evenly spaced
-    points up to the daily recharge (:func:`dfm_recharges`), and
+    points up to the daily recharge (``dfm.dfm_recharges``), and
     ``afg.pinned_off``, just above the recharges summed through that
     day. Load-days with no forecast demand only get the pinned-off
     candidate -- their threshold cannot matter. Ties keep the first
     combination in enumeration order, so results are deterministic.
     """
+    # Imported here: at module level it would load ``dfm`` in every sweep.
+    from prepaid_ems.dfm import dfm_recharges
+
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
     grid = demand.grid

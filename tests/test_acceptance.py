@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_sim_invariants
+from milp_reference import build_dfm, check_feasibility
 from prepaid_ems import afg, sim
 from prepaid_ems.config import from_dict
 from prepaid_ems.experiment import emit_outputs, run_experiment
@@ -26,9 +27,7 @@ from prepaid_ems.milp import (
     MilpModel,
     Solution,
     SolveStatus,
-    build_dfm,
     build_obm,
-    check_feasibility,
     extract_schedule,
     solve_dfm_grid,
     solve_knapsack_bb,

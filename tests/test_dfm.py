@@ -7,11 +7,12 @@ import itertools
 import numpy as np
 import pytest
 
+from milp_reference import build_dfm, extract_thresholds
 from prepaid_ems import dfm, sim
 from prepaid_ems.afg import ThresholdPlan
+from prepaid_ems.dfm import dfm_recharges, mid_band_thresholds
 from prepaid_ems.forecast import shuffle_days, to_limited
-from prepaid_ems.milp import SolveStatus, build_dfm, dfm_recharges, extract_thresholds
-from prepaid_ems.milp.builders import mid_band_thresholds
+from prepaid_ems.milp import SolveStatus
 from prepaid_ems.model import (
     BUDGET_MARGIN,
     Budget,

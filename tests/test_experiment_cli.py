@@ -534,6 +534,8 @@ class TestCli:
                 with_profiles(fridge={"rated_w": 150, "on_probability": 1.0}),
             ),
             ("profile 'heater' must be an object", with_profiles(heater=900)),
+            # A synthetic household has no days before its first.
+            ("start_day applies to a CSV source only", {"start_day": 5}),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):

@@ -6,21 +6,23 @@ import pytest
 
 from conftest import constant_series
 from lp_text import format_lp, parse_lp
+from milp_reference import (
+    MissingVariable,
+    build_dfm,
+    check_feasibility,
+    extract_thresholds,
+)
 from prepaid_ems.afg import ThresholdPlan
+from prepaid_ems.dfm import dfm_recharges
 from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
     InstanceTooLarge,
     MilpModel,
-    MissingVariable,
     Solution,
     SolveStatus,
     StructureMismatch,
-    build_dfm,
     build_obm,
-    check_feasibility,
-    dfm_recharges,
     extract_schedule,
-    extract_thresholds,
     solve_dfm_grid,
     solve_knapsack_bb,
 )
