@@ -3,7 +3,8 @@
 ``run`` executes the experiment sweep described by a JSON config,
 ``synth`` generates a synthetic household CSV, ``validate`` checks a
 config without running it. Exit codes: 0 success, 2 config error,
-3 data error.
+3 data error, or an output error (``run`` cannot write its results,
+e.g. ``--out`` names an existing file).
 """
 
 import argparse
@@ -75,7 +76,11 @@ def _cmd_run(args) -> int:
             raise
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    written = experiment.emit_outputs(results, config.output_dir)
+    try:
+        written = experiment.emit_outputs(results, config.output_dir)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     solved = sum(1 for c in results.cells if c.status == "ok")
     print(
         f"{len(results.cells)} cells ({solved} solved), "

@@ -20,6 +20,19 @@ with each distinct balance formatted once (see
 ``sim.write_trace_csvs``). Everything is deterministic for a fixed
 config, including output bytes.
 
+``emit_outputs`` splits the bundle's work between two threads. The
+calling thread only formats bytes: the small CSVs first, so that their
+files are created while it formats the traces, then each fraction's
+trace bodies. One ``files.BundleWriter`` thread does all the file-system
+work: the ``traces/`` mkdir and every open, write and close, in the
+order the files are handed to it. While no file waits for it, it
+creates the trace files that are still to come, empty, so that writing
+one later costs little. The files wait in a queue of at most
+``files.QUEUED_FILES``, so only a few trace bodies are held at once.
+``emit_outputs`` joins the thread before it returns, on success and on
+error; the writer's first error is raised from it, with the path that
+failed.
+
 OBM fixes a set of served steps. On a perfect detailed view that is the
 optimal schedule, but on a shuffled view the meter serves a scheduled
 step only where the true demand falls on it. So OBM is no upper bound
@@ -30,6 +43,7 @@ OBM column reads low under imperfect forecasts.
 """
 
 import csv
+import io
 import itertools
 import logging
 from dataclasses import dataclass
@@ -39,6 +53,7 @@ import numpy as np
 
 from prepaid_ems import afg, obm, sim
 from prepaid_ems.config import ExperimentConfig, fraction_tag
+from prepaid_ems.files import BundleWriter, encode_text
 from prepaid_ems.forecast import (
     Fidelity,
     ForecastSpec,
@@ -223,44 +238,57 @@ def _cell_key(cell: CellResult) -> tuple:
 def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
     """Write the results bundle; returns the created file paths.
 
-    A result shared by several cells (the baseline of one budget
-    fraction, across regimes) is formatted once, and its trace text is
-    written to each of their files.
+    This thread formats the files' bytes and one ``files.BundleWriter``
+    thread writes them (see the module docstring); every file is
+    complete when the call returns. A result shared by several cells
+    (the baseline of one budget fraction, across regimes) is formatted
+    once, and its trace bytes are written to each of their files.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [
-        _write_run_info(results, out / "run_info.csv"),
-        _write_summary(results, out / "summary.csv"),
-    ]
-    tables = (
-        ("table2.csv", Fidelity.PERFECT, False, lambda c: _sig3(c.improvement_pts)),
-        (
-            "table3.csv",
-            Fidelity.IMPERFECT_SHUFFLED,
-            True,
-            lambda c: f"{_sig3(c.result.psf * 100)} ({_sig3(c.improvement_pts)})",
-        ),
-    )
-    for name, fidelity, bsl_columns, entry in tables:
-        cells = [c for c in results.cells if c.regime.fidelity is fidelity]
-        if cells:
-            written.append(_write_table(cells, out / name, entry, bsl_columns))
-    written.extend(_write_plotdata(results, out))
-    written.extend(_write_traces(results, out / "traces"))
-    return written
+    trace_dir = out / "traces"
+    traces = _trace_groups(results, trace_dir)
+    trace_paths = [path for _, paths in traces for path in paths]
+    with BundleWriter(trace_dir, ahead=trace_paths) as writer:
+        write = writer.write
+        written = [
+            _write_run_info(write, results, out / "run_info.csv"),
+            _write_summary(write, results, out / "summary.csv"),
+        ]
+        tables = (
+            ("table2.csv", Fidelity.PERFECT, False, lambda c: _sig3(c.improvement_pts)),
+            (
+                "table3.csv",
+                Fidelity.IMPERFECT_SHUFFLED,
+                True,
+                lambda c: f"{_sig3(c.result.psf * 100)} ({_sig3(c.improvement_pts)})",
+            ),
+        )
+        for name, fidelity, bsl_columns, entry in tables:
+            cells = [c for c in results.cells if c.regime.fidelity is fidelity]
+            if cells:
+                path = _write_table(write, cells, out / name, entry, bsl_columns)
+                written.append(path)
+        written.extend(_write_plotdata(write, results, out))
+        for group, paths in traces:
+            sim.write_trace_csvs(group, results.loads, paths, write)
+    return written + trace_paths
 
 
-def _write_csv(path: Path, header: list, rows) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _write_csv(write, path: Path, header: list, rows) -> Path:
+    """Hand ``write`` the bytes that ``csv.writer`` writes for ``header``
+    and ``rows`` into a file opened with ``open(path, "w", newline="")``."""
+    text = io.StringIO()
+    csv_writer = csv.writer(text)
+    csv_writer.writerow(header)
+    csv_writer.writerows(rows)
+    write(path, [encode_text(text.getvalue())])
     return path
 
 
-def _write_run_info(results: ExperimentResults, path: Path) -> Path:
+def _write_run_info(write, results: ExperimentResults, path: Path) -> Path:
     return _write_csv(
+        write,
         path,
         ["key", "value"],
         [
@@ -294,7 +322,7 @@ def _summary_row(cell: CellResult, num_loads: int) -> list:
     ]
 
 
-def _write_summary(results: ExperimentResults, path: Path) -> Path:
+def _write_summary(write, results: ExperimentResults, path: Path) -> Path:
     names = results.loads.names
     header = [
         "fraction",
@@ -312,10 +340,12 @@ def _write_summary(results: ExperimentResults, path: Path) -> Path:
         "note",
     ]
     rows = (_summary_row(c, len(names)) for c in sorted(results.cells, key=_cell_key))
-    return _write_csv(path, header, rows)
+    return _write_csv(write, path, header, rows)
 
 
-def _write_table(cells: list[CellResult], path: Path, entry, bsl_columns: bool) -> Path:
+def _write_table(
+    write, cells: list[CellResult], path: Path, entry, bsl_columns: bool
+) -> Path:
     """One row per balance, one column per (granularity, policy) pair
     present in ``cells``; ``entry`` formats a solved cell, any other
     reads ``unsolved``. With ``bsl_columns``, the unrationed baseline's
@@ -343,10 +373,10 @@ def _write_table(cells: list[CellResult], path: Path, entry, bsl_columns: bool) 
             bsl = baselines[fraction]
             row += [_sig3(bsl.psf * 100), bsl.disconnection_days]
         rows.append(row)
-    return _write_csv(path, header, rows)
+    return _write_csv(write, path, header, rows)
 
 
-def _write_plotdata(results: ExperimentResults, out: Path) -> list[Path]:
+def _write_plotdata(write, results: ExperimentResults, out: Path) -> list[Path]:
     header = [
         "balance",
         "policy",
@@ -367,22 +397,20 @@ def _write_plotdata(results: ExperimentResults, out: Path) -> list[Path]:
             ]
             for c in cells
         )
-        paths.append(_write_csv(out / f"plotdata_{regime.label}.csv", header, rows))
+        path = out / f"plotdata_{regime.label}.csv"
+        paths.append(_write_csv(write, path, header, rows))
     return paths
 
 
-def _write_traces(results: ExperimentResults, trace_dir: Path) -> list[Path]:
-    """One trace file per solved cell; the files of one budget fraction
-    are formatted together (see ``sim.write_trace_csvs``)."""
-    trace_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
+def _trace_groups(results: ExperimentResults, trace_dir: Path) -> list[tuple]:
+    """``(results, paths)`` per budget fraction: one trace file per solved
+    cell, and the files of one fraction are formatted together (see
+    ``sim.write_trace_csvs``)."""
+    groups = []
     solved = [c for c in sorted(results.cells, key=_cell_key) if c.result is not None]
     for fraction, group in itertools.groupby(solved, key=lambda c: c.fraction):
         cells = list(group)
         tag = fraction_tag(fraction)
-        group_paths = [
-            trace_dir / f"{c.regime.label}_{tag}_{c.policy}.csv" for c in cells
-        ]
-        sim.write_trace_csvs([c.result for c in cells], results.loads, group_paths)
-        paths.extend(group_paths)
-    return paths
+        paths = [trace_dir / f"{c.regime.label}_{tag}_{c.policy}.csv" for c in cells]
+        groups.append(([c.result for c in cells], paths))
+    return groups

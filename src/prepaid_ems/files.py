@@ -1,0 +1,114 @@
+"""Writing the results bundle's files.
+
+:func:`write_file` is the one function that fills a file of the bundle,
+whichever thread calls it. :class:`BundleWriter` runs it on one
+background thread, so that the kernel's work on the files overlaps the
+formatting of their bytes on the calling thread.
+"""
+
+import collections
+import io
+import os
+import queue
+import threading
+
+#: Files waiting for the writer thread at most. A waiting file holds its
+#: bytes, so this bounds the memory they take; one more file may be in
+#: the thread's hands.
+QUEUED_FILES = 2
+
+# Bytes go to the file unchanged, also where the OS has a text mode.
+_CREATE = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+def encode_text(text: str) -> bytes:
+    """The bytes ``open(path, "w", newline="")`` writes for ``text``."""
+    buffer = io.BytesIO()
+    wrapper = io.TextIOWrapper(buffer, newline="")
+    wrapper.write(text)
+    wrapper.detach()  # flushes into ``buffer`` and leaves it open
+    return buffer.getvalue()
+
+
+def write_file(path, chunks) -> None:
+    """Create or truncate ``path`` and write the bytes-like ``chunks`` to
+    it in order, as ``open(path, "wb")`` would."""
+    fd = os.open(path, _CREATE | os.O_TRUNC, 0o666)
+    try:
+        for chunk in chunks:
+            view = memoryview(chunk).cast("B")
+            while view:
+                view = view[os.write(fd, view) :]
+    finally:
+        os.close(fd)
+
+
+class BundleWriter:
+    """One thread that makes a directory and then writes files, in the
+    order they are handed to :meth:`write`.
+
+    Creating a file costs the kernel far more than filling it, so while
+    no file waits, the thread creates the next of the ``ahead`` files
+    empty (a file that already exists keeps its bytes); writing it later
+    only fills it. Pass the files that the calling thread will write
+    last, in the order it will write them.
+
+    Used as a context manager: entering starts the thread, leaving stops
+    and joins it, so no thread outlives the ``with`` block. The first
+    error stops the work: later files are dropped, the next
+    :meth:`write` raises the error, and so does leaving the block unless
+    the block raised first. An ``OSError`` names the path it failed on.
+    """
+
+    def __init__(self, directory, ahead=()):
+        self._jobs = queue.Queue(maxsize=QUEUED_FILES)
+        self._ahead = collections.deque(ahead)
+        self._error = None
+        self._thread = threading.Thread(
+            target=self._run, args=(directory,), name="bundle-writer"
+        )
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self._jobs.put(None)
+        self._thread.join()
+        if exc is None and self._error is not None:
+            raise self._error
+
+    def write(self, path, chunks) -> None:
+        """Have the thread write ``chunks`` to ``path`` with
+        :func:`write_file`; waits while the queue is full. The chunks
+        must not change afterwards."""
+        if self._error is not None:
+            raise self._error
+        self._jobs.put((path, chunks))
+
+    def _run(self, directory) -> None:
+        self._do(os.makedirs, directory, exist_ok=True)
+        while True:
+            try:
+                job = self._jobs.get(block=not self._ahead)
+            except queue.Empty:
+                self._do(_create, self._ahead.popleft())
+                continue
+            if job is None:
+                return
+            self._do(write_file, *job)
+            del job  # the bytes go now, not when the next file comes
+
+    def _do(self, action, path, *args, **kwargs) -> None:
+        if self._error is not None:
+            return  # keep taking files, so that a waiting write returns
+        try:
+            action(path, *args, **kwargs)
+        except Exception as exc:  # raised again on the calling thread
+            if isinstance(exc, OSError) and exc.filename is None:
+                exc.filename = os.fspath(path)
+            self._error = exc
+
+
+def _create(path) -> None:
+    os.close(os.open(path, _CREATE, 0o666))

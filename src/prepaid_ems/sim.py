@@ -60,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from prepaid_ems.afg import ThresholdPlan
+from prepaid_ems.files import encode_text, write_file
 from prepaid_ems.floatrepr import repr_bytes
 from prepaid_ems.model import (
     Budget,
@@ -408,7 +409,9 @@ def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return texts[:, shown[0] : shown[-1] + 1].copy(), code
 
 
-def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> None:
+def write_trace_csvs(
+    results: list[SimResult], loads: LoadSet, paths: list, write=write_file
+) -> None:
     """Write the trace of ``results[i]`` to ``paths[i]``, each file
     as :func:`write_trace_csv` writes it, formatting the results
     together.
@@ -423,8 +426,15 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
 
     Each file's body is built as one byte array: a row per step of
     fixed-width, NUL-padded fields, with the actuation digits taken
-    straight from the 0/1 actuation; the NULs are dropped once, and the
-    body is written after the header.
+    straight from the 0/1 actuation; the NULs are dropped once. The
+    calling thread does all of this formatting, and hands each file's
+    header and body bytes to ``write(path, chunks)``. By default that is
+    ``files.write_file``, which writes the file on the calling thread
+    before the next one is formatted. ``emit_outputs`` passes
+    ``files.BundleWriter.write`` instead: it queues the file for the
+    writer's one thread and returns once the bounded queue has room, so
+    that the files are written while the next are formatted, and they
+    are complete once ``emit_outputs`` has joined that thread.
     """
     groups = {}  # id(result) -> (result, its paths)
     for result, path in zip(results, paths, strict=True):
@@ -441,6 +451,7 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
     csv.writer(head).writerow(
         ["t", "real_balance", "virtual_balance", *(f"a_{n}" for n in loads.names)]
     )
+    head = encode_text(head.getvalue())
     # Row layout: the step, ',', the real balance, ',', the virtual
     # balance, then ',' and a digit per load, and the line end. The
     # frame holds what all files of the call share.
@@ -458,17 +469,16 @@ def write_trace_csvs(results: list[SimResult], loads: LoadSet, paths: list) -> N
     frame[:, -2:] = [ord("\r"), ord("\n")]
     rows = iter(code)
     for result, result_paths in groups.values():
-        body = frame.copy()
-        body[:, real : virtual - 1] = texts.take(next(rows), axis=0)
+        # Each result's fields overwrite the last one's in the frame.
+        frame[:, real : virtual - 1] = texts.take(next(rows), axis=0)
         if result.virtual_balance_trace is not None:
-            body[:, virtual : acts - 1] = texts.take(next(rows), axis=0)
-        body[:, acts:-2:2] = result.actuation.T + ord("0")
-        body = body[body != 0]
+            frame[:, virtual : acts - 1] = texts.take(next(rows), axis=0)
+        else:
+            frame[:, virtual : acts - 1] = 0
+        frame[:, acts:-2:2] = result.actuation.T + ord("0")
+        body = frame[frame != 0]
         for path in result_paths:
-            with open(path, "w", newline="") as fh:
-                fh.write(head.getvalue())
-                fh.flush()
-                fh.buffer.write(body)
+            write(path, (head, body))
 
 
 def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:

@@ -3,6 +3,8 @@ import json
 import logging
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import sim_reference
 from prepaid_ems import cli, dfm, sim
 from prepaid_ems.config import ConfigError, from_dict, from_file
 from prepaid_ems.experiment import emit_outputs, load_truth, run_experiment
+from prepaid_ems.files import BundleWriter
 from prepaid_ems.forecast import Fidelity, Granularity, export_csv, synth_household
 from prepaid_ems.model import DemandSeries, TimeGrid, daily_average
 from prepaid_ems.rng import SplitMix64
@@ -273,17 +276,18 @@ class TestEmitOutputs:
             "write_trace_csvs",
             lambda *args: calls.append(args[0]) or write(*args),
         )
-        emit_outputs(results, tmp_path / "fast")
+        written = emit_outputs(results, tmp_path / "fast")
+        # Sizes as the call leaves them, before anything else runs.
+        sizes = [p.stat().st_size for p in written]
         fractions = sorted({c.fraction for c in solved})
         assert [len(call) for call in calls] == [
             sum(c.fraction == f for c in solved) for f in fractions
         ]
         assert {id(r) for call in calls for r in call} == distinct
 
-        def oracle(results, loads, paths):
+        def oracle(results, loads, paths, write):
             for result, path in zip(results, paths, strict=True):
-                with open(path, "w", newline="") as fh:
-                    fh.write(sim_reference.trace_csv_text(result, loads))
+                write(path, [sim_reference.trace_csv_text(result, loads).encode()])
 
         monkeypatch.setattr(sim, "write_trace_csvs", oracle)
         emit_outputs(results, tmp_path / "oracle")
@@ -296,12 +300,111 @@ class TestEmitOutputs:
             for p in (tmp_path / "oracle").rglob("*.csv")
         }
         assert fast == expected
+        # The returned paths, in the order the serial writer returned
+        # them, each already at its final size.
+        assert [p.relative_to(tmp_path / "fast").as_posix() for p in written] == [
+            "run_info.csv",
+            "summary.csv",
+            "table2.csv",
+            "table3.csv",
+            "plotdata_imperfect-limited.csv",
+            "plotdata_perfect-detailed.csv",
+            *(
+                f"traces/{regime}_{tag}_{policy}.csv"
+                for tag in ("b70", "b100")
+                for regime in ("imperfect-limited", "perfect-detailed")
+                for policy in ("AFG", "BSL", "OBM")
+            ),
+        ]
+        assert sizes == [
+            len(expected[p.relative_to(tmp_path / "fast")]) for p in written
+        ]
         for cell in solved:
             frac = round(cell.fraction * 100)
             name = f"{cell.regime.label}_b{frac}_{cell.policy}.csv"
             assert fast[Path("traces", name)] == sim_reference.trace_csv_text(
                 cell.result, results.loads
             ).encode()
+
+    @pytest.mark.parametrize(
+        "fault", ["none", "traces-is-a-file", "trace-is-a-directory", "formatter-raises"]
+    )
+    def test_writer_thread_is_joined(self, tmp_path, monkeypatch, fault):
+        """The writer's errors reach the caller with their path, an error
+        in formatting still stops the writer, and no thread outlives the
+        call either way."""
+        results = run_experiment(from_dict(base_config(), tmp_path))
+        out = tmp_path / "bundle"
+        out.mkdir()
+        failing = {
+            "traces-is-a-file": out / "traces",
+            "trace-is-a-directory": out / "traces" / "perfect-detailed_b100_AFG.csv",
+        }.get(fault)
+        if fault == "traces-is-a-file":
+            failing.write_bytes(b"")
+        elif fault == "trace-is-a-directory":
+            failing.mkdir(parents=True)
+        elif fault == "formatter-raises":
+            write = sim.write_trace_csvs
+
+            def second_fails(*args):
+                if len(formatted) == 1:
+                    raise RuntimeError("formatter failed")
+                formatted.append(args)
+                write(*args)
+
+            formatted = []
+            monkeypatch.setattr(sim, "write_trace_csvs", second_fails)
+        threads = threading.active_count()
+        if fault == "none":
+            emit_outputs(results, out)
+        elif fault == "formatter-raises":
+            with pytest.raises(RuntimeError, match="formatter failed"):
+                emit_outputs(results, out)
+        else:
+            with pytest.raises(OSError) as raised:
+                emit_outputs(results, out)
+            assert raised.value.filename == str(failing)
+            assert str(failing) in str(raised.value)
+        assert threading.active_count() == threads
+
+    def test_file_created_ahead_keeps_bytes_written_first(self, tmp_path):
+        """Creating the files ahead never truncates one already written:
+        here the thread writes ``a`` before its turn to create it comes,
+        and ``b`` exists only once ``a``'s turn has passed."""
+        a, b = tmp_path / "out" / "a.csv", tmp_path / "out" / "b.csv"
+        writer = BundleWriter(tmp_path / "out", ahead=[a, b])
+        writer.write(a, [b"bytes"])
+        with writer:
+            deadline = time.monotonic() + 30
+            while not b.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
+        assert a.read_bytes() == b"bytes"
+        assert b.read_bytes() == b""
+
+    def test_non_ascii_names_as_text_files_write_them(self, tmp_path):
+        """A load name outside ASCII is written as the bytes that a file
+        opened with ``open(path, "w", newline="")`` gets for its text."""
+        data = base_config()
+        data["loads"][0]["name"] = "Küche"
+        profiles = data["data"]["synthetic"]["profiles"]
+        profiles["Küche"] = profiles.pop("fridge")
+        config = from_dict(data, tmp_path)
+        emit_outputs(run_experiment(config), config.output_dir)
+        lines = {
+            "run_info.csv": "loads,Küche;heater\r\n",
+            "summary.csv": "fraction,fidelity,granularity,policy,status,psf,"
+            "improvement_pts,total_spend,disconnection_days,first_disconnect_step,"
+            "solver_objective,sf_Küche,sf_heater,note\r\n",
+            "traces/perfect-detailed_b70_AFG.csv": (
+                "t,real_balance,virtual_balance,a_Küche,a_heater\r\n"
+            ),
+        }
+        expected = tmp_path / "expected.csv"
+        for name, line in lines.items():
+            with open(expected, "w", newline="") as fh:
+                fh.write(line)
+            assert expected.read_bytes() in (config.output_dir / name).read_bytes()
 
     def test_rerun_byte_identical(self, tmp_path):
         config = from_dict(base_config(), tmp_path)
@@ -380,6 +483,17 @@ class TestCli:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(base_config(data={"csv": "absent.csv"})))
         assert cli.main(["run", "--config", str(path)]) == 3
+
+    def test_unwritable_output_exit_3(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config()))
+        threads = threading.active_count()
+        argv = ["run", "--config", str(config_path), "--out", str(config_path)]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert str(config_path) in err
+        assert threading.active_count() == threads
 
     def test_synth_then_run_csv(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"
