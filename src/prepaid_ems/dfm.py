@@ -64,6 +64,7 @@ import numpy as np
 
 from prepaid_ems.afg import ThresholdPlan, pinned_off
 from prepaid_ems.model import (
+    BOUND_SLACK,
     BUDGET_MARGIN,
     Budget,
     DemandSeries,
@@ -84,10 +85,6 @@ CHUNK = 1 << 18
 
 #: States per day that the incumbent's beam pass keeps.
 BEAM = 4
-
-#: Pruning slack, as a share of the total value on offer: the bound is
-#: a float sum, and one computed a hair low must never prune an optimum.
-BOUND_SLACK = 1e-9
 
 
 class DfmTooLarge(ValueError):

@@ -7,6 +7,7 @@ formatting of their bytes on the calling thread.
 """
 
 import collections
+import contextlib
 import io
 import os
 import queue
@@ -58,11 +59,14 @@ class BundleWriter:
     error stops the work: later files are dropped, the next
     :meth:`write` raises the error, and so does leaving the block unless
     the block raised first. An ``OSError`` names the path it failed on.
+    A block that ends on an error, the writer's or its own, leaves none
+    of the files created ahead that no write filled.
     """
 
     def __init__(self, directory, ahead=()):
         self._jobs = queue.Queue(maxsize=QUEUED_FILES)
         self._ahead = collections.deque(ahead)
+        self._unfilled = set()  # files created ahead and not yet written
         self._error = None
         self._thread = threading.Thread(
             target=self._run, args=(directory,), name="bundle-writer"
@@ -75,6 +79,10 @@ class BundleWriter:
     def __exit__(self, exc_type, exc, tb):
         self._jobs.put(None)
         self._thread.join()
+        if exc is not None or self._error is not None:
+            for path in self._unfilled:
+                with contextlib.suppress(OSError):
+                    os.unlink(path)
         if exc is None and self._error is not None:
             raise self._error
 
@@ -92,12 +100,21 @@ class BundleWriter:
             try:
                 job = self._jobs.get(block=not self._ahead)
             except queue.Empty:
-                self._do(_create, self._ahead.popleft())
+                self._do(self._create, self._ahead.popleft())
                 continue
             if job is None:
                 return
             self._do(write_file, *job)
+            if self._error is None:
+                self._unfilled.discard(job[0])
             del job  # the bytes go now, not when the next file comes
+
+    def _create(self, path) -> None:
+        try:
+            os.close(os.open(path, _CREATE | os.O_EXCL, 0o666))
+        except FileExistsError:
+            return
+        self._unfilled.add(path)
 
     def _do(self, action, path, *args, **kwargs) -> None:
         if self._error is not None:
@@ -108,7 +125,3 @@ class BundleWriter:
             if isinstance(exc, OSError) and exc.filename is None:
                 exc.filename = os.fspath(path)
             self._error = exc
-
-
-def _create(path) -> None:
-    os.close(os.open(path, _CREATE, 0o666))

@@ -4,8 +4,10 @@ the detailed-forecast model. The sweep solves DFM exactly with
 
 Thresholds are searched over a finite candidate grid per load-day and
 every combination is scored by actually simulating it against the
-forecast series, so the returned plan is optimal within its candidate
-set under the simulator's semantics (not a proven MILP optimum). The
+forecast series: each batch of candidates runs as one stacked pass of
+``sim.simulate_threshold_plans``, and its results' PSFs are the scores.
+So the returned plan is optimal within its candidate set under the
+simulator's semantics (not a proven MILP optimum). The
 simulator serves a step that overdraws the wallet, which the MILP
 forbids, so the grid can score above the MILP optimum with a plan
 that overdraws. The combination count is exponential in loads x days;
@@ -84,11 +86,12 @@ def solve_dfm_grid(
         dtype=float,
         count=count * len(candidates),
     ).reshape(count, num_loads, num_days)
-    scores = np.concatenate(
-        [
-            sim.threshold_psf(plans[i : i + CHUNK], recharges, demand, loads, tariff, budget)
-            for i in range(0, count, CHUNK)
-        ]
-    )
+    scores = []
+    for i in range(0, count, CHUNK):
+        chunk = [ThresholdPlan(t, recharges) for t in plans[i : i + CHUNK]]
+        results = sim.simulate_threshold_plans(
+            chunk, demand, loads, tariff, [budget] * len(chunk)
+        )
+        scores.extend(r.psf for r in results)
     best = int(np.argmax(scores))
-    return ThresholdPlan(plans[best], recharges), float(scores[best])
+    return ThresholdPlan(plans[best], recharges), scores[best]

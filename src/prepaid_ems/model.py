@@ -25,6 +25,13 @@ import numpy as np
 #: planned step.
 BUDGET_MARGIN = 1e-9
 
+#: Pruning slack of the OBM and DFM searches, as a share of the total
+#: value on offer. Their bounds are float sums, whose relative error is
+#: at most about (items) x 2**-53, some 1e-12 at 10^4 items; a bound
+#: computed a hair low must never prune an optimum, so a branch is kept
+#: until its bound falls this far below the best value found.
+BOUND_SLACK = 1e-9
+
 
 def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)

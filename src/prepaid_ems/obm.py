@@ -67,14 +67,14 @@ on every Python version.
 
 import numpy as np
 
-from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, effective_budget
-
-#: Pruning slack, as a share of the total value on offer. The cumulative
-#: sums behind the bound carry a relative float error of at most about
-#: (items) x 2**-53, some 1e-12 at 10^4 items; a bound computed a hair
-#: low must never prune an optimum, so a branch is kept until its bound
-#: falls this far below the best value found.
-BOUND_SLACK = 1e-9
+from prepaid_ems.model import (
+    BOUND_SLACK,
+    Budget,
+    DemandSeries,
+    LoadSet,
+    Tariff,
+    effective_budget,
+)
 
 #: Pair calls a view's searches make before they build the last two
 #: loads' staircase, which costs about as much as this many calls at

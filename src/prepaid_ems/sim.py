@@ -16,7 +16,7 @@ Semantics shared by all entry points:
 
 Balance traces record start-of-step values, matching the convention
 used by the threshold optimizer's wallet variables; the end-of-horizon
-balances are carried separately.
+real balance is carried separately.
 
 One kernel runs every entry point, for a stack of plans at once, and
 moves from event to event rather than step by step. It splits the
@@ -33,17 +33,18 @@ enabled loads left to right, except in spans of one step, where numpy
 sums 8 or more loads pairwise; so with 8 or more loads the last bits
 can differ from a loop that sums the served loads with ``ndarray.sum``.
 
-The stacked entry points, :func:`simulate_threshold_plans` and
-:func:`simulate_schedules`, run any number of plans that share the true
-demand and the tariff, each with its own budget or all with one, in one
-kernel pass and score them with one ``psf`` call. Schedules reach the
-kernel as 0/1 masks on the shared demand, so a stack holds no per-plan
-copy of it, and have no virtual wallet, so their pass keeps no virtual
-balance. Each plan's result is the same, bit for bit, as a pass of that
-plan alone: :func:`simulate_thresholds`, :func:`simulate_schedule` and
-:func:`simulate_baseline` are such one-plan passes. An experiment plans
-the cells of every budget fraction first and then simulates the whole
-sweep in two such passes, one per kind of plan.
+There are two stacked passes, :func:`simulate_threshold_plans` and
+:func:`simulate_schedules`. Each runs any number of plans that share the
+true demand and the tariff, each plan with its own budget, in one kernel
+pass and scores them with one ``psf`` call. Schedules reach the kernel
+as 0/1 masks on the shared demand, so a stack holds no per-plan copy of
+it, and have no virtual wallet, so their pass keeps no virtual balance.
+An experiment plans the cells of every budget fraction first and then
+simulates the whole sweep in these two passes, one per kind of plan.
+The three one-plan passes, :func:`simulate_thresholds`,
+:func:`simulate_schedule` and :func:`simulate_baseline`, are a stacked
+pass of one plan, the same bit for bit as that plan's entry in any
+stack; they exist for the benchmark's hooks and the tests.
 
 Trace files (:func:`write_trace_csvs`) are built as bytes in numpy, one
 array per file, with no Python string per row or balance. The balances'
@@ -85,7 +86,6 @@ class SimResult:
     real_balance_trace: np.ndarray  # start-of-step, $
     virtual_balance_trace: np.ndarray | None  # start-of-step, $; None without a virtual wallet
     final_real_balance: float
-    final_virtual_balance: float | None
     sf: np.ndarray  # per-load service factor, NaN where never demanded
     psf: float
     total_spend: float
@@ -93,16 +93,20 @@ class SimResult:
     first_disconnect_step: int | None
 
 
-def count_disconnection_days(real_balance_trace: np.ndarray, grid: TimeGrid) -> int:
-    """Whole calendar days with a non-positive balance at every step."""
+def count_disconnection_days(
+    real_balance_trace: np.ndarray, grid: TimeGrid
+) -> int | list:
+    """Whole calendar days with a non-positive balance at every step, of
+    a trace ``[step]`` (an ``int``) or of each trace of a stack
+    ``[..., step]`` (nested lists of ``int``)."""
     trace = np.asarray(real_balance_trace, dtype=float)
-    if trace.shape != (grid.total_steps,):
+    if trace.shape[-1:] != (grid.total_steps,):
         raise ShapeMismatch(
-            f"trace has {trace.shape[0] if trace.ndim == 1 else trace.shape} "
+            f"trace has {trace.shape[-1] if trace.ndim else trace.shape} "
             f"entries, grid has {grid.total_steps} steps"
         )
-    days = trace.reshape(grid.num_days, grid.steps_per_day)
-    return int((days <= 0).all(axis=1).sum())
+    days = trace.reshape(*trace.shape[:-1], grid.num_days, grid.steps_per_day)
+    return (days <= 0).all(axis=-1).sum(axis=-1).tolist()
 
 
 def _finalize(
@@ -112,22 +116,18 @@ def _finalize(
     z_trace: np.ndarray,
     x_trace: np.ndarray | None,
     final_real: np.ndarray,
-    final_virtual: np.ndarray | None,
     total_spend: np.ndarray,
 ) -> list[SimResult]:
     """One :class:`SimResult` per plan of a kernel pass, scored over the
     whole stack at once: one ``psf`` call, and the disconnection days and
-    first disconnect steps as array expressions. ``x_trace`` and
-    ``final_virtual`` are ``None`` for plans without a virtual wallet."""
+    first disconnect steps as array expressions. ``x_trace`` is ``None``
+    for plans without a virtual wallet."""
     sf, value = psf(actuation, demand_indicator(truth), loads)
     for trace in (actuation, z_trace, x_trace):
         if trace is not None:
             trace.setflags(write=False)
-    grid = truth.grid
+    dark_days = count_disconnection_days(z_trace, truth.grid)
     below = z_trace <= 0
-    # Whole days at or below zero at every step, as count_disconnection_days.
-    days = below.reshape(len(below), grid.num_days, grid.steps_per_day).all(axis=2)
-    dark_days = days.sum(axis=1).tolist()
     first = np.where(below.any(axis=1), below.argmax(axis=1), -1).tolist()
     return [
         SimResult(
@@ -135,9 +135,6 @@ def _finalize(
             real_balance_trace=z_trace[p],
             virtual_balance_trace=None if x_trace is None else x_trace[p],
             final_real_balance=float(final_real[p]),
-            final_virtual_balance=(
-                None if final_virtual is None else float(final_virtual[p])
-            ),
             sf=sf[p],
             psf=float(value[p]),
             total_spend=float(total_spend[p]),
@@ -163,13 +160,13 @@ def _simulate(power, cost_factor, balances, num_spans, wallet=None, mask=None):
     ``balances[plan]`` each plan's initial real balance, and the
     ``num_spans`` spans split the horizon evenly. ``wallet``, if given,
     is each plan's virtual wallet: ``(thresholds[plan, load, span],
-    recharges[1 or plan, span])``; ``mask[plan, load, step]`` (bool), if
+    recharges[plan, span])``; ``mask[plan, load, step]`` (bool), if
     given, the steps each plan's schedule may serve. A pass without a
     wallet keeps no virtual balance: only the schedule and the real
     wallet switch loads off. Returns the actuation ``[plan, load, step]``
     (0/1 int8), the start-of-step real and virtual balances ``[plan,
-    step]``, and the final real balance, virtual balance and spend
-    ``[plan]``; the virtual ones are ``None`` without a wallet.
+    step]`` (the virtual ones ``None`` without a wallet), and the final
+    real balance and spend ``[plan]``.
     """
     num_loads, total = power.shape
     plans = len(balances)
@@ -228,17 +225,14 @@ def _simulate(power, cost_factor, balances, num_spans, wallet=None, mask=None):
         spend = np.add.accumulate(
             np.concatenate([spend[:, None], cost], axis=1), axis=1
         )[:, n]
-    return actuation, z_trace, x_trace, real, virtual, spend
+    return actuation, z_trace, x_trace, real, spend
 
 
-def _balances(budget, count: int) -> np.ndarray:
-    """Initial real balance of each of ``count`` plans, from one
-    ``Budget`` they all share or a sequence of one per plan."""
-    if isinstance(budget, Budget):
-        return np.full(count, budget.initial_balance, dtype=float)
-    if len(budget) != count:
-        raise ShapeMismatch(f"{len(budget)} budgets for {count} plans")
-    return np.array([b.initial_balance for b in budget], dtype=float)
+def _balances(budgets: list[Budget], count: int) -> np.ndarray:
+    """Initial real balance of each of ``count`` plans, one budget each."""
+    if len(budgets) != count:
+        raise ShapeMismatch(f"{len(budgets)} budgets for {count} plans")
+    return np.array([b.initial_balance for b in budgets], dtype=float)
 
 
 def simulate_threshold_plans(
@@ -246,7 +240,7 @@ def simulate_threshold_plans(
     truth: DemandSeries,
     loads: LoadSet,
     tariff: Tariff,
-    budget: Budget | list[Budget],
+    budgets: list[Budget],
 ) -> list[SimResult]:
     """Run threshold plans against true demand, all in one kernel pass.
 
@@ -254,9 +248,9 @@ def simulate_threshold_plans(
     each day start. A load is enabled at a step iff the virtual balance
     has stayed at or above its threshold for the day so far and the
     real wallet is still positive. Both wallets pay for every served
-    step. ``budget`` is shared by all plans or is a list of one per
-    plan. Entry ``p`` of the result is plan ``p``'s run, the same as
-    ``simulate_thresholds`` on it alone with its budget.
+    step. ``budgets[p]`` is plan ``p``'s budget. Entry ``p`` of the
+    result is plan ``p``'s run, the same as ``simulate_thresholds`` on
+    it alone with its budget.
     """
     num_loads = truth.num_loads
     num_days = truth.grid.num_days
@@ -268,21 +262,21 @@ def simulate_threshold_plans(
             raise ShapeMismatch(
                 f"plan covers {plan.num_days} days, the horizon has {num_days}"
             )
-    balances = _balances(budget, len(plans))
+    balances = _balances(budgets, len(plans))
     if not plans:
         return []
     wallet = (
         np.stack([plan.thresholds for plan in plans]),
         np.stack([plan.recharges for plan in plans]),
     )
-    actuation, z, x, real, virtual, spend = _simulate(
+    actuation, z, x, real, spend = _simulate(
         truth.power,
         tariff.alpha * truth.grid.step_hours,
         balances,
         num_days,
         wallet,
     )
-    return _finalize(truth, loads, actuation, z, x, real, virtual, spend)
+    return _finalize(truth, loads, actuation, z, x, real, spend)
 
 
 def simulate_thresholds(
@@ -293,28 +287,7 @@ def simulate_thresholds(
     budget: Budget,
 ) -> SimResult:
     """Run one threshold plan; see :func:`simulate_threshold_plans`."""
-    return simulate_threshold_plans([plan], truth, loads, tariff, budget)[0]
-
-
-def threshold_psf(
-    thresholds: np.ndarray,
-    recharges: np.ndarray,
-    truth: DemandSeries,
-    loads: LoadSet,
-    tariff: Tariff,
-    budget: Budget,
-) -> np.ndarray:
-    """PSF of each plan in ``thresholds[plan, load, day]``, all sharing
-    ``recharges[day]``, simulated at once. Entry ``p`` equals the
-    ``psf`` of ``simulate_thresholds`` on plan ``p``."""
-    actuation = _simulate(
-        truth.power,
-        tariff.alpha * truth.grid.step_hours,
-        _balances(budget, len(thresholds)),
-        truth.grid.num_days,
-        (thresholds, recharges[None]),
-    )[0]
-    return psf(actuation, demand_indicator(truth), loads)[1]
+    return simulate_threshold_plans([plan], truth, loads, tariff, [budget])[0]
 
 
 def simulate_schedules(
@@ -322,7 +295,7 @@ def simulate_schedules(
     truth: DemandSeries,
     loads: LoadSet,
     tariff: Tariff,
-    budget: Budget | list[Budget],
+    budgets: list[Budget],
 ) -> list[SimResult]:
     """Run fixed on/off schedules against true demand, all in one kernel
     pass.
@@ -330,11 +303,11 @@ def simulate_schedules(
     A scheduled step is served only where demand actually occurs, and
     only while the prepaid wallet holds out; a schedule computed from a
     wrong forecast simply burns its budget at the wrong times.
-    ``budget`` is shared by all schedules or is a list of one per
-    schedule. Entry ``p`` of the result is schedule ``p``'s run, the
-    same as ``simulate_schedule`` on it alone with its budget.
+    ``budgets[p]`` is schedule ``p``'s budget. Entry ``p`` of the result
+    is schedule ``p``'s run, the same as ``simulate_schedule`` on it
+    alone with its budget.
     """
-    balances = _balances(budget, len(schedules))
+    balances = _balances(budgets, len(schedules))
     mask = np.empty((len(schedules), *truth.power.shape), dtype=bool)
     for scheduled, schedule in zip(mask, schedules):
         sched = np.asarray(schedule)
@@ -351,14 +324,14 @@ def simulate_schedules(
     # would make numpy sum the loads pairwise rather than left to right,
     # so one-step days run as one span.
     grid = truth.grid
-    actuation, z, _, real, _, spend = _simulate(
+    actuation, z, _, real, spend = _simulate(
         truth.power,
         tariff.alpha * grid.step_hours,
         balances,
         grid.num_days if grid.steps_per_day > 1 else 1,
         mask=mask,
     )
-    return _finalize(truth, loads, actuation, z, None, real, None, spend)
+    return _finalize(truth, loads, actuation, z, None, real, spend)
 
 
 def simulate_schedule(
@@ -369,7 +342,7 @@ def simulate_schedule(
     budget: Budget,
 ) -> SimResult:
     """Run one fixed on/off schedule; see :func:`simulate_schedules`."""
-    return simulate_schedules([schedule], truth, loads, tariff, budget)[0]
+    return simulate_schedules([schedule], truth, loads, tariff, [budget])[0]
 
 
 def simulate_baseline(

@@ -25,7 +25,7 @@ from prepaid_ems.obm import BOUND_SLACK
 from prepaid_ems.sim import _finalize
 
 
-def _result(truth, loads, actuation, z_trace, x_trace, real, virtual, spend):
+def _result(truth, loads, actuation, z_trace, x_trace, real, spend):
     """The SimResult of one plan's run, finalized as a stack of one."""
     return _finalize(
         truth,
@@ -34,7 +34,6 @@ def _result(truth, loads, actuation, z_trace, x_trace, real, virtual, spend):
         z_trace[None],
         None if x_trace is None else x_trace[None],
         np.array([real]),
-        None if virtual is None else np.array([virtual]),
         np.array([spend]),
     )[0]
 
@@ -76,7 +75,7 @@ def simulate_thresholds(plan, truth, loads, tariff, budget, latching=True):
             real -= cost
             virtual -= cost
             spend += cost
-    return _result(truth, loads, actuation, z_trace, x_trace, real, virtual, spend)
+    return _result(truth, loads, actuation, z_trace, x_trace, real, spend)
 
 
 def simulate_schedule(schedule, truth, loads, tariff, budget):
@@ -102,7 +101,7 @@ def simulate_schedule(schedule, truth, loads, tariff, budget):
             cost = cost_factor * float(truth.power[served, t].sum())
             real -= cost
             spend += cost
-    return _result(truth, loads, actuation, z_trace, None, real, None, spend)
+    return _result(truth, loads, actuation, z_trace, None, real, spend)
 
 
 def solve_dfm_grid(demand, loads, tariff, budget, grid_resolution):

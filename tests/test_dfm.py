@@ -62,7 +62,9 @@ def brute_force(view, loads, budget):
         thresholds = mid_band_thresholds(served, view, TARIFF, recharges)
         vectors.append(served)
         plans.append(ThresholdPlan(thresholds, recharges))
-    results = sim.simulate_threshold_plans(plans, view, loads, TARIFF, budget)
+    results = sim.simulate_threshold_plans(
+        plans, view, loads, TARIFF, [budget] * len(plans)
+    )
     return max(
         r.psf
         for served, r in zip(vectors, results)

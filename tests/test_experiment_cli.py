@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import logging
+import os
 import subprocess
 import sys
 import threading
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import sim_reference
-from prepaid_ems import cli, dfm, sim
+from prepaid_ems import cli, dfm, files, sim
 from prepaid_ems.config import ConfigError, from_dict, from_file
 from prepaid_ems.experiment import emit_outputs, load_truth, run_experiment
 from prepaid_ems.files import BundleWriter
@@ -327,46 +329,76 @@ class TestEmitOutputs:
             ).encode()
 
     @pytest.mark.parametrize(
-        "fault", ["none", "traces-is-a-file", "trace-is-a-directory", "formatter-raises"]
+        "fault",
+        [
+            "none",
+            "traces-is-a-file",
+            "trace-is-a-directory",
+            "formatter-raises",
+            "disk-full-without-filename",
+        ],
     )
     def test_writer_thread_is_joined(self, tmp_path, monkeypatch, fault):
         """The writer's errors reach the caller with their path, an error
         in formatting still stops the writer, and no thread outlives the
-        call either way."""
+        call either way. A failed call leaves no file that it created
+        ahead empty, and a trace left by an earlier run that the call
+        never reached keeps its bytes."""
         results = run_experiment(from_dict(base_config(), tmp_path))
         out = tmp_path / "bundle"
         out.mkdir()
         failing = {
             "traces-is-a-file": out / "traces",
             "trace-is-a-directory": out / "traces" / "perfect-detailed_b100_AFG.csv",
+            "disk-full-without-filename": out / "traces" / "perfect-detailed_b70_AFG.csv",
         }.get(fault)
+        kept = out / "traces" / "perfect-detailed_b100_AFG.csv"
         if fault == "traces-is-a-file":
             failing.write_bytes(b"")
         elif fault == "trace-is-a-directory":
             failing.mkdir(parents=True)
         elif fault == "formatter-raises":
-            write = sim.write_trace_csvs
+            kept.parent.mkdir()
+            kept.write_bytes(b"earlier run")
+            write_traces = sim.write_trace_csvs
 
-            def second_fails(*args):
-                if len(formatted) == 1:
+            def second_fails(results, loads, paths, *args):
+                if formatted:
+                    # Once the writer has created this fraction's files.
+                    deadline = time.monotonic() + 30
+                    while not all(map(Path.exists, paths)) and time.monotonic() < deadline:
+                        time.sleep(0.001)
                     raise RuntimeError("formatter failed")
-                formatted.append(args)
-                write(*args)
+                formatted.append(paths)
+                write_traces(results, loads, paths, *args)
 
             formatted = []
             monkeypatch.setattr(sim, "write_trace_csvs", second_fails)
+        elif fault == "disk-full-without-filename":
+            write_file = files.write_file
+
+            def disk_full(path, chunks):
+                if path == failing:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                write_file(path, chunks)
+
+            monkeypatch.setattr(files, "write_file", disk_full)
         threads = threading.active_count()
         if fault == "none":
             emit_outputs(results, out)
         elif fault == "formatter-raises":
             with pytest.raises(RuntimeError, match="formatter failed"):
                 emit_outputs(results, out)
+            assert kept.read_bytes() == b"earlier run"
+            assert [p.name for p in out.glob("traces/*_b100_*")] == [kept.name]
         else:
             with pytest.raises(OSError) as raised:
                 emit_outputs(results, out)
             assert raised.value.filename == str(failing)
             assert str(failing) in str(raised.value)
         assert threading.active_count() == threads
+        csvs = [p for p in out.rglob("*.csv") if p.is_file()]
+        assert all(p.stat().st_size for p in csvs)
 
     def test_file_created_ahead_keeps_bytes_written_first(self, tmp_path):
         """Creating the files ahead never truncates one already written:

@@ -430,13 +430,34 @@ def reference_plan(view, loads, tariff, budget):
     return counts, functools.reduce(operator.add, served, 0.0).hex()
 
 
-@pytest.mark.parametrize("pair_calls", [obm.PAIR_CALLS_BEFORE_FRONTIER, 0])
-def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls):
+@pytest.mark.parametrize(
+    "pair_calls, frontier_cap",
+    [
+        pytest.param(
+            obm.PAIR_CALLS_BEFORE_FRONTIER,
+            obm.FRONTIER_CAP,
+            id=str(obm.PAIR_CALLS_BEFORE_FRONTIER),
+        ),
+        pytest.param(0, obm.FRONTIER_CAP, id="0"),
+        pytest.param(0, 1, id="0-frontier_cap-1"),
+    ],
+)
+def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls, frontier_cap):
     """One ``plan_view`` over all of a view's budgets gives each budget
     the schedule and objective bits of its own ``solve_obm`` and the
     counts of the plain search, with the staircase bound built as late
-    as the sweep builds it and from the first pair call on."""
+    as the sweep builds it, from the first pair call on, and never (past
+    ``FRONTIER_CAP``, the search keeps the Dantzig bound)."""
     monkeypatch.setattr(obm, "PAIR_CALLS_BEFORE_FRONTIER", pair_calls)
+    monkeypatch.setattr(obm, "FRONTIER_CAP", frontier_cap)
+    staircases = []
+    build = obm._pair_frontier
+
+    def counted(*args):
+        staircases.append(build(*args))
+        return staircases[-1]
+
+    monkeypatch.setattr(obm, "_pair_frontier", counted)
     cells = 0
     for _, group in itertools.groupby(identity_corpus(), key=lambda c: id(c[0])):
         group = list(group)
@@ -450,6 +471,9 @@ def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls):
             assert (schedule.sum(axis=1).tolist(), objective.hex()) == want
             cells += 1
     assert cells > 600
+    assert staircases
+    fallbacks = [staircase is None for staircase in staircases]
+    assert all(fallbacks) if frontier_cap == 1 else not any(fallbacks)
 
 
 def test_shuffled_view_reuses_its_source_counts():

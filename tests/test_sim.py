@@ -26,7 +26,6 @@ from prepaid_ems.sim import (
     simulate_schedules,
     simulate_threshold_plans,
     simulate_thresholds,
-    threshold_psf,
     write_trace_csv,
     write_trace_csvs,
 )
@@ -189,6 +188,8 @@ class TestDisconnectionDays:
         trace = np.zeros(720)
         trace[: 12 * 24 + 12] = 5.0  # positive until noon of day 13
         assert count_disconnection_days(trace, grid) == 17
+        stack = np.stack([trace, np.ones(720), np.zeros(720)])
+        assert count_disconnection_days(stack, grid) == [17, 0, 30]
 
     def test_flat_zero(self):
         grid = TimeGrid(1.0, 24, 4)
@@ -350,8 +351,8 @@ def stack_instances(rng):
 def test_stacked_pass_matches_one_plan_and_step_loop(seed):
     """Every result of a stacked pass is bit for bit the one-plan call's
     and the step loop's: AFG, DFM-grid and random threshold plans share
-    one pass, the baseline and random schedules another, under one
-    budget and under one budget per plan."""
+    one pass, the baseline and random schedules another, with the same
+    budget for every plan and with a different budget per plan."""
     rng = np.random.default_rng(9300 + seed)
     balance_rng = np.random.default_rng(9400 + seed)
     covered = {"dfm": 0, "mid_day_disconnect": 0}
@@ -364,7 +365,9 @@ def test_stacked_pass_matches_one_plan_and_step_loop(seed):
         for _ in range(2):
             on = rng.random(truth.power.shape) < rng.random()
             schedules.append(on.astype(np.int8))
-        stacked = simulate_threshold_plans(plans, truth, loads, tariff, budget)
+        stacked = simulate_threshold_plans(
+            plans, truth, loads, tariff, [budget] * len(plans)
+        )
         for plan, result in zip(plans, stacked, strict=True):
             assert_bit_identical(
                 result, simulate_thresholds(plan, truth, loads, tariff, budget)
@@ -374,22 +377,9 @@ def test_stacked_pass_matches_one_plan_and_step_loop(seed):
                     plan, truth, loads, tariff, budget
                 )
                 assert_bit_identical(result, reference)
-        # The DFM grid's scores are the same stacked pass's PSFs.
-        recharges = plans[0].recharges
-        shared = [afg.ThresholdPlan(plan.thresholds, recharges) for plan in plans]
-        scores = threshold_psf(
-            np.stack([plan.thresholds for plan in plans]),
-            recharges,
-            truth,
-            loads,
-            tariff,
-            budget,
+        stacked = simulate_schedules(
+            schedules, truth, loads, tariff, [budget] * len(schedules)
         )
-        assert [score.hex() for score in scores] == [
-            r.psf.hex()
-            for r in simulate_threshold_plans(shared, truth, loads, tariff, budget)
-        ]
-        stacked = simulate_schedules(schedules, truth, loads, tariff, budget)
         for schedule, result in zip(schedules, stacked, strict=True):
             assert_bit_identical(
                 result, simulate_schedule(schedule, truth, loads, tariff, budget)
@@ -478,7 +468,6 @@ def _traced(actuation, real, virtual):
         real_balance_trace=real,
         virtual_balance_trace=virtual,
         final_real_balance=0.0,
-        final_virtual_balance=None if virtual is None else 0.0,
         sf=np.full(num_loads, np.nan),
         psf=0.0,
         total_spend=0.0,
