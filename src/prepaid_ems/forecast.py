@@ -12,6 +12,7 @@ downstream optimizers need no special cases.
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -57,13 +58,18 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
     them). Any shape or value problem raises a :class:`CsvError`
     subclass naming the offending line; nothing is silently truncated or
     padded.
+
+    The file is read once. ``csv`` reads the header. When the data lines
+    are plain (see :func:`_plain_power`) numpy's C reader parses their
+    load columns in one call; when they are not, or that parse fails or
+    yields a non-finite or negative value, ``csv`` splits the data rows
+    and :func:`_parse_power` parses them cell by cell, and raises the
+    error for the first offending line.
     """
     steps_per_day = TimeGrid.from_minutes(step_minutes, 1).steps_per_day
     expected_header = ["timestamp", *loads.names]
-    rows: list[list[str]] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader(fh), None)
         if header is None:
             raise MissingColumn(f"{path}: empty file, expected header line")
         if header != expected_header:
@@ -76,36 +82,74 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
                 f"{path}:1: header {header} does not match expected "
                 f"{expected_header}"
             )
-        rows.extend(reader)
+        body = fh.read()
 
-    if not rows or len(rows) % steps_per_day != 0:
+    power = _plain_power(body, len(loads))
+    if power is None:
+        rows = list(csv.reader(io.StringIO(body, newline="")))
+        count = len(rows)
+    else:
+        count = power.shape[1]
+    if not count or count % steps_per_day != 0:
         raise RowCountMismatch(
-            f"{path}: {len(rows)} data rows is not a whole number of "
+            f"{path}: {count} data rows is not a whole number of "
             f"{steps_per_day}-step days"
         )
-    grid = TimeGrid.from_minutes(step_minutes, len(rows) // steps_per_day)
-    return DemandSeries(grid, _parse_power(rows, loads, path))
+    grid = TimeGrid.from_minutes(step_minutes, count // steps_per_day)
+    if power is None:
+        power = _parse_power(rows, loads, path)
+    return DemandSeries(grid, power)
+
+
+def _plain_power(body: str, num_loads: int) -> np.ndarray | None:
+    """Power ``[load, step]`` of the data lines ``body``, parsed by
+    numpy's C reader, or ``None`` if they are not plain or a value does
+    not parse, is non-finite or is negative.
+
+    Plain lines end in LF or CRLF, none is blank, each holds exactly
+    ``num_loads`` commas (at least one), and none holds a quote, a ``#``
+    or one of the separators U+001C-U+001F (whitespace to numpy, not to
+    ``float``). Then each line is one ``csv`` row, and numpy reads each
+    load cell as ``float`` does or fails.
+    """
+    if not (body and num_loads) or any(c in body for c in '"#\x1c\x1d\x1e\x1f'):
+        return None
+    # In UTF-8, LF, CR and the comma are single bytes that no other
+    # character's encoding holds.
+    text = np.frombuffer(body.encode(), dtype=np.uint8)
+    lf = np.flatnonzero(text == ord("\n"))
+    cr = np.flatnonzero(text == ord("\r"))
+    if cr.size and not np.array_equal(cr + 1, lf):
+        return None
+    ends = lf if body.endswith("\n") else np.append(lf, text.size)
+    # Commas before each line end: num_loads more per line.
+    commas = np.searchsorted(np.flatnonzero(text == ord(",")), ends)
+    if not np.array_equal(commas, num_loads * np.arange(1, ends.size + 1)):
+        return None
+    try:
+        power = np.loadtxt(
+            io.StringIO(body),
+            delimiter=",",
+            comments=None,
+            usecols=range(1, num_loads + 1),
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not (np.isfinite(power).all() and (power >= 0).all()):
+        return None
+    return np.ascontiguousarray(power.T)
 
 
 def _parse_power(rows: list[list[str]], loads: LoadSet, path) -> np.ndarray:
-    """Power ``[load, step]`` from the data rows' load columns.
+    """Power ``[load, step]`` from the data rows' load columns, parsed
+    cell by cell by ``float``.
 
-    numpy parses every cell in one pass, load by load, through ``float``
-    as the cell loop does. When that fails, or a row has the wrong
-    width, or a value is non-finite or negative, the cell loop runs
-    instead and raises the error for the first offending line and
-    column.
+    This runs for a file whose data lines are not plain, or whose plain
+    lines numpy's C reader could not take (see :func:`ingest_csv`). It
+    raises the error for the first offending line and column.
     """
     width = len(loads) + 1
-    if all(len(row) == width for row in rows):
-        cells = (row[k] for k in range(1, width) for row in rows)
-        try:
-            power = np.fromiter(cells, dtype=float, count=len(loads) * len(rows))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(power).all() and (power >= 0).all():
-                return power.reshape(len(loads), len(rows))
     power = np.empty((len(loads), len(rows)))
     for i, row in enumerate(rows):
         line = i + 2

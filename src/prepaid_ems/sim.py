@@ -18,20 +18,24 @@ Balance traces record start-of-step values, matching the convention
 used by the threshold optimizer's wallet variables; the end-of-horizon
 real balance is carried separately.
 
-One kernel runs every entry point, for a stack of plans at once, and
-moves from event to event rather than step by step. It splits the
-horizon into spans, one a day (or one for the whole horizon, for
-schedules on one-step days). Within a span the virtual balance never
-rises, so a load is on from the span start until its threshold first
-trips and stays off after it; nothing runs from the first step that
-starts with a real balance <= 0. A schedule runs without thresholds,
-masked by its on/off steps. Between two such events the set of enabled
-loads is fixed, so each step's cost is a column sum over the enabled
-loads and both balances are running differences, paid in step order
-exactly as a step-by-step loop pays them. A step's cost sums the
-enabled loads left to right, except in spans of one step, where numpy
-sums 8 or more loads pairwise; so with 8 or more loads the last bits
-can differ from a loop that sums the served loads with ``ndarray.sum``.
+One kernel runs every entry point, for a stack of plans at once. It
+settles the virtual wallet per day and the real wallet per horizon.
+Within a day the virtual balance never rises, so a threshold plan's load
+is on from the day start until its threshold first trips and stays off
+after it: the day loop moves from trip to trip rather than step by
+step, as though the real wallet never ran out. A schedule has no
+virtual wallet and no day loop: its on/off steps fix what it serves.
+Each step's cost is a column sum over the served loads, and the real
+balance is one running difference of those costs over the horizon,
+paid in step order exactly as a step-by-step loop pays it. Service ends
+at the first step that starts with a real balance <= 0: until then the
+real wallet has switched nothing off, and from then on the real balance
+holds, while the virtual balance holds to the end of that day and then
+rises by each later day's recharge. A step's cost sums the served loads
+left to right, except in a threshold plan's days of one step, where
+numpy sums 8 or more loads pairwise; so with 8 or more loads the last
+bits can differ from a loop that sums the served loads with
+``ndarray.sum``.
 
 There are two stacked passes, :func:`simulate_threshold_plans` and
 :func:`simulate_schedules`. Each runs any number of plans that share the
@@ -148,84 +152,112 @@ def _finalize(
 def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
     """Balances ``[plan, step + 1]`` from ``start`` as ``cost[plan, step]``
     is paid, subtracted in step order."""
-    return np.subtract.accumulate(
-        np.concatenate([start[:, None], cost], axis=1), axis=1
-    )
+    balance = np.empty((len(start), cost.shape[1] + 1))
+    balance[:, 0] = start
+    balance[:, 1:] = cost
+    return np.subtract.accumulate(balance, axis=1, out=balance)
 
 
-def _simulate(power, cost_factor, balances, num_spans, wallet=None, mask=None):
-    """Simulate a stack of plans at once, event to event.
+def _trip_days(power, cost_factor, thresholds, recharges):
+    """Run each plan's virtual wallet day by day, as though the real
+    wallet never ran out.
 
-    ``power[load, step]`` is the demand every plan may serve,
-    ``balances[plan]`` each plan's initial real balance, and the
-    ``num_spans`` spans split the horizon evenly. ``wallet``, if given,
-    is each plan's virtual wallet: ``(thresholds[plan, load, span],
-    recharges[plan, span])``; ``mask[plan, load, step]`` (bool), if
-    given, the steps each plan's schedule may serve. A pass without a
-    wallet keeps no virtual balance: only the schedule and the real
-    wallet switch loads off. Returns the actuation ``[plan, load, step]``
-    (0/1 int8), the start-of-step real and virtual balances ``[plan,
-    step]`` (the virtual ones ``None`` without a wallet), and the final
-    real balance and spend ``[plan]``.
+    ``thresholds[plan, load, day]`` and ``recharges[plan, day]`` are each
+    plan's virtual wallet. Returns the actuation ``[plan, load, step]``
+    (0/1 int8), each step's cost and the start-of-step virtual balances
+    ``[plan, step]``.
     """
     num_loads, total = power.shape
-    plans = len(balances)
-    n = total // num_spans
+    plans, num_days = recharges.shape
+    n = total // num_days
     step = np.arange(n)
     actuation = np.empty((plans, num_loads, total), dtype=np.int8)
-    z_trace = np.empty((plans, total))
-    x_trace = None if wallet is None else np.empty((plans, total))
-    real = np.asarray(balances, dtype=float)
-    virtual = None if wallet is None else np.zeros(plans)
-    spend = np.zeros(plans)
-    for s in range(num_spans):
-        span = slice(s * n, (s + 1) * n)
+    cost = np.empty((plans, total))
+    x_trace = np.empty((plans, total))
+    virtual = np.zeros(plans)
+    for day in range(num_days):
+        span = slice(day * n, (day + 1) * n)
         w = power[:, span]
-        scheduled = None if mask is None else mask[..., span]
-        # off[p, k]: the step of the span from which load k stays off;
-        # without a wallet all loads of a plan share one (off[p, 0]).
-        enabled = real[:, None] > 0
-        if wallet is not None:
-            thr = wallet[0][..., s]
-            virtual = virtual + wallet[1][:, s]
-            enabled = enabled & (virtual[:, None] >= thr)
-        off = np.where(enabled, n, 0)
+        thr = thresholds[..., day]
+        virtual = virtual + recharges[:, day]
+        # off[p, k]: the step of the day from which load k stays off.
+        off = np.where(virtual[:, None] >= thr, n, 0)
         while True:
             on = step < off[..., None]
-            if scheduled is not None:
-                on = on & scheduled
-            cost = cost_factor * np.where(on, w, 0.0).sum(axis=1)
-            z = _running(real, cost)
-            # Both balances only fall, so counting the steps that pass a
-            # test finds where it first fails: a load's first step below
-            # its threshold, and the first step begun with no money.
-            # Only the earliest of these events per plan is certain; the
-            # ones after it move once its load is off. A load already
-            # off, or an empty wallet with every load off, is no event.
-            dark = (z[:, :n] > 0).sum(axis=1)
-            dark[dark >= off.max(axis=1, initial=0)] = n
-            event = dark
-            if wallet is not None:
-                x = _running(virtual, cost)
-                cross = (x[:, :n, None] >= thr[:, None, :]).sum(axis=1)
-                cross[cross >= off] = n
-                event = np.minimum(cross.min(axis=1, initial=n), dark)
-            if (event == n).all():
+            c = cost_factor * np.where(on, w, 0.0).sum(axis=1)
+            x = _running(virtual, c)
+            # The balance only falls, so counting the steps that start at
+            # or above a threshold finds the load's first step below it.
+            # Only the earliest trip per plan is certain; the ones after
+            # it move once its load is off. A load already off is no trip.
+            trip = (x[:, None, :n] >= thr[..., None]).sum(axis=2)
+            trip[trip >= off] = n
+            first = trip.min(axis=1, initial=n)
+            if (first == n).all():
                 break
-            hit = (dark == event)[:, None]
-            if wallet is not None:
-                hit = hit | (cross == event[:, None])
-            off = np.where(hit, np.minimum(off, event[:, None]), off)
+            off = np.minimum(off, np.where(trip == first[:, None], trip, n))
         actuation[..., span] = on & (w > 0)
-        z_trace[:, span] = z[:, :n]
-        real = z[:, n]
-        if wallet is not None:
-            x_trace[:, span] = x[:, :n]
-            virtual = x[:, n]
-        spend = np.add.accumulate(
-            np.concatenate([spend[:, None], cost], axis=1), axis=1
-        )[:, n]
-    return actuation, z_trace, x_trace, real, spend
+        cost[:, span] = c
+        x_trace[:, span] = x[:, :n]
+        virtual = x[:, n]
+    return actuation, cost, x_trace
+
+
+def _simulate(power, cost_factor, balances, wallet=None, mask=None):
+    """Simulate a stack of plans at once.
+
+    ``power[load, step]`` is the demand every plan may serve and
+    ``balances[plan]`` each plan's initial real balance. ``wallet``, if
+    given, is each plan's virtual wallet: ``(thresholds[plan, load, day],
+    recharges[plan, day])``; ``mask[plan, load, step]`` (bool), if given,
+    the steps each plan's schedule may serve, and is overwritten by the
+    actuation. A pass without a wallet keeps no virtual balance: only
+    the schedule and the real wallet switch loads off. Returns the
+    actuation ``[plan, load, step]`` (0/1 int8), the start-of-step real
+    and virtual balances ``[plan, step]`` (the virtual ones ``None``
+    without a wallet), and the final real balance and spend ``[plan]``.
+    """
+    if wallet is None:
+        # The served loads' costs, summed left to right. Unserved loads
+        # add nothing, not 0.0: the sign of a zero cost changes no
+        # balance that is still positive, nor the spend.
+        cost = np.where(mask[:, 0], power[0], 0.0)
+        for k in range(1, len(power)):
+            np.add(cost, power[k], out=cost, where=mask[:, k])
+        cost *= cost_factor
+        # The mask becomes the actuation: served where there is demand.
+        actuation = np.logical_and(mask, power > 0, out=mask).view(np.int8)
+        x_trace = None
+    else:
+        actuation, cost, x_trace = _trip_days(power, cost_factor, *wallet)
+    total = power.shape[1]
+    z = _running(np.asarray(balances, dtype=float), cost)
+    # The real balance only falls: the steps that start above 0 are
+    # those before the first one begun with no money. Until then the
+    # real wallet has switched nothing off, so the run above is the
+    # plan's; from then on nothing is served or paid.
+    dark = (z[:, :total] > 0).sum(axis=1)
+    for p in np.flatnonzero(dark < total):
+        t = dark[p]
+        actuation[p, :, t:] = 0
+        cost[p, t:] = 0.0
+        z[p, t + 1 :] = z[p, t]
+        if x_trace is not None:
+            # The virtual balance holds to the end of the day, then
+            # rises by each later day's recharge.
+            recharges = wallet[1][p]
+            days = x_trace[p].reshape(len(recharges), -1)
+            day, start = divmod(t, days.shape[1])
+            held = np.add.accumulate(
+                np.concatenate([x_trace[p, t : t + 1], recharges[day + 1 :]])
+            )
+            days[day, start:] = held[0]
+            days[day + 1 :] = held[1:, None]
+    # The spend sums the costs in step order. The step loop's sum starts
+    # at 0.0; adding that 0.0 last gives the same bits, for a sum of
+    # -0.0s too.
+    spend = np.add.accumulate(cost, axis=1, out=cost)[:, -1] + 0.0
+    return actuation, z[:, :total], x_trace, z[:, total], spend
 
 
 def _balances(budgets: list[Budget], count: int) -> np.ndarray:
@@ -270,11 +302,7 @@ def simulate_threshold_plans(
         np.stack([plan.recharges for plan in plans]),
     )
     actuation, z, x, real, spend = _simulate(
-        truth.power,
-        tariff.alpha * truth.grid.step_hours,
-        balances,
-        num_days,
-        wallet,
+        truth.power, tariff.alpha * truth.grid.step_hours, balances, wallet
     )
     return _finalize(truth, loads, actuation, z, x, real, spend)
 
@@ -320,16 +348,10 @@ def simulate_schedules(
             raise ShapeMismatch("schedule must be a binary matrix")
     if not schedules:
         return []
-    # Day-long spans keep the kernel's arrays small; a one-step span
-    # would make numpy sum the loads pairwise rather than left to right,
-    # so one-step days run as one span.
-    grid = truth.grid
+    # The real wallet is settled per horizon and the virtual wallet per
+    # day; a schedule has no virtual wallet, so its pass has no day loop.
     actuation, z, _, real, spend = _simulate(
-        truth.power,
-        tariff.alpha * grid.step_hours,
-        balances,
-        grid.num_days if grid.steps_per_day > 1 else 1,
-        mask=mask,
+        truth.power, tariff.alpha * truth.grid.step_hours, balances, mask=mask
     )
     return _finalize(truth, loads, actuation, z, None, real, spend)
 

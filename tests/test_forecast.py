@@ -172,6 +172,93 @@ class TestIngest:
             ingest_csv(path, four_loads, 360)
         assert str(info.value) == f"{path}{message}"
 
+    @pytest.mark.parametrize(
+        "edit, end, expected",
+        [
+            ({}, "\n", None),
+            ({}, "\r\n", None),
+            ({}, "\r", None),
+            ({3: "t#3,3.5,6,0.31,3e3"}, "\r\n", None),
+            ({1: '"2000-01-01, 06:00",1.5,2,0.11,1e3'}, "\r\n", None),
+            (
+                {2: "t2,2.5,2#5,0.21,2e3"},
+                "\r\n",
+                (
+                    UnparseableNumber,
+                    ":4: column 'compressor' has unparseable value '2#5'",
+                ),
+            ),
+            (
+                {6: "t6,\x1c6.5,12,0.61,6e3"},
+                "\n",
+                (
+                    UnparseableNumber,
+                    ":8: column 'fridge' has unparseable value '\\x1c6.5'",
+                ),
+            ),
+            ({3: ""}, "\n", (MissingColumn, ":5: expected 5 fields, got 0")),
+            ({7: ""}, "\r\n", (MissingColumn, ":9: expected 5 fields, got 0")),
+            (
+                {2: "t2,2.5,4,0.21,2e3,9", 5: "t5,5.5,10,0.51"},
+                "\n",
+                (MissingColumn, ":4: expected 5 fields, got 6"),
+            ),
+            (
+                {3: "t3,3.5,6,0.31,3e3\r"},
+                "\r\n",
+                (
+                    RowCountMismatch,
+                    ": 9 data rows is not a whole number of 4-step days",
+                ),
+            ),
+            (
+                {2: '"t2,2.5,4,0.21,2e3', 3: 't3",3.5,6,0.31,3e3'},
+                "\r\n",
+                (
+                    RowCountMismatch,
+                    ": 7 data rows is not a whole number of 4-step days",
+                ),
+            ),
+        ],
+        ids=[
+            "lf",
+            "crlf",
+            "cr",
+            "hash-in-timestamp",
+            "quoted-timestamp-with-comma",
+            "hash-in-load-cell",
+            "separator-before-value",
+            "blank-line-between-rows",
+            "trailing-blank-line",
+            "extra-and-missing-field",
+            "lone-cr-before-crlf",
+            "quoted-timestamp-over-two-lines",
+        ],
+    )
+    def test_files_numpy_reads_otherwise_read_as_csv_and_float(
+        self, tmp_path, four_loads, edit, end, expected
+    ):
+        # numpy's reader would take most of these files otherwise than csv
+        # and float do (comments, blank lines it skips, quotes, a lone CR,
+        # a separator it strips as whitespace, or extra fields that
+        # usecols drops); each must give the cell loop's array or error.
+        lines = [f"t{i},{i}.5,{2 * i},0.{i}1,{i}e3" for i in range(8)]
+        for i, line in edit.items():
+            lines[i] = line
+        path = tmp_path / "d.csv"
+        header = "timestamp,fridge,compressor,microwave,washer"
+        path.write_bytes((end.join([header, *lines]) + end).encode())
+        if expected is not None:
+            error, message = expected
+            with pytest.raises(error) as info:
+                ingest_csv(path, four_loads, 360)
+            assert str(info.value) == f"{path}{message}"
+            return
+        power = ingest_csv(path, four_loads, 360).power
+        cells = [line.rsplit(",", 4)[1:] for line in lines]
+        want = np.array([[float(c) for c in row] for row in cells]).T
+        assert power.tobytes() == want.tobytes()
+
 
 class TestShuffleDays:
     def test_single_day_identity(self):

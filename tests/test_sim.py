@@ -159,6 +159,32 @@ class TestSimulateBaseline:
         assert result.disconnection_days == 1
         assert_sim_invariants(result, truth, loads, tariff, budget)
 
+    def test_negative_zero_demand_spends_positive_zero(self, two_loads, tariff):
+        # -0.0 W is never served, but it enters each step's cost as -0.0;
+        # a run that paid nothing still spends 0.0, as the step loop does.
+        truth = constant_series(TimeGrid(6.0, 4, 2), [-0.0, -0.0])
+        plan = afg.ThresholdPlan(np.zeros((2, 2)), np.ones(2))
+        for result, reference in (
+            (
+                simulate_baseline(truth, two_loads, tariff, Budget(1.0)),
+                sim_reference.simulate_schedule(
+                    np.ones((2, 8), dtype=np.int8),
+                    truth,
+                    two_loads,
+                    tariff,
+                    Budget(1.0),
+                ),
+            ),
+            (
+                simulate_thresholds(plan, truth, two_loads, tariff, Budget(1.0)),
+                sim_reference.simulate_thresholds(
+                    plan, truth, two_loads, tariff, Budget(1.0)
+                ),
+            ),
+        ):
+            assert result.total_spend.hex() == (0.0).hex()
+            assert_bit_identical(result, reference)
+
     def test_zero_demand_never_disconnects(self, two_loads, tariff):
         truth = constant_series(TimeGrid(1.0, 24, 2), [0.0, 0.0])
         result = simulate_baseline(truth, two_loads, tariff, Budget(1.0))
@@ -347,17 +373,70 @@ def stack_instances(rng):
             yield (truth, loads, tariff, compute_budget(truth, tariff, 0.6)), exact
 
 
+def day_zero_plans(truth, tariff, budget):
+    """Two plans with every threshold 0 and all their recharge on day 0.
+    One recharges the budget, so its virtual wallet is the real one and
+    every load trips as the real balance falls below 0; the other also
+    recharges what all demand costs, so no load trips before the real
+    wallet runs out."""
+    demand_cost = tariff.alpha * truth.grid.step_hours * float(truth.power.sum())
+    plans = []
+    for extra in (0.0, demand_cost):
+        recharges = np.zeros(truth.grid.num_days)
+        recharges[0] = budget.initial_balance + extra
+        thresholds = np.zeros((truth.num_loads, len(recharges)))
+        plans.append(afg.ThresholdPlan(thresholds, recharges))
+    return plans
+
+
+def disconnect_cases(plan, truth, budget, result):
+    """The disconnection cases a threshold plan's run shows."""
+    cases = ["zero_budget"] if budget.initial_balance == 0 else []
+    t = result.first_disconnect_step
+    if t is None:
+        return cases
+    day, start = divmod(t, truth.grid.steps_per_day)
+    # The virtual balance only falls within a day: a load is still on at
+    # t if the balance then is at or above its threshold.
+    enabled = result.virtual_balance_trace[t] >= plan.thresholds[:, day]
+    if start == 0:
+        cases.append("cut_at_day_start")
+    elif enabled.any():
+        cases.append("cut_while_on")
+    else:
+        cases.append("cut_after_all_off")
+    if (plan.recharges[day + 1 :] > 0).any():
+        cases.append("recharge_after_cut")
+    return cases
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_stacked_pass_matches_one_plan_and_step_loop(seed):
     """Every result of a stacked pass is bit for bit the one-plan call's
     and the step loop's: AFG, DFM-grid and random threshold plans share
     one pass, the baseline and random schedules another, with the same
-    budget for every plan and with a different budget per plan."""
+    budget for every plan and with a different budget per plan. The
+    threshold plans the step loop checks must disconnect in each of the
+    ways the kernel settles apart: mid-day with a load on, mid-day after
+    every load is off, at a day's first step, from a zero budget, and
+    before a later day's positive recharge."""
     rng = np.random.default_rng(9300 + seed)
     balance_rng = np.random.default_rng(9400 + seed)
-    covered = {"dfm": 0, "mid_day_disconnect": 0}
+    covered = dict.fromkeys(
+        [
+            "dfm",
+            "mid_day_disconnect",
+            "cut_while_on",
+            "cut_after_all_off",
+            "cut_at_day_start",
+            "zero_budget",
+            "recharge_after_cut",
+        ],
+        0,
+    )
     for (truth, loads, tariff, budget), exact in stack_instances(rng):
         plans = random_threshold_plans(rng, truth, loads, tariff, budget)
+        plans += day_zero_plans(truth, tariff, budget)
         if truth.num_loads * truth.grid.num_days <= 4:
             plans.insert(1, solve_dfm_grid(truth, loads, tariff, budget, 2)[0])
             covered["dfm"] += 1
@@ -377,6 +456,8 @@ def test_stacked_pass_matches_one_plan_and_step_loop(seed):
                     plan, truth, loads, tariff, budget
                 )
                 assert_bit_identical(result, reference)
+                for case in disconnect_cases(plan, truth, budget, result):
+                    covered[case] += 1
         stacked = simulate_schedules(
             schedules, truth, loads, tariff, [budget] * len(schedules)
         )
