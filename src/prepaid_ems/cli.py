@@ -59,7 +59,6 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.out:
         config.output_dir = Path(args.out)
     if args.seed is not None:
-        config.shuffle_seed = args.seed
         config.regimes = [
             config_mod.parse_regime(regime.label, args.seed)
             for regime in config.regimes

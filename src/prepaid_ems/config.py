@@ -18,7 +18,7 @@ tuned solvers that the sweep no longer runs.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from prepaid_ems.forecast import (
@@ -64,15 +64,14 @@ class ExperimentConfig:
     alpha_per_wh: float
     step_minutes: int
     horizon_days: int
-    csv_path: Path | None = None
-    profiles: dict[str, ApplianceProfile] | None = None
-    synth_seed: int = 1
-    start_day: int = 0
-    budget_fractions: list[float] = field(default_factory=lambda: [0.7, 0.8, 0.9])
-    regimes: list[ForecastSpec] = field(default_factory=list)
-    shuffle_seed: int = 1
-    policies: list[str] = field(default_factory=lambda: list(POLICIES))
-    output_dir: Path = Path("out")
+    csv_path: Path | None
+    profiles: dict[str, ApplianceProfile] | None
+    synth_seed: int
+    start_day: int
+    budget_fractions: list[float]
+    regimes: list[ForecastSpec]  # each imperfect one carries the shuffle seed
+    policies: list[str]
+    output_dir: Path
 
     def validate(self) -> None:
         if len(self.loads) == 0:
@@ -266,7 +265,6 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         start_day=_number(int, data.get("start_day", 0), "start_day"),
         budget_fractions=budget_fractions,
         regimes=regimes,
-        shuffle_seed=shuffle_seed,
         policies=list(_typed(data.get("policies", list(POLICIES)), list, "policies")),
         output_dir=base / _typed(data.get("output_dir", "out"), str, "output_dir"),
     )

@@ -69,7 +69,8 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
     steps_per_day = TimeGrid.from_minutes(step_minutes, 1).steps_per_day
     expected_header = ["timestamp", *loads.names]
     with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
+        head = csv.reader(fh)
+        header = next(head, None)
         if header is None:
             raise MissingColumn(f"{path}: empty file, expected header line")
         if header != expected_header:
@@ -86,7 +87,9 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
 
     power = _plain_power(body, len(loads))
     if power is None:
-        rows = list(csv.reader(io.StringIO(body, newline="")))
+        reader = csv.reader(io.StringIO(body, newline=""))
+        # Each record with the body line it ends on.
+        rows = [(row, reader.line_num) for row in reader]
         count = len(rows)
     else:
         count = power.shape[1]
@@ -97,7 +100,7 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
         )
     grid = TimeGrid.from_minutes(step_minutes, count // steps_per_day)
     if power is None:
-        power = _parse_power(rows, loads, path)
+        power = _parse_power(rows, head.line_num, loads, path)
     return DemandSeries(grid, power)
 
 
@@ -141,18 +144,22 @@ def _plain_power(body: str, num_loads: int) -> np.ndarray | None:
     return np.ascontiguousarray(power.T)
 
 
-def _parse_power(rows: list[list[str]], loads: LoadSet, path) -> np.ndarray:
+def _parse_power(rows: list, header_lines: int, loads: LoadSet, path) -> np.ndarray:
     """Power ``[load, step]`` from the data rows' load columns, parsed
     cell by cell by ``float``.
 
     This runs for a file whose data lines are not plain, or whose plain
     lines numpy's C reader could not take (see :func:`ingest_csv`). It
-    raises the error for the first offending line and column.
+    raises the error for the first offending record and column, naming
+    the physical line the record starts on. ``rows`` pairs each record
+    with the line of the body it ends on, and the header takes the
+    file's first ``header_lines`` lines; a quoted field can span lines.
     """
     width = len(loads) + 1
     power = np.empty((len(loads), len(rows)))
-    for i, row in enumerate(rows):
-        line = i + 2
+    ended = 0
+    for i, (row, end) in enumerate(rows):
+        line, ended = header_lines + ended + 1, end
         if len(row) != width:
             raise MissingColumn(
                 f"{path}:{line}: expected {width} fields, got {len(row)}"

@@ -40,9 +40,13 @@ bits can differ from a loop that sums the served loads with
 There are two stacked passes, :func:`simulate_threshold_plans` and
 :func:`simulate_schedules`. Each runs any number of plans that share the
 true demand and the tariff, each plan with its own budget, in one kernel
-pass and scores them with one ``psf`` call. Schedules reach the kernel
-as 0/1 masks on the shared demand, so a stack holds no per-plan copy of
-it, and have no virtual wallet, so their pass keeps no virtual balance.
+pass and scores them with one ``psf`` call. The same pass gives each
+plan's first disconnect step and dark days from the step at which it
+ended that plan's service: the real balance only falls, so every step
+from there on starts <= 0, and a day is dark iff it starts at or after
+that step. Schedules reach the kernel as 0/1 masks on the shared
+demand, so a stack holds no per-plan copy of it, and have no virtual
+wallet, so their pass keeps no virtual balance.
 An experiment plans the cells of every budget fraction first and then
 simulates the whole sweep in these two passes, one per kind of plan.
 The three one-plan passes, :func:`simulate_thresholds`,
@@ -72,7 +76,6 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
-    TimeGrid,
     demand_indicator,
     psf,
 )
@@ -95,58 +98,6 @@ class SimResult:
     total_spend: float
     disconnection_days: int
     first_disconnect_step: int | None
-
-
-def count_disconnection_days(
-    real_balance_trace: np.ndarray, grid: TimeGrid
-) -> int | list:
-    """Whole calendar days with a non-positive balance at every step, of
-    a trace ``[step]`` (an ``int``) or of each trace of a stack
-    ``[..., step]`` (nested lists of ``int``)."""
-    trace = np.asarray(real_balance_trace, dtype=float)
-    if trace.shape[-1:] != (grid.total_steps,):
-        raise ShapeMismatch(
-            f"trace has {trace.shape[-1] if trace.ndim else trace.shape} "
-            f"entries, grid has {grid.total_steps} steps"
-        )
-    days = trace.reshape(*trace.shape[:-1], grid.num_days, grid.steps_per_day)
-    return (days <= 0).all(axis=-1).sum(axis=-1).tolist()
-
-
-def _finalize(
-    truth: DemandSeries,
-    loads: LoadSet,
-    actuation: np.ndarray,
-    z_trace: np.ndarray,
-    x_trace: np.ndarray | None,
-    final_real: np.ndarray,
-    total_spend: np.ndarray,
-) -> list[SimResult]:
-    """One :class:`SimResult` per plan of a kernel pass, scored over the
-    whole stack at once: one ``psf`` call, and the disconnection days and
-    first disconnect steps as array expressions. ``x_trace`` is ``None``
-    for plans without a virtual wallet."""
-    sf, value = psf(actuation, demand_indicator(truth), loads)
-    for trace in (actuation, z_trace, x_trace):
-        if trace is not None:
-            trace.setflags(write=False)
-    dark_days = count_disconnection_days(z_trace, truth.grid)
-    below = z_trace <= 0
-    first = np.where(below.any(axis=1), below.argmax(axis=1), -1).tolist()
-    return [
-        SimResult(
-            actuation=actuation[p],
-            real_balance_trace=z_trace[p],
-            virtual_balance_trace=None if x_trace is None else x_trace[p],
-            final_real_balance=float(final_real[p]),
-            sf=sf[p],
-            psf=float(value[p]),
-            total_spend=float(total_spend[p]),
-            disconnection_days=dark_days[p],
-            first_disconnect_step=None if first[p] < 0 else first[p],
-        )
-        for p in range(len(z_trace))
-    ]
 
 
 def _running(start: np.ndarray, cost: np.ndarray) -> np.ndarray:
@@ -203,20 +154,20 @@ def _trip_days(power, cost_factor, thresholds, recharges):
     return actuation, cost, x_trace
 
 
-def _simulate(power, cost_factor, balances, wallet=None, mask=None):
-    """Simulate a stack of plans at once.
+def _simulate(truth, loads, tariff, balances, wallet=None, mask=None):
+    """Simulate a stack of plans at once; one :class:`SimResult` per plan.
 
-    ``power[load, step]`` is the demand every plan may serve and
+    ``truth.power[load, step]`` is the demand every plan may serve and
     ``balances[plan]`` each plan's initial real balance. ``wallet``, if
     given, is each plan's virtual wallet: ``(thresholds[plan, load, day],
     recharges[plan, day])``; ``mask[plan, load, step]`` (bool), if given,
     the steps each plan's schedule may serve, and is overwritten by the
     actuation. A pass without a wallet keeps no virtual balance: only
-    the schedule and the real wallet switch loads off. Returns the
-    actuation ``[plan, load, step]`` (0/1 int8), the start-of-step real
-    and virtual balances ``[plan, step]`` (the virtual ones ``None``
-    without a wallet), and the final real balance and spend ``[plan]``.
+    the schedule and the real wallet switch loads off, and its results
+    carry no virtual trace.
     """
+    power = truth.power
+    cost_factor = tariff.alpha * truth.grid.step_hours
     if wallet is None:
         # The served loads' costs, summed left to right. Unserved loads
         # add nothing, not 0.0: the sign of a zero cost changes no
@@ -231,7 +182,7 @@ def _simulate(power, cost_factor, balances, wallet=None, mask=None):
     else:
         actuation, cost, x_trace = _trip_days(power, cost_factor, *wallet)
     total = power.shape[1]
-    z = _running(np.asarray(balances, dtype=float), cost)
+    z = _running(balances, cost)
     # The real balance only falls: the steps that start above 0 are
     # those before the first one begun with no money. Until then the
     # real wallet has switched nothing off, so the run above is the
@@ -257,7 +208,29 @@ def _simulate(power, cost_factor, balances, wallet=None, mask=None):
     # at 0.0; adding that 0.0 last gives the same bits, for a sum of
     # -0.0s too.
     spend = np.add.accumulate(cost, axis=1, out=cost)[:, -1] + 0.0
-    return actuation, z[:, :total], x_trace, z[:, total], spend
+    sf, value = psf(actuation, demand_indicator(truth), loads)
+    for trace in (actuation, z, x_trace):
+        if trace is not None:
+            trace.setflags(write=False)
+    # Every step from ``dark`` on starts <= 0, so the dark days are the
+    # days that start at or after it: all but the first
+    # ceil(dark / steps_per_day).
+    grid = truth.grid
+    dark_days = (grid.num_days + -dark // grid.steps_per_day).tolist()
+    return [
+        SimResult(
+            actuation=actuation[p],
+            real_balance_trace=z[p, :total],
+            virtual_balance_trace=None if x_trace is None else x_trace[p],
+            final_real_balance=float(z[p, total]),
+            sf=sf[p],
+            psf=float(value[p]),
+            total_spend=float(spend[p]),
+            disconnection_days=dark_days[p],
+            first_disconnect_step=t if t < total else None,
+        )
+        for p, t in enumerate(dark.tolist())
+    ]
 
 
 def _balances(budgets: list[Budget], count: int) -> np.ndarray:
@@ -301,10 +274,7 @@ def simulate_threshold_plans(
         np.stack([plan.thresholds for plan in plans]),
         np.stack([plan.recharges for plan in plans]),
     )
-    actuation, z, x, real, spend = _simulate(
-        truth.power, tariff.alpha * truth.grid.step_hours, balances, wallet
-    )
-    return _finalize(truth, loads, actuation, z, x, real, spend)
+    return _simulate(truth, loads, tariff, balances, wallet)
 
 
 def simulate_thresholds(
@@ -350,10 +320,7 @@ def simulate_schedules(
         return []
     # The real wallet is settled per horizon and the virtual wallet per
     # day; a schedule has no virtual wallet, so its pass has no day loop.
-    actuation, z, _, real, spend = _simulate(
-        truth.power, tariff.alpha * truth.grid.step_hours, balances, mask=mask
-    )
-    return _finalize(truth, loads, actuation, z, None, real, spend)
+    return _simulate(truth, loads, tariff, balances, mask=mask)
 
 
 def simulate_schedule(

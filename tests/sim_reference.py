@@ -2,14 +2,15 @@
 
 These are the wallet simulator's original per-step loops, kept as the
 oracle the event-driven kernel in ``prepaid_ems.sim`` is compared
-against bit for bit. Threshold plans run under either enable rule:
-``latching=True`` keeps a load off for the rest of the day once its
-threshold trips, ``latching=False`` re-evaluates every step. The two
-agree because the virtual balance never rises within a day. The DFM
-grid search's original enumeration loop, the original row-by-row trace
-writer, the OBM count search as it was before it started from a
-greedy incumbent, and AFG's item-by-item greedy pass and load-day by
-load-day threshold loop are kept the same way.
+against bit for bit; each run is scored from its own traces. Threshold
+plans run under either enable rule: ``latching=True`` keeps a load off
+for the rest of the day once its threshold trips, ``latching=False``
+re-evaluates every step. The two agree because the virtual balance
+never rises within a day. The DFM grid search's original enumeration
+loop, the original row-by-row trace writer, the OBM count search as it
+was before it started from a greedy incumbent, and AFG's item-by-item
+greedy pass and load-day by load-day threshold loop are kept the same
+way.
 """
 
 import csv
@@ -20,22 +21,35 @@ import math
 import numpy as np
 
 from prepaid_ems.afg import EnablePlan, ThresholdPlan, max_durations, pinned_off
-from prepaid_ems.model import BUDGET_MARGIN, daily_average, effective_budget
+from prepaid_ems.model import (
+    BUDGET_MARGIN,
+    daily_average,
+    demand_indicator,
+    effective_budget,
+    psf,
+)
 from prepaid_ems.obm import BOUND_SLACK
-from prepaid_ems.sim import _finalize
+from prepaid_ems.sim import SimResult
 
 
 def _result(truth, loads, actuation, z_trace, x_trace, real, spend):
-    """The SimResult of one plan's run, finalized as a stack of one."""
-    return _finalize(
-        truth,
-        loads,
-        actuation[None],
-        z_trace[None],
-        None if x_trace is None else x_trace[None],
-        np.array([real]),
-        np.array([spend]),
-    )[0]
+    """The SimResult of one plan's step loop, scored from its own traces:
+    a day is dark when every one of its steps starts <= 0, and the first
+    disconnect step is the first step that starts <= 0."""
+    sf, value = psf(actuation, demand_indicator(truth), loads)
+    cut = z_trace <= 0
+    dark_days = cut.reshape(truth.grid.num_days, -1).all(axis=1)
+    return SimResult(
+        actuation=actuation,
+        real_balance_trace=z_trace,
+        virtual_balance_trace=x_trace,
+        final_real_balance=float(real),
+        sf=sf,
+        psf=value,
+        total_spend=float(spend),
+        disconnection_days=int(dark_days.sum()),
+        first_disconnect_step=int(np.argmax(cut)) if cut.any() else None,
+    )
 
 
 def simulate_thresholds(plan, truth, loads, tariff, budget, latching=True):

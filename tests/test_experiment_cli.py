@@ -562,8 +562,11 @@ class TestCli:
         assert header.startswith("timestamp,refrigerator,")
 
     def test_run_overrides(self, tmp_path):
+        """``--seed`` writes the bundle of a config with that
+        ``shuffle_seed``, which differs from the config's own seed's: the
+        seeds order 3 days differently (2 days they order alike)."""
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(base_config()))
+        config_path.write_text(json.dumps(base_config(horizon_days=3)))
         out = tmp_path / "elsewhere"
         assert (
             cli.main(
@@ -571,7 +574,18 @@ class TestCli:
             )
             == 0
         )
+        seeded_path = tmp_path / "seeded.json"
+        seeded_path.write_text(json.dumps(base_config(horizon_days=3, shuffle_seed=77)))
+        seeded = tmp_path / "seeded"
+        argv = ["run", "--config", str(seeded_path), "--out", str(seeded)]
+        assert cli.main(argv) == 0
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        bundles = [
+            {p.relative_to(d): p.read_bytes() for p in sorted(d.rglob("*.csv"))}
+            for d in (out, seeded, tmp_path / "out")
+        ]
         assert (out / "summary.csv").exists()
+        assert bundles[0] == bundles[1] != bundles[2]
 
     def test_dfm_section_is_an_ignored_key(self, tmp_path, caplog):
         """A ``dfm`` section, even one naming a solver that does not
@@ -682,11 +696,29 @@ class TestCli:
             ("profile 'heater' must be an object", with_profiles(heater=900)),
             # A synthetic household has no days before its first.
             ("start_day applies to a CSV source only", {"start_day": 5}),
+            ("horizon_days must be positive", {"horizon_days": 0}),
+            ("start_day must be non-negative", {"start_day": -1}),
+            ("at least one budget fraction", {"budget_fractions": []}),
+            ("at least one forecast regime", {"regimes": []}),
+            ("at least one load", {"loads": []}),
+            # A callable edits the whole config: here it leaves out a
+            # required key, and last it makes the file a JSON list.
+            (
+                "missing required config field 'alpha_per_wh'",
+                lambda data: {k: v for k, v in data.items() if k != "alpha_per_wh"},
+            ),
+            ("data section must contain 'csv' or 'synthetic'", {"data": {}}),
+            ("duplicate load names: ['heater']", {"loads": [HEATER, HEATER]}),
+            ("must contain a JSON object", lambda data: [data]),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(base_config(**overrides)))
+        if callable(overrides):
+            data = overrides(base_config())
+        else:
+            data = base_config(**overrides)
+        config_path.write_text(json.dumps(data))
         for command in ("validate", "run"):
             assert cli.main([command, "--config", str(config_path)]) == 2
             err = capsys.readouterr().err

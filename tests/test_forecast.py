@@ -158,16 +158,29 @@ class TestIngest:
                 UnparseableNumber,
                 ":6: column 'washer' has non-finite value '-nan'",
             ),
+            # Row -1 is the header; no cells at all is an empty file.
+            (
+                {(-1, 1): "compressor", (-1, 2): "fridge"},
+                MissingColumn,
+                ":1: header ['timestamp', 'compressor', 'fridge', 'microwave', "
+                "'washer'] does not match expected ['timestamp', 'fridge', "
+                "'compressor', 'microwave', 'washer']",
+            ),
+            (None, MissingColumn, ": empty file, expected header line"),
         ],
     )
     def test_error_names_first_bad_line_and_column(
         self, tmp_path, four_loads, bad, error, message
     ):
-        rows = [[f"t{i}", 1, 2, 3, 4] for i in range(8)]
-        for (i, k), cell in bad.items():
-            rows[i][k] = cell
         path = tmp_path / "d.csv"
-        write_csv(path, ["timestamp", *four_loads.names], rows)
+        if bad is None:
+            path.write_text("")
+        else:
+            rows = [[f"t{i}", 1, 2, 3, 4] for i in range(8)]
+            header = ["timestamp", *four_loads.names]
+            for (i, k), cell in bad.items():
+                (rows[i] if i >= 0 else header)[k] = cell
+            write_csv(path, header, rows)
         with pytest.raises(error) as info:
             ingest_csv(path, four_loads, 360)
         assert str(info.value) == f"{path}{message}"
@@ -219,6 +232,14 @@ class TestIngest:
                     ": 7 data rows is not a whole number of 4-step days",
                 ),
             ),
+            (
+                {0: '"t0\r\nx",0.5,0,0.01,0e3', 3: "t3,oops,6,0.31,3e3"},
+                "\r\n",
+                (
+                    UnparseableNumber,
+                    ":6: column 'fridge' has unparseable value 'oops'",
+                ),
+            ),
         ],
         ids=[
             "lf",
@@ -233,6 +254,7 @@ class TestIngest:
             "extra-and-missing-field",
             "lone-cr-before-crlf",
             "quoted-timestamp-over-two-lines",
+            "bad-cell-after-a-record-over-two-lines",
         ],
     )
     def test_files_numpy_reads_otherwise_read_as_csv_and_float(

@@ -20,7 +20,6 @@ from prepaid_ems.model import (
 from prepaid_ems.sim import (
     ShapeMismatch,
     SimResult,
-    count_disconnection_days,
     simulate_baseline,
     simulate_schedule,
     simulate_schedules,
@@ -204,27 +203,46 @@ class TestSimulateBaseline:
             last = result.psf
 
 
+def runs_cut_at(num_days, balances):
+    """Runs of one load costing 1 $ a step around the clock, one per
+    initial balance ``b``, so that each is cut at step ``b``: a stack of
+    schedules that serve every step, and a stack of threshold plans whose
+    virtual wallet never trips."""
+    loads = LoadSet.from_pairs([("x", 1.0)])
+    truth = constant_series(TimeGrid(1.0, 24, num_days), [1000.0])
+    tariff = Tariff(0.001)
+    budgets = [Budget(b) for b in balances]
+    schedule = np.ones_like(truth.power, dtype=np.int8)
+    plan = afg.ThresholdPlan(np.zeros((1, num_days)), np.full(num_days, 24.0))
+    return [
+        simulate_schedules([schedule] * len(budgets), truth, loads, tariff, budgets),
+        simulate_threshold_plans([plan] * len(budgets), truth, loads, tariff, budgets),
+    ]
+
+
 class TestDisconnectionDays:
     def test_positive_trace(self):
-        grid = TimeGrid(1.0, 24, 3)
-        assert count_disconnection_days(np.ones(72), grid) == 0
+        for (result,) in runs_cut_at(3, [100.0]):
+            assert (result.real_balance_trace > 0).all()
+            assert result.disconnection_days == 0
+            assert result.first_disconnect_step is None
 
     def test_noon_day_13_of_30(self):
-        grid = TimeGrid(1.0, 24, 30)
-        trace = np.zeros(720)
-        trace[: 12 * 24 + 12] = 5.0  # positive until noon of day 13
-        assert count_disconnection_days(trace, grid) == 17
-        stack = np.stack([trace, np.ones(720), np.zeros(720)])
-        assert count_disconnection_days(stack, grid) == [17, 0, 30]
+        for (result,) in runs_cut_at(30, [12 * 24 + 12]):
+            assert (result.real_balance_trace[: 12 * 24 + 12] > 0).all()
+            assert result.disconnection_days == 17
+            assert result.first_disconnect_step == 12 * 24 + 12
+        # In a stack, next to a run that is never cut, one cut at step 0,
+        # and cuts at the first and second steps of day 13.
+        for stack in runs_cut_at(30, [300.0, 1000.0, 0.0, 288.0, 289.0]):
+            assert [r.disconnection_days for r in stack] == [17, 0, 30, 18, 17]
+            assert [r.first_disconnect_step for r in stack] == [300, None, 0, 288, 289]
 
     def test_flat_zero(self):
-        grid = TimeGrid(1.0, 24, 4)
-        assert count_disconnection_days(np.zeros(96), grid) == 4
-
-    def test_length_checked(self):
-        grid = TimeGrid(1.0, 24, 2)
-        with pytest.raises(ShapeMismatch):
-            count_disconnection_days(np.ones(24), grid)
+        for (result,) in runs_cut_at(4, [0.0]):
+            assert not result.real_balance_trace.any()
+            assert result.disconnection_days == 4
+            assert result.first_disconnect_step == 0
 
 
 class TestInvariantsAcrossPolicies:
