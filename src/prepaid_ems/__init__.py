@@ -12,7 +12,7 @@ forecast regimes:
   thresholds against per-timestep demand forecasts, solved exactly by
   a dynamic program over per-day served counts.
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
-  every timestep, an upper bound under perfect forecasts.
+  every timestep, an upper bound under perfect detailed forecasts.
 * ``BSL`` -- unrationed baseline: serve everything until the wallet
   runs dry.
 """

@@ -5,6 +5,10 @@
 config without running it. Exit codes: 0 success, 2 config error,
 3 data error, or an output error (``run`` cannot write its results,
 e.g. ``--out`` names an existing file).
+
+A relative ``run --out`` is resolved against the working directory; a
+relative ``output_dir`` in the config, like its ``data.csv``, against
+the config file's directory.
 """
 
 import argparse
@@ -36,7 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the experiment sweep from a config")
     run.add_argument("--config", required=True, help="JSON experiment config")
-    run.add_argument("--out", help="output directory (overrides the config)")
+    run.add_argument(
+        "--out",
+        help="output directory, relative to the working directory (overrides "
+        "the config's output_dir, which is relative to the config file)",
+    )
     run.add_argument(
         "--seed", type=int, help="day-shuffle seed (overrides the config)"
     )

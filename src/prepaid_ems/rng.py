@@ -6,6 +6,8 @@ and the shuffle (Fisher-Yates) instead of relying on a runtime's
 default random module.
 """
 
+import math
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -26,7 +28,9 @@ class SplitMix64:
 
     def uniform(self) -> float:
         """Float in [0, 1)."""
-        return self.next_u64() / 2.0**64
+        u = self.next_u64() / 2.0**64
+        # The top 1,024 draws round to 2**64 before the division.
+        return u if u < 1.0 else math.nextafter(1.0, 0.0)
 
     def below(self, n: int) -> int:
         """Integer in [0, n)."""

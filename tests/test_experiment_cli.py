@@ -1,3 +1,4 @@
+import collections
 import errno
 import hashlib
 import json
@@ -438,19 +439,42 @@ class TestEmitOutputs:
                 fh.write(line)
             assert expected.read_bytes() in (config.output_dir / name).read_bytes()
 
+    def test_each_file_written_once(self, tmp_path, monkeypatch):
+        """One emit writes each file of the bundle through one truncating
+        open and opens no other file. The writer may also have created a
+        trace file ahead, empty, through one non-truncating open."""
+        config = from_dict(base_config(step_minutes=15, horizon_days=30), tmp_path)
+        results = run_experiment(config)
+        opened = collections.Counter()  # (path, truncating) -> opens
+        real_open = os.open
+
+        def counting_open(path, flags, *args, **kwargs):
+            opened[os.fspath(path), bool(flags & os.O_TRUNC)] += 1
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", counting_open)
+        written = {str(p) for p in emit_outputs(results, tmp_path / "bundle")}
+        assert {path for path, _ in opened} == written
+        assert all(opened[path, True] == 1 for path in written)
+        assert all(opened[path, False] <= 1 for path in written)
+
     def test_rerun_byte_identical(self, tmp_path):
+        """A rerun into the same directory writes the same bytes, also
+        over files longer than its own, which it truncates."""
         config = from_dict(base_config(), tmp_path)
-        emit_outputs(run_experiment(config), config.output_dir)
-        first = {
-            p.name: p.read_bytes()
-            for p in config.output_dir.rglob("*.csv")
-        }
-        emit_outputs(run_experiment(config), config.output_dir)
-        second = {
-            p.name: p.read_bytes()
-            for p in config.output_dir.rglob("*.csv")
-        }
-        assert first == second
+
+        def emit():
+            emit_outputs(run_experiment(config), config.output_dir)
+            return {
+                p.name: p.read_bytes()
+                for p in config.output_dir.rglob("*.csv")
+            }
+
+        first = emit()
+        assert emit() == first
+        for path in config.output_dir.rglob("*.csv"):
+            path.write_bytes(b"junk," * (len(first[path.name]) // 5 + 100))
+        assert emit() == first
 
 
     @pytest.mark.parametrize(
@@ -586,6 +610,22 @@ class TestCli:
         ]
         assert (out / "summary.csv").exists()
         assert bundles[0] == bundles[1] != bundles[2]
+
+    def test_relative_output_paths(self, tmp_path, monkeypatch):
+        """A relative ``--out`` lands under the working directory, a
+        relative ``output_dir`` under the config file's directory."""
+        config_path = tmp_path / "configs" / "config.json"
+        config_path.parent.mkdir()
+        config_path.write_text(json.dumps(base_config(output_dir="from_config")))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["run", "--config", str(config_path)]) == 0
+        assert (tmp_path / "configs" / "from_config" / "summary.csv").exists()
+        argv = ["run", "--config", str(config_path), "--out", "from_cli"]
+        assert cli.main(argv) == 0
+        assert (work / "from_cli" / "summary.csv").exists()
+        assert sorted(p.name for p in work.iterdir()) == ["from_cli"]
 
     def test_dfm_section_is_an_ignored_key(self, tmp_path, caplog):
         """A ``dfm`` section, even one naming a solver that does not

@@ -344,6 +344,21 @@ class TestShuffleDays:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
 
+    @pytest.mark.parametrize(
+        "draw, expected",
+        [
+            # Rounds to 2**64 as a float: the largest float below 1.
+            (2**64 - 1, 1.0 - 2.0**-53),
+            # The largest draw below those: its quotient, unchanged.
+            (2**64 - 1025, (2**64 - 1025) / 2.0**64),
+        ],
+    )
+    def test_uniform_stays_below_one(self, monkeypatch, draw, expected):
+        monkeypatch.setattr(SplitMix64, "next_u64", lambda self: draw)
+        rng = SplitMix64(0)
+        assert rng.uniform() < 1.0
+        assert rng.uniform() == expected
+
 
 class TestToLimited:
     def test_constant_unchanged(self):
