@@ -33,21 +33,12 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     _frozen,
     daily_average,
     effective_budget,
+    pinned_off,
 )
-
-#: Added on top of the recharges summed through a day to pin a disabled
-#: load's threshold above any balance the virtual wallet can reach that
-#: day, unspent balance carried over from earlier days included.
-THRESHOLD_MARGIN = 1e-4
-
-
-def pinned_off(recharges: np.ndarray) -> np.ndarray:
-    """Per-day threshold that keeps a load off: just above the recharges
-    summed through that day, the most the virtual wallet can hold."""
-    return np.cumsum(recharges) + THRESHOLD_MARGIN
 
 
 @dataclass(frozen=True)
@@ -55,12 +46,11 @@ class EnablePlan:
     """Planned enable duration per load per day, in hours.
 
     At most one load-day is fractional (strictly between zero and its
-    cap); ``marginal`` points at it when present.
+    cap): the marginal load-day.
     """
 
     durations: np.ndarray  # [load, day], hours
     max_durations: np.ndarray  # [load, day], hours
-    marginal: tuple[int, int] | None = None
 
     def __post_init__(self):
         s = np.array(self.durations, dtype=float)
@@ -79,47 +69,10 @@ class EnablePlan:
             raise ValueError(
                 f"at most one load-day may be fractional, found {len(fractional)}"
             )
-        if len(fractional) == 1 and self.marginal != tuple(fractional[0]):
-            raise ValueError(
-                f"marginal index {self.marginal} does not match the fractional "
-                f"entry at {tuple(fractional[0])}"
-            )
         s.setflags(write=False)
         smax.setflags(write=False)
         object.__setattr__(self, "durations", s)
         object.__setattr__(self, "max_durations", smax)
-
-
-@dataclass(frozen=True)
-class ThresholdPlan:
-    """Control setpoints for the wallet simulator: per-day virtual
-    recharges and per-load per-day disable thresholds, in dollars."""
-
-    thresholds: np.ndarray  # [load, day], $
-    recharges: np.ndarray  # [day], $
-
-    def __post_init__(self):
-        thr = np.array(self.thresholds, dtype=float)
-        rec = np.array(self.recharges, dtype=float)
-        if thr.ndim != 2 or rec.ndim != 1 or thr.shape[1] != rec.shape[0]:
-            raise ValueError(
-                f"thresholds {thr.shape} must be [load, day] with one recharge "
-                f"per day, got {rec.shape}"
-            )
-        if not (np.all(np.isfinite(thr)) and np.all(np.isfinite(rec))):
-            raise ValueError("thresholds and recharges must be finite")
-        if np.any(thr < 0):
-            raise ValueError("thresholds must be non-negative")
-        if np.any(rec < 0):
-            raise ValueError("recharges must be non-negative")
-        thr.setflags(write=False)
-        rec.setflags(write=False)
-        object.__setattr__(self, "thresholds", thr)
-        object.__setattr__(self, "recharges", rec)
-
-    @property
-    def num_days(self) -> int:
-        return self.recharges.shape[0]
 
 
 def max_durations(avg: DailyAverageDemand) -> np.ndarray:
@@ -214,13 +167,9 @@ def _greedy_walk(items: _Items, budget: Budget) -> EnablePlan:
     stop = int(np.argmin(full)) if not full.all() else len(full)
     s = np.zeros_like(smax)
     s[items.load[:stop], items.day[:stop]] = caps[:stop]
-    marginal = None
     if stop < len(full) and left[stop] > 0:
-        k, d = int(items.load[stop]), int(items.day[stop])
-        s[k, d] = left[stop] / items.cost_per_hour[stop]
-        if s[k, d] > 0:
-            marginal = (k, d)
-    return EnablePlan(s, smax, marginal)
+        s[items.load[stop], items.day[stop]] = left[stop] / items.cost_per_hour[stop]
+    return EnablePlan(s, smax)
 
 
 def compute_recharges(

@@ -62,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.afg import ThresholdPlan, pinned_off
 from prepaid_ems.model import (
     BOUND_SLACK,
     BUDGET_MARGIN,
@@ -70,7 +69,9 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     effective_budget,
+    pinned_off,
 )
 
 #: Most pairs one solve may form: the (partial vector, count) pairs that

@@ -61,6 +61,7 @@ from prepaid_ems.forecast import (
     ingest_csv,
     slice_days,
     synth_household,
+    to_limited,
 )
 # Not called here: the benchmark's per-layer run still hooks these names.
 from prepaid_ems.milp import (  # noqa: F401
@@ -73,6 +74,7 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     TimeGrid,
     compute_budget,
     demand_indicator,
@@ -109,6 +111,26 @@ def load_truth(config: ExperimentConfig) -> DemandSeries:
         return slice_days(full, config.start_day, config.horizon_days)
     grid = TimeGrid.from_minutes(config.step_minutes, config.horizon_days)
     return synth_household(config.synth_seed, config.loads, grid, config.profiles)
+
+
+def _check_costs(truth: DemandSeries, loads: LoadSet, tariff: Tariff) -> None:
+    """Raise ``ValueError``, naming the load and the step, for a positive
+    power whose cost a planner divides by is below the smallest normal
+    float: its cost per step, or its day's average power priced per step
+    or per hour. A shuffled or limited view prices the same values."""
+    per_step = tariff.alpha * truth.grid.step_hours
+    avg = to_limited(truth).power
+    # Rounding is monotone, so the smaller power gives the smaller cost.
+    cheapest = np.minimum(per_step * np.minimum(truth.power, avg), tariff.alpha * avg)
+    tiny = float(np.finfo(float).tiny)
+    cheap = np.argwhere((truth.power > 0) & (cheapest < tiny))
+    if len(cheap):
+        k, t = cheap[0]
+        raise ValueError(
+            f"load {loads.names[k]!r} at step {t}: power "
+            f"{float(truth.power[k, t])!r} W costs less than {tiny!r} $ per step "
+            f"or per hour, at its own or at its day's average power"
+        )
 
 
 def _plan_dfm(view, known, loads, tariff, budget):
@@ -161,7 +183,7 @@ def _simulate_cells(planned, truth, loads, tariff):
     schedule_budgets = [budget for _, budget, _ in planned]
     for _, budget, cells in planned:
         for _, _, plan, _, _ in cells:
-            if isinstance(plan, afg.ThresholdPlan):
+            if isinstance(plan, ThresholdPlan):
                 plans.append(plan)
                 plan_budgets.append(budget)
             elif plan is not None:
@@ -182,7 +204,7 @@ def _simulate_cells(planned, truth, loads, tariff):
             elif plan is None:
                 cell = CellResult(fraction, regime, policy, "unsolved", note=note)
             else:
-                thresholds = isinstance(plan, afg.ThresholdPlan)
+                thresholds = isinstance(plan, ThresholdPlan)
                 result = next(by_plan if thresholds else by_schedule)
                 improvement = (result.psf - baseline.psf) * 100.0
                 cell = CellResult(
@@ -199,6 +221,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResults:
     truth = load_truth(config)
     loads = config.loads
     tariff = Tariff(config.alpha_per_wh)
+    _check_costs(truth, loads, tariff)
     views = {regime: regime.apply(truth) for regime in config.regimes}
     indicator = demand_indicator(truth)
     excluded = [

@@ -57,7 +57,7 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
     positive whole number of days (:func:`slice_days` cuts a window from
     them). Any shape or value problem raises a :class:`CsvError`
     subclass naming the offending line; nothing is silently truncated or
-    padded.
+    padded. A byte-order mark before the header is ignored.
 
     The file is read once. ``csv`` reads the header. When the data lines
     are plain (see :func:`_plain_power`) numpy's C reader parses their
@@ -73,6 +73,9 @@ def ingest_csv(path, loads: LoadSet, step_minutes: int) -> DemandSeries:
         header = next(head, None)
         if header is None:
             raise MissingColumn(f"{path}: empty file, expected header line")
+        # A file saved with a byte-order mark starts with U+FEFF.
+        if header:
+            header[0] = header[0].removeprefix("\ufeff")
         if header != expected_header:
             missing = [c for c in expected_header if c not in header]
             if missing:

@@ -27,8 +27,8 @@ def build_obm(
     without demand are fixed off by omission); the objective weighs each
     load's steps by its priority over its demanded-step count, and one
     constraint keeps spend within the budget. The sweep solves OBM with
-    ``prepaid_ems.obm.solve_obm``; this model feeds the knapsack oracle
-    that ``solve_obm`` is checked against.
+    ``prepaid_ems.obm.plan_view``; this model feeds the knapsack oracle
+    that ``plan_view`` is checked against.
     """
     if demand.num_loads != len(loads):
         raise ValueError(

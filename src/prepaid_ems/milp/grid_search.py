@@ -19,8 +19,15 @@ import itertools
 import numpy as np
 
 from prepaid_ems import sim
-from prepaid_ems.afg import ThresholdPlan, pinned_off
-from prepaid_ems.model import Budget, DemandSeries, LoadSet, Tariff, daily_average
+from prepaid_ems.model import (
+    Budget,
+    DemandSeries,
+    LoadSet,
+    Tariff,
+    ThresholdPlan,
+    daily_average,
+    pinned_off,
+)
 
 
 #: Candidate plans simulated per batch; bounds the memory of one batch.
@@ -46,7 +53,7 @@ def solve_dfm_grid(
 
     Candidates per load-day: zero, ``grid_resolution`` evenly spaced
     points up to the daily recharge (``dfm.dfm_recharges``), and
-    ``afg.pinned_off``, just above the recharges summed through that
+    ``model.pinned_off``, just above the recharges summed through that
     day. Load-days with no forecast demand only get the pinned-off
     candidate -- their threshold cannot matter. Ties keep the first
     combination in enumeration order, so results are deterministic.

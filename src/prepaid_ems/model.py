@@ -32,6 +32,11 @@ BUDGET_MARGIN = 1e-9
 #: until its bound falls this far below the best value found.
 BOUND_SLACK = 1e-9
 
+#: Added on top of the recharges summed through a day to pin a disabled
+#: load's threshold above any balance the virtual wallet can reach that
+#: day, unspent balance carried over from earlier days included.
+THRESHOLD_MARGIN = 1e-4
+
 
 def _frozen(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
@@ -198,9 +203,43 @@ class DailyAverageDemand:
         power.setflags(write=False)
         object.__setattr__(self, "power", power)
 
+
+@dataclass(frozen=True)
+class ThresholdPlan:
+    """Control setpoints for the wallet simulator: per-day virtual
+    recharges and per-load per-day disable thresholds, in dollars."""
+
+    thresholds: np.ndarray  # [load, day], $
+    recharges: np.ndarray  # [day], $
+
+    def __post_init__(self):
+        thr = np.array(self.thresholds, dtype=float)
+        rec = np.array(self.recharges, dtype=float)
+        if thr.ndim != 2 or rec.ndim != 1 or thr.shape[1] != rec.shape[0]:
+            raise ValueError(
+                f"thresholds {thr.shape} must be [load, day] with one recharge "
+                f"per day, got {rec.shape}"
+            )
+        if not (np.all(np.isfinite(thr)) and np.all(np.isfinite(rec))):
+            raise ValueError("thresholds and recharges must be finite")
+        if np.any(thr < 0):
+            raise ValueError("thresholds must be non-negative")
+        if np.any(rec < 0):
+            raise ValueError("recharges must be non-negative")
+        thr.setflags(write=False)
+        rec.setflags(write=False)
+        object.__setattr__(self, "thresholds", thr)
+        object.__setattr__(self, "recharges", rec)
+
     @property
     def num_days(self) -> int:
-        return self.power.shape[1]
+        return self.recharges.shape[0]
+
+
+def pinned_off(recharges: np.ndarray) -> np.ndarray:
+    """Per-day threshold that keeps a load off: just above the recharges
+    summed through that day, the most the virtual wallet can hold."""
+    return np.cumsum(recharges) + THRESHOLD_MARGIN
 
 
 def compute_budget(demand: DemandSeries, tariff: Tariff, fraction: float) -> Budget:

@@ -93,17 +93,6 @@ CHUNK = 1 << 15
 STRIDE = 32
 
 
-def solve_obm(
-    view: DemandSeries, loads: LoadSet, tariff: Tariff, budget: Budget
-) -> tuple[np.ndarray, float]:
-    """Optimal schedule for ``view`` within the budget.
-
-    Returns the int8 actuation matrix ``[load, step]`` and its objective,
-    the priority-weighted share of demanded steps served.
-    """
-    return plan_view(view, loads, tariff, [budget])[0]
-
-
 def plan_view(
     view: DemandSeries,
     loads: LoadSet,
@@ -111,10 +100,12 @@ def plan_view(
     budgets: list[Budget],
     known: dict | None = None,
 ) -> list[tuple[np.ndarray, float]]:
-    """:func:`solve_obm` for each budget, from one set of the view's
-    tables (see the module docstring). ``known`` keeps the searches, and
-    the counts they found, across views: a shuffled view has its
-    source's costs, so it has its source's counts."""
+    """Optimal schedule for ``view`` within each budget, as an int8
+    ``[load, step]`` actuation, and its objective, the priority-weighted
+    share of demanded steps served, from one set of the view's tables
+    (see the module docstring). ``known`` keeps the searches, and the
+    counts they found, across views: a shuffled view has its source's
+    costs, so it has its source's counts."""
     if view.num_loads != len(loads):
         raise ValueError(
             f"series has {view.num_loads} loads, load set has {len(loads)}"

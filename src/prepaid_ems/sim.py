@@ -68,7 +68,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.afg import ThresholdPlan
 from prepaid_ems.files import encode_text, write_file
 from prepaid_ems.floatrepr import repr_bytes
 from prepaid_ems.model import (
@@ -76,6 +75,7 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     demand_indicator,
     psf,
 )

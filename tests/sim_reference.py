@@ -20,12 +20,14 @@ import math
 
 import numpy as np
 
-from prepaid_ems.afg import EnablePlan, ThresholdPlan, max_durations, pinned_off
+from prepaid_ems.afg import EnablePlan, max_durations
 from prepaid_ems.model import (
     BUDGET_MARGIN,
+    ThresholdPlan,
     daily_average,
     demand_indicator,
     effective_budget,
+    pinned_off,
     psf,
 )
 from prepaid_ems.obm import BOUND_SLACK
@@ -266,7 +268,7 @@ def solve_greedy(avg, loads, tariff, budget):
         if per_load_cap[k] == 0:
             continue  # never demanded; excluded from the objective
         benefit = gammas[k] / per_load_cap[k]
-        for d in range(avg.num_days):
+        for d in range(avg.power.shape[1]):
             if smax[k, d] == 0:
                 continue
             cost_per_hour = tariff.alpha * avg.power[k, d]
@@ -274,7 +276,6 @@ def solve_greedy(avg, loads, tariff, budget):
     items.sort(key=lambda it: (-it[0], -it[1], it[2], it[3]))
 
     remaining = effective_budget(budget)
-    marginal = None
     for _, _, d, k, cost_per_hour in items:
         if remaining <= 0:
             break
@@ -282,10 +283,8 @@ def solve_greedy(avg, loads, tariff, budget):
         s[k, d] = hours
         remaining -= cost_per_hour * hours
         if hours < smax[k, d]:
-            if hours > 0:
-                marginal = (k, d)
             break  # budget exhausted; everything ranked lower stays zero
-    return EnablePlan(s, smax, marginal)
+    return EnablePlan(s, smax)
 
 
 def compute_thresholds(plan, recharges, avg, tariff, step_hours):

@@ -3,26 +3,26 @@ import pytest
 
 import sim_reference
 from prepaid_ems.afg import (
-    THRESHOLD_MARGIN,
     EnablePlan,
-    ThresholdPlan,
     compute_recharges,
     compute_thresholds,
     max_durations,
-    pinned_off,
     plan_view,
     solve_greedy,
 )
 from prepaid_ems.model import (
     BUDGET_MARGIN,
+    THRESHOLD_MARGIN,
     Budget,
     DailyAverageDemand,
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     TimeGrid,
     daily_average,
     effective_budget,
+    pinned_off,
 )
 from prepaid_ems.sim import simulate_thresholds
 
@@ -65,6 +65,13 @@ def lp_optimum(avg, loads, tariff, budget):
     return -res.fun
 
 
+def fractional_entry(plan):
+    """The plan's one fractional (marginal) load-day, or None."""
+    s, smax = plan.durations, plan.max_durations
+    entries = np.argwhere((s > 0) & (s < smax))
+    return tuple(int(i) for i in entries[0]) if len(entries) else None
+
+
 def greedy_psf(plan, loads):
     cap = plan.max_durations.sum(axis=1)
     mask = cap > 0
@@ -90,7 +97,7 @@ class TestSolveGreedy:
         plan = solve_greedy(avg, loads, tariff, budget)
         assert plan.durations[0, 0] == pytest.approx(24.0)
         assert plan.durations[1, 0] == pytest.approx(3.0, abs=1e-6)
-        assert plan.marginal == (1, 0)
+        assert fractional_entry(plan) == (1, 0)
         assert greedy_psf(plan, loads) == pytest.approx(0.7375, abs=1e-6)
 
     def test_worked_example_matches_lp(self, worked):
@@ -104,7 +111,7 @@ class TestSolveGreedy:
         loads, avg, tariff, _ = worked
         plan = solve_greedy(avg, loads, tariff, Budget(1000.0))
         assert np.array_equal(plan.durations, plan.max_durations)
-        assert plan.marginal is None
+        assert fractional_entry(plan) is None
 
     def test_zero_budget(self, worked):
         loads, avg, tariff, _ = worked
@@ -249,7 +256,7 @@ class TestThresholds:
         tariff = Tariff(0.001)
         budget = Budget(5.05)
         plan = solve_greedy(avg, loads, tariff, budget)
-        assert plan.marginal == (1, 0)
+        assert fractional_entry(plan) == (1, 0)
         assert plan.durations[1, 1] == 0.0
         recharges = compute_recharges(plan, avg, tariff)
         tplan = compute_thresholds(plan, recharges, avg, tariff, grid.step_hours)
@@ -272,17 +279,15 @@ class TestThresholds:
             plan = solve_greedy(avg, loads, tariff, budget)
             recharges = compute_recharges(plan, avg, tariff)
             tplan = compute_thresholds(plan, recharges, avg, tariff, 0.25)
-            if plan.marginal is not None:
-                k, d = plan.marginal
+            if fractional_entry(plan) is not None:
+                k, d = fractional_entry(plan)
                 assert 0.0 <= tplan.thresholds[k, d] <= recharges[d] + 1e-12
 
 
 class TestPlanValidation:
     def test_enable_plan_rejects_two_fractionals(self):
         with pytest.raises(ValueError, match="fractional"):
-            EnablePlan(
-                np.array([[3.0, 5.0]]), np.array([[24.0, 24.0]]), marginal=(0, 0)
-            )
+            EnablePlan(np.array([[3.0, 5.0]]), np.array([[24.0, 24.0]]))
 
     def test_enable_plan_rejects_excess_duration(self):
         with pytest.raises(ValueError):
@@ -324,8 +329,8 @@ def afg_corpus():
         # Shrink a budget until its marginal load-day gets 0.3 of a step.
         avg = daily_average(view)
         plan = sim_reference.solve_greedy(avg, loads, tariff, budgets[2])
-        if plan.marginal is not None:
-            k, d = plan.marginal
+        if fractional_entry(plan) is not None:
+            k, d = fractional_entry(plan)
             extra = plan.durations[k, d] - 0.3 * step_hours
             if extra > 0:
                 spare = tariff.alpha * avg.power[k, d] * extra / (1 - BUDGET_MARGIN)
@@ -345,7 +350,6 @@ def test_view_plans_match_the_item_loops():
             want = sim_reference.solve_greedy(avg, loads, tariff, budget)
             plan = solve_greedy(avg, loads, tariff, budget)
             assert plan.durations.tobytes() == want.durations.tobytes()
-            assert plan.marginal == want.marginal
             recharges = compute_recharges(want, avg, tariff)
             want_plan = sim_reference.compute_thresholds(
                 want, recharges, avg, tariff, step_hours
@@ -356,8 +360,8 @@ def test_view_plans_match_the_item_loops():
                 assert got.recharges.tobytes() == recharges.tobytes()
             assert planned.hex() == greedy_psf(want, loads).hex()
             cells += 1
-            if want.marginal is not None:
-                k, d = want.marginal
+            if fractional_entry(want) is not None:
+                k, d = fractional_entry(want)
                 marginal += 1
                 disabled_marginal += (
                     want_plan.thresholds[k, d] == pinned_off(recharges)[d]

@@ -9,7 +9,6 @@ import pytest
 
 from milp_reference import build_dfm, extract_thresholds
 from prepaid_ems import dfm, sim
-from prepaid_ems.afg import ThresholdPlan
 from prepaid_ems.dfm import dfm_recharges, mid_band_thresholds
 from prepaid_ems.forecast import shuffle_days, to_limited
 from prepaid_ems.milp import SolveStatus
@@ -19,6 +18,7 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     TimeGrid,
     compute_budget,
 )

@@ -143,6 +143,31 @@ class TestLoadTruth:
         assert truth.grid.num_days == 2
         assert np.array_equal(truth.power, series.power[:, 48:96])
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        """A copy of a CSV saved with a UTF-8 byte-order mark ingests to
+        the plain file's series and gives its bundle."""
+        write_noisy_csv(tmp_path / "house.csv", days=2)
+        data = (tmp_path / "house.csv").read_bytes()
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + data)
+        bundles, series = [], []
+        for name in ("house", "bom"):
+            config = from_dict(
+                base_config(
+                    data={"csv": f"{name}.csv"},
+                    policies=["BSL", "AFG", "DFM", "OBM"],
+                    output_dir=f"out_{name}",
+                ),
+                tmp_path,
+            )
+            series.append(load_truth(config))
+            emit_outputs(run_experiment(config), config.output_dir)
+            out = config.output_dir
+            files = sorted(out.rglob("*.csv"))
+            bundles.append({p.relative_to(out): p.read_bytes() for p in files})
+        assert series[0].grid == series[1].grid
+        assert series[0].power.tobytes() == series[1].power.tobytes()
+        assert bundles[0] == bundles[1]
+
     def test_csv_not_whole_days(self, tmp_path):
         config = from_dict(base_config(data={"csv": "data.csv"}), tmp_path)
         lines = ["timestamp,fridge,heater"] + [f"t{i},1,2" for i in range(30)]
@@ -187,6 +212,14 @@ class TestRunExperiment:
             limited = daily_average(view)
             if regime.granularity is Granularity.LIMITED:
                 assert np.allclose(view.power[:, 0], limited.power[:, 0])
+
+    def test_synthetic_power_priced_below_the_smallest_float(self, tmp_path):
+        """A synthetic ``rated_w`` whose cost per step is below the
+        smallest normal float stops the sweep before any planner runs."""
+        heater = {"rated_w": 1e-310, "on_probability": 1.0, "mean_on_hours": 4}
+        config = from_dict(base_config(**with_profiles(heater=heater)), tmp_path)
+        with pytest.raises(ValueError, match="^load 'heater' at step "):
+            run_experiment(config)
 
     def test_unsolved_dfm_cell_does_not_abort(self, tmp_path, monkeypatch):
         # Past the DFM solver's work bound a cell reads "unsolved" with
@@ -550,6 +583,37 @@ class TestCli:
         assert err.startswith("output error: ")
         assert str(config_path) in err
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("value", [1e-320, 1e-310])
+    @pytest.mark.parametrize("policy", ["AFG", "DFM", "OBM"])
+    def test_power_priced_below_the_smallest_float_exit_3(
+        self, tmp_path, policy, value
+    ):
+        """A positive power whose cost per step, or whose day's average
+        power priced per step or per hour, is below the smallest normal
+        float is a data error naming the load and the step: no planner
+        divides by it. Here the heater's only demand on day 1 is one
+        such cell at step 30."""
+        config = from_dict(base_config(), tmp_path)
+        grid = TimeGrid.from_minutes(60, 2)
+        power = synth_household(5, config.loads, grid, config.profiles).power.copy()
+        power[1, 24:] = 0.0
+        power[1, 30] = value
+        export_csv(DemandSeries(grid, power), config.loads, tmp_path / "house.csv")
+        config_path = tmp_path / "config.json"
+        data = base_config(data={"csv": "house.csv"}, policies=["BSL", policy])
+        config_path.write_text(json.dumps(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "prepaid_ems", "run", "--config", str(config_path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(
+            f"data error: load 'heater' at step 30: power {value!r} W "
+        )
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_synth_then_run_csv(self, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -3,12 +3,17 @@
 A sweep without DFM must not load ``prepaid_ems.dfm`` (the experiment
 loads it on first use), and DFM must not need the MILP package, which
 the program keeps only for the benchmark's hooks. The threshold MILP
-and the feasibility checker live in ``tests/milp_reference.py``."""
+and the feasibility checker live in ``tests/milp_reference.py``. The
+simulator, which judges every policy, and the DFM solver and grid
+oracle load no other policy and no experiment: threshold plans are
+``prepaid_ems.model`` types."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -36,6 +41,16 @@ def test_dfm_does_not_load_milp():
     loaded = _loaded_after("import prepaid_ems.dfm")
     assert "prepaid_ems.dfm" in loaded
     assert not {m for m in loaded if m.split(".")[:2] == ["prepaid_ems", "milp"]}
+
+
+@pytest.mark.parametrize(
+    "module", ["prepaid_ems.sim", "prepaid_ems.dfm", "prepaid_ems.milp.grid_search"]
+)
+def test_simulator_and_threshold_solvers_load_no_policy(module):
+    loaded = _loaded_after(f"import {module}")
+    assert module in loaded
+    policies = {"prepaid_ems.afg", "prepaid_ems.obm", "prepaid_ems.experiment"}
+    assert not loaded & policies
 
 
 def test_milp_keeps_no_dfm_model_or_checker():

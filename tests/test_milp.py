@@ -12,7 +12,6 @@ from milp_reference import (
     check_feasibility,
     extract_thresholds,
 )
-from prepaid_ems.afg import ThresholdPlan
 from prepaid_ems.dfm import dfm_recharges
 from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
@@ -31,6 +30,7 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     TimeGrid,
     compute_budget,
     demand_indicator,

@@ -34,7 +34,7 @@ from prepaid_ems.model import (
     effective_budget,
 )
 from prepaid_ems import obm
-from prepaid_ems.obm import plan_view, solve_obm
+from prepaid_ems.obm import plan_view
 
 KINDS = ("flat", "tied", "quantised", "noisy")
 
@@ -102,7 +102,7 @@ def test_matches_branch_and_bound_on_seeded_corpus(kind):
     rng = np.random.default_rng(20240814 + KINDS.index(kind))
     for _ in range(150):
         demand, loads, tariff, budget = corpus_instance(rng, kind)
-        schedule, objective = solve_obm(demand, loads, tariff, budget)
+        schedule, objective = plan_view(demand, loads, tariff, [budget])[0]
         model = build_obm(demand, loads, tariff, budget)
         solution = solve_knapsack_bb(model)
         reference = extract_schedule(
@@ -126,9 +126,9 @@ def test_zero_budget_and_ample_budget():
     power[1, 3:9] = 200.0
     demand = DemandSeries(grid, power)
     loads = LoadSet.from_pairs([("a", 0.6), ("b", 0.4)])
-    schedule, objective = solve_obm(demand, loads, Tariff(0.001), Budget(0.0))
+    schedule, objective = plan_view(demand, loads, Tariff(0.001), [Budget(0.0)])[0]
     assert objective == 0.0 and not schedule.any()
-    schedule, objective = solve_obm(demand, loads, Tariff(0.001), Budget(100.0))
+    schedule, objective = plan_view(demand, loads, Tariff(0.001), [Budget(100.0)])[0]
     assert (schedule == (power > 0)).all()
     assert objective == pytest.approx(1.0, abs=1e-12)
 
@@ -136,13 +136,13 @@ def test_zero_budget_and_ample_budget():
 def test_no_demand_and_shape_mismatch():
     grid = TimeGrid(1.0, 24, 1)
     loads = LoadSet.from_pairs([("a", 1.0)])
-    schedule, objective = solve_obm(
-        DemandSeries(grid, np.zeros((1, 24))), loads, Tariff(0.001), Budget(5.0)
-    )
+    schedule, objective = plan_view(
+        DemandSeries(grid, np.zeros((1, 24))), loads, Tariff(0.001), [Budget(5.0)]
+    )[0]
     assert objective == 0.0 and schedule.shape == (1, 24) and not schedule.any()
     with pytest.raises(ValueError, match="load set"):
-        solve_obm(
-            DemandSeries(grid, np.ones((2, 24))), loads, Tariff(0.001), Budget(5.0)
+        plan_view(
+            DemandSeries(grid, np.ones((2, 24))), loads, Tariff(0.001), [Budget(5.0)]
         )
 
 
@@ -152,9 +152,9 @@ def test_equal_cost_ties_go_to_the_earlier_step():
     power[0, [2, 5, 7, 11]] = 1000.0
     power[0, 9] = 500.0
     demand = DemandSeries(grid, power)
-    schedule, _ = solve_obm(
-        demand, LoadSet.from_pairs([("a", 1.0)]), Tariff(0.001), Budget(2.6)
-    )
+    schedule, _ = plan_view(
+        demand, LoadSet.from_pairs([("a", 1.0)]), Tariff(0.001), [Budget(2.6)]
+    )[0]
     assert np.flatnonzero(schedule[0]).tolist() == [2, 5, 9]
 
 
@@ -165,9 +165,9 @@ def test_tied_count_vectors_keep_the_first_visited():
     power = np.zeros((3, 24))
     power[:, [4, 9]] = 1000.0
     loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.5), ("c", 0.5)])
-    schedule, objective = solve_obm(
-        DemandSeries(grid, power), loads, Tariff(0.001), Budget(3.5)
-    )
+    schedule, objective = plan_view(
+        DemandSeries(grid, power), loads, Tariff(0.001), [Budget(3.5)]
+    )[0]
     assert schedule.sum(axis=1).tolist() == [2, 1, 0]
     assert objective == 0.75
 
@@ -215,7 +215,7 @@ def test_paper_scale_noisy_household_within_one_item_of_the_bound():
     start = time.perf_counter()
     for fraction in (0.7, 0.8, 0.9):
         budget = compute_budget(demand, tariff, fraction)
-        schedule, objective = solve_obm(demand, loads, tariff, budget)
+        schedule, objective = plan_view(demand, loads, tariff, [budget])[0]
         bound = dantzig_bound(demand, loads, tariff, effective_budget(budget))
         assert bound - item_value <= objective <= bound + 1e-12
         assert float((step_costs(demand, tariff) * schedule).sum()) <= effective_budget(
@@ -261,7 +261,7 @@ def test_experiment_runs_obm_on_a_noisy_csv_household(tmp_path):
 
 def search_items(view, loads, tariff):
     """Each load's demanded step costs, cheapest first, and its value per
-    served step: what ``solve_obm`` hands the count search."""
+    served step: what ``plan_view`` hands the count search."""
     cost = step_costs(view, tariff)
     costs, values = [], []
     for k in range(view.num_loads):
@@ -353,7 +353,7 @@ def test_counts_and_objective_match_the_reference_search():
         capacity = effective_budget(budget)
         costs, values = search_items(view, loads, tariff)
         want = sim_reference.count_search(costs, values, capacity)
-        schedule, objective = solve_obm(view, loads, tariff, budget)
+        schedule, objective = plan_view(view, loads, tariff, [budget])[0]
         got = schedule.sum(axis=1).tolist()
         assert got == want
         served = itertools.chain.from_iterable(
@@ -384,7 +384,7 @@ def test_incumbent_is_cut_to_the_search_cap_chain():
     tariff, budget = Tariff(1.0), budget_spending(355.4 + 382.7)
     costs, values = search_items(demand, loads, tariff)
     assert greedy_counts(costs, values, effective_budget(budget)) == [1, 1, 0, 0]
-    schedule, objective = solve_obm(demand, loads, tariff, budget)
+    schedule, objective = plan_view(demand, loads, tariff, [budget])[0]
     assert schedule.sum(axis=1).tolist() == [1, 0, 0, 0] and objective == 0.5
 
 
@@ -394,7 +394,7 @@ def test_objective_adds_left_to_right():
     ``sum``, Python's ``sum`` since 3.12) give other bits."""
     demand, loads = noisy_household(seed=8, step_minutes=60, days=2)
     tariff = Tariff(0.00016)
-    schedule, objective = solve_obm(demand, loads, tariff, Budget(1e6))
+    schedule, objective = plan_view(demand, loads, tariff, [Budget(1e6)])[0]
     assert (schedule == (demand.power > 0)).all()
     served = [
         loads.gammas[k] / float(n)
@@ -415,7 +415,7 @@ def test_limited_view_without_a_long_tail():
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
-        solve_obm(view, loads, tariff, budget)
+        plan_view(view, loads, tariff, [budget])
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.1
 
@@ -444,10 +444,11 @@ def reference_plan(view, loads, tariff, budget):
 )
 def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls, frontier_cap):
     """One ``plan_view`` over all of a view's budgets gives each budget
-    the schedule and objective bits of its own ``solve_obm`` and the
-    counts of the plain search, with the staircase bound built as late
-    as the sweep builds it, from the first pair call on, and never (past
-    ``FRONTIER_CAP``, the search keeps the Dantzig bound)."""
+    the schedule and objective bits of a ``plan_view`` of that budget
+    alone and the counts of the plain search, with the staircase bound
+    built as late as the sweep builds it, from the first pair call on,
+    and never (past ``FRONTIER_CAP``, the search keeps the Dantzig
+    bound)."""
     monkeypatch.setattr(obm, "PAIR_CALLS_BEFORE_FRONTIER", pair_calls)
     monkeypatch.setattr(obm, "FRONTIER_CAP", frontier_cap)
     staircases = []
@@ -464,7 +465,7 @@ def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls, frontier
         view, loads, tariff, _ = group[0]
         plans = plan_view(view, loads, tariff, [budget for *_, budget in group])
         for (_, _, _, budget), (schedule, objective) in zip(group, plans):
-            alone, alone_objective = solve_obm(view, loads, tariff, budget)
+            alone, alone_objective = plan_view(view, loads, tariff, [budget])[0]
             assert (schedule == alone).all()
             assert objective.hex() == alone_objective.hex()
             want = reference_plan(view, loads, tariff, budget)
@@ -486,7 +487,7 @@ def test_shuffled_view_reuses_its_source_counts():
     for view in views:
         plans = plan_view(view, loads, tariff, budgets, known)
         for budget, (schedule, objective) in zip(budgets, plans):
-            alone, alone_objective = solve_obm(view, loads, tariff, budget)
+            alone, alone_objective = plan_view(view, loads, tariff, [budget])[0]
             assert (schedule == alone).all()
             assert objective.hex() == alone_objective.hex()
     assert len(known) == 1
@@ -503,7 +504,7 @@ def test_limited_view_plateau():
     elapsed = []
     for _ in range(3):
         start = time.perf_counter()
-        schedule, objective = solve_obm(view, loads, tariff, budget)
+        schedule, objective = plan_view(view, loads, tariff, [budget])[0]
         elapsed.append(time.perf_counter() - start)
     assert schedule.sum(axis=1).tolist() == [2802, 768, 2396, 1156]
     assert objective.hex() == "0x1.b86d61f8f0677p-1"
@@ -566,6 +567,6 @@ def test_equal_ratios_keep_the_first_maximum(loads):
         budget = budget_spending(float(capacity))
         if budget is None:
             continue
-        schedule, objective = solve_obm(demand, load_set, tariff, budget)
+        schedule, objective = plan_view(demand, load_set, tariff, [budget])[0]
         want = reference_plan(demand, load_set, tariff, budget)
         assert (schedule.sum(axis=1).tolist(), objective.hex()) == want

@@ -12,6 +12,7 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     TimeGrid,
     compute_budget,
     daily_average,
@@ -58,7 +59,7 @@ class TestSimulateThresholds:
         truth = constant_series(grid, [100.0, 50.0])
         total_cost = tariff.alpha * grid.step_hours * truth.power.sum()
         budget = Budget(2 * total_cost)
-        tplan = afg.ThresholdPlan(np.zeros((2, 2)), np.full(2, total_cost))
+        tplan = ThresholdPlan(np.zeros((2, 2)), np.full(2, total_cost))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         assert np.array_equal(result.actuation, demand_indicator(truth))
         assert result.disconnection_days == 0
@@ -67,14 +68,14 @@ class TestSimulateThresholds:
         grid = TimeGrid(1.0, 24, 1)
         truth = constant_series(grid, [100.0, 50.0])
         budget = Budget(100.0)
-        tplan = afg.ThresholdPlan(np.array([[0.0], [5.0 + 1e-4]]), np.array([5.0]))
+        tplan = ThresholdPlan(np.array([[0.0], [5.0 + 1e-4]]), np.array([5.0]))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         assert result.actuation[1].sum() == 0
         assert result.actuation[0].sum() == 24
 
     def test_plan_shape_mismatch(self, two_loads, tariff):
         truth = constant_series(TimeGrid(1.0, 24, 2), [100.0, 50.0])
-        tplan = afg.ThresholdPlan(np.zeros((2, 1)), np.array([1.0]))
+        tplan = ThresholdPlan(np.zeros((2, 1)), np.array([1.0]))
         with pytest.raises(ShapeMismatch):
             simulate_thresholds(tplan, truth, two_loads, tariff, Budget(1.0))
 
@@ -94,7 +95,7 @@ class TestSimulateThresholds:
     def test_virtual_trace_recharges_at_day_start(self, two_loads, tariff):
         grid = TimeGrid(1.0, 24, 2)
         truth = constant_series(grid, [0.0, 0.0])
-        tplan = afg.ThresholdPlan(np.full((2, 2), 99.0), np.array([1.5, 2.5]))
+        tplan = ThresholdPlan(np.full((2, 2), 99.0), np.array([1.5, 2.5]))
         result = simulate_thresholds(tplan, truth, two_loads, tariff, Budget(4.0))
         assert result.virtual_balance_trace[0] == pytest.approx(1.5)
         assert result.virtual_balance_trace[24] == pytest.approx(4.0)
@@ -162,7 +163,7 @@ class TestSimulateBaseline:
         # -0.0 W is never served, but it enters each step's cost as -0.0;
         # a run that paid nothing still spends 0.0, as the step loop does.
         truth = constant_series(TimeGrid(6.0, 4, 2), [-0.0, -0.0])
-        plan = afg.ThresholdPlan(np.zeros((2, 2)), np.ones(2))
+        plan = ThresholdPlan(np.zeros((2, 2)), np.ones(2))
         for result, reference in (
             (
                 simulate_baseline(truth, two_loads, tariff, Budget(1.0)),
@@ -213,7 +214,7 @@ def runs_cut_at(num_days, balances):
     tariff = Tariff(0.001)
     budgets = [Budget(b) for b in balances]
     schedule = np.ones_like(truth.power, dtype=np.int8)
-    plan = afg.ThresholdPlan(np.zeros((1, num_days)), np.full(num_days, 24.0))
+    plan = ThresholdPlan(np.zeros((1, num_days)), np.full(num_days, 24.0))
     return [
         simulate_schedules([schedule] * len(budgets), truth, loads, tariff, budgets),
         simulate_threshold_plans([plan] * len(budgets), truth, loads, tariff, budgets),
@@ -275,7 +276,7 @@ def test_trace_csv(tmp_path, two_loads, tariff):
     lines = trace_path.read_text().splitlines()
     assert lines[0] == "t,real_balance,virtual_balance,a_heater,a_pump"
     assert len(lines) == 25
-    tplan = afg.ThresholdPlan(np.array([[0.0], [0.2]]), np.array([0.9]))
+    tplan = ThresholdPlan(np.array([[0.0], [0.2]]), np.array([0.9]))
     for run in (result, simulate_thresholds(tplan, truth, two_loads, tariff, budget)):
         write_trace_csv(run, two_loads, trace_path)
         with open(trace_path, newline="") as fh:
@@ -325,11 +326,11 @@ def random_threshold_plans(rng, truth, loads, tariff, budget):
     shape = (truth.num_loads, grid.num_days)
     recharge = budget.initial_balance / grid.num_days
     levels = np.array([0.0, recharge / 2, recharge, recharge + 1e-6])
-    grid_style = afg.ThresholdPlan(
+    grid_style = ThresholdPlan(
         levels[rng.integers(0, 4, shape)], np.full(grid.num_days, recharge)
     )
     recharges = rng.uniform(0, 2 * recharge + 1e-3, grid.num_days)
-    random_plan = afg.ThresholdPlan(
+    random_plan = ThresholdPlan(
         rng.uniform(0, 1.5 * recharges.max(), shape), recharges
     )
     return [greedy, grid_style, random_plan]
@@ -403,7 +404,7 @@ def day_zero_plans(truth, tariff, budget):
         recharges = np.zeros(truth.grid.num_days)
         recharges[0] = budget.initial_balance + extra
         thresholds = np.zeros((truth.num_loads, len(recharges)))
-        plans.append(afg.ThresholdPlan(thresholds, recharges))
+        plans.append(ThresholdPlan(thresholds, recharges))
     return plans
 
 
