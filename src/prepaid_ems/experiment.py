@@ -16,7 +16,7 @@ for the threshold plans (AFG, DFM), one for every fraction's
 unrationed baseline and the schedules (OBM). Service metrics plus the
 improvement over the baseline are recorded per cell. The trace files
 of one budget fraction are formatted together, as bytes built in numpy
-with each distinct balance formatted once (see
+with each distinct trace and each distinct balance formatted once (see
 ``sim.write_trace_csvs``). Everything is deterministic for a fixed
 config, including output bytes.
 
@@ -24,14 +24,20 @@ config, including output bytes.
 calling thread only formats bytes: the small CSVs first, so that their
 files are created while it formats the traces, then each fraction's
 trace bodies. One ``files.BundleWriter`` thread does all the file-system
-work: the ``traces/`` mkdir and every open, write and close, in the
-order the files are handed to it. While no file waits for it, it
-creates the trace files that are still to come, empty, so that writing
-one later costs little. The files wait in a queue of at most
-``files.QUEUED_FILES``, so only a few trace bodies are held at once.
-``emit_outputs`` joins the thread before it returns, on success and on
-error; the writer's first error is raised from it, with the path that
-failed.
+work: the ``traces/`` mkdir and every open, write, link and close, in
+the order the files are handed to it. Trace files with the same bytes
+(``sim.trace_groups``) are one inode with several names: the sweep
+repeats traces by construction (BSL never reads the forecast, AFG only
+its daily averages), and a hard link costs the kernel a small fraction
+of a new file. A bundle file that already exists with another name, from
+an earlier emit or a ``cp -al`` snapshot, is replaced, not written
+through; where links fail, each file is written in full. While no file
+waits for it, the writer creates the trace files still to come that are
+written rather than linked, empty, so that writing one later costs
+little. The files wait in a queue of at most ``files.QUEUED_FILES``, so
+only a few trace bodies are held at once. ``emit_outputs`` joins the
+thread before it returns, on success and on error; the writer's first
+error is raised from it, with the path that failed.
 
 OBM fixes a set of served steps. On a perfect detailed view that is the
 optimal schedule, but on a shuffled view the meter serves a scheduled
@@ -263,16 +269,25 @@ def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
 
     This thread formats the files' bytes and one ``files.BundleWriter``
     thread writes them (see the module docstring); every file is
-    complete when the call returns. A result shared by several cells
-    (the baseline of one budget fraction, across regimes) is formatted
-    once, and its trace bytes are written to each of their files.
+    complete when the call returns. Cells with the same trace bytes (the
+    baseline of one budget fraction across regimes, and any plans that
+    serve alike) share one formatted trace, and their files are one
+    inode with several names. An existing file with another name is
+    replaced, not written through, and where links fail each file is
+    written in full.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_dir = out / "traces"
     traces = _trace_groups(results, trace_dir)
     trace_paths = [path for _, paths in traces for path in paths]
-    with BundleWriter(trace_dir, ahead=trace_paths) as writer:
+    # Only the files that are written, not linked, are created ahead.
+    ahead = [
+        path
+        for group, paths in traces
+        for _, path, _ in sim.trace_groups(group, paths)
+    ]
+    with BundleWriter(trace_dir, ahead=ahead) as writer:
         write = writer.write
         written = [
             _write_run_info(write, results, out / "run_info.csv"),

@@ -1,9 +1,17 @@
 """Writing the results bundle's files.
 
 :func:`write_file` is the one function that fills a file of the bundle,
-whichever thread calls it. :class:`BundleWriter` runs it on one
-background thread, so that the kernel's work on the files overlaps the
-formatting of their bytes on the calling thread.
+whichever thread calls it, and :func:`link_file` gives a file a second
+name. :class:`BundleWriter` runs them on one background thread, so that
+the kernel's work on the files overlaps the formatting of their bytes on
+the calling thread.
+
+Files with the same bytes are one inode with several names, because a
+new file costs the kernel far more than a hard link. A file of the bundle
+that already exists and has another name too (a copy made by an earlier
+emit, or a snapshot taken with ``cp -al``) is replaced, not written
+through, so the other names keep their bytes. Where the file system
+refuses a link, the file is written in full instead.
 """
 
 import collections
@@ -31,9 +39,16 @@ def encode_text(text: str) -> bytes:
     return buffer.getvalue()
 
 
-def write_file(path, chunks) -> None:
+def write_file(path, chunks, twins=()) -> None:
     """Create or truncate ``path`` and write the bytes-like ``chunks`` to
-    it in order, as ``open(path, "wb")`` would."""
+    it in order, as ``open(path, "wb")`` would; then give each of
+    ``twins`` the same bytes with :func:`link_file`.
+
+    An existing ``path`` with more than one name is unlinked first, so
+    that the file's other names keep their bytes."""
+    with contextlib.suppress(FileNotFoundError):
+        if os.lstat(path).st_nlink > 1:
+            os.unlink(path)
     fd = os.open(path, _CREATE | os.O_TRUNC, 0o666)
     try:
         for chunk in chunks:
@@ -42,17 +57,36 @@ def write_file(path, chunks) -> None:
                 view = view[os.write(fd, view) :]
     finally:
         os.close(fd)
+    for twin in twins:
+        link_file(twin, path, chunks)
+
+
+def link_file(path, source, chunks) -> None:
+    """Make ``path`` another name of the file ``source``, which holds the
+    bytes-like ``chunks``. What ``path`` named before is unlinked. Where
+    the file system refuses the link (no hard links, or too many), the
+    chunks are written to ``path`` with :func:`write_file` instead."""
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    try:
+        os.link(source, path)
+    except OSError:
+        write_file(path, chunks)
 
 
 class BundleWriter:
     """One thread that makes a directory and then writes files, in the
-    order they are handed to :meth:`write`.
+    order they are handed to :meth:`write`. A file's twins are linked to
+    it right after it is written, or where links fail, written in full;
+    a file or twin that already exists with another name is replaced,
+    not written through (see the module docstring).
 
     Creating a file costs the kernel far more than filling it, so while
     no file waits, the thread creates the next of the ``ahead`` files
     empty (a file that already exists keeps its bytes); writing it later
     only fills it. Pass the files that the calling thread will write
-    last, in the order it will write them.
+    last, in the order it will write them, and not their twins: a link
+    costs less than creating a file ahead.
 
     Used as a context manager: entering starts the thread, leaving stops
     and joins it, so no thread outlives the ``with`` block. The first
@@ -86,13 +120,13 @@ class BundleWriter:
         if exc is None and self._error is not None:
             raise self._error
 
-    def write(self, path, chunks) -> None:
-        """Have the thread write ``chunks`` to ``path`` with
-        :func:`write_file`; waits while the queue is full. The chunks
-        must not change afterwards."""
+    def write(self, path, chunks, twins=()) -> None:
+        """Have the thread write ``chunks`` to ``path`` and then to each
+        of ``twins``, as :func:`write_file` does; waits while the queue is
+        full. The chunks must not change afterwards."""
         if self._error is not None:
             raise self._error
-        self._jobs.put((path, chunks))
+        self._jobs.put((path, chunks, twins))
 
     def _run(self, directory) -> None:
         self._do(os.makedirs, directory, exist_ok=True)
@@ -104,10 +138,14 @@ class BundleWriter:
                 continue
             if job is None:
                 return
-            self._do(write_file, *job)
+            path, chunks, twins = job
+            self._do(write_file, path, chunks)
             if self._error is None:
-                self._unfilled.discard(job[0])
-            del job  # the bytes go now, not when the next file comes
+                self._unfilled.discard(path)
+            # One twin at a time, so that an error names the twin.
+            for twin in twins:
+                self._do(link_file, twin, path, chunks)
+            del job, chunks  # the bytes go now, not when the next file comes
 
     def _create(self, path) -> None:
         try:

@@ -55,11 +55,14 @@ pass of one plan, the same bit for bit as that plan's entry in any
 stack; they exist for the benchmark's hooks and the tests.
 
 Trace files (:func:`write_trace_csvs`) are built as bytes in numpy, one
-array per file, with no Python string per row or balance. The balances'
-texts come from ``floatrepr.repr_bytes``, the same bytes as ``repr``:
-computed in numpy for magnitudes in [1e-4, 1e16), and by ``repr`` itself
-only for 0.0, -0.0, non-finite values and the magnitudes it prints with
-an exponent.
+array per distinct trace, with no Python string per row or balance.
+Results with the same trace bytes are one group (:func:`trace_groups`):
+their files are one inode with several names, or where links fail, each
+file written in full; an existing file with another name is replaced,
+not written through. The balances' texts come from
+``floatrepr.repr_bytes``, the same bytes as ``repr``: computed in numpy
+for magnitudes in [1e-4, 1e16), and by ``repr`` itself only for 0.0,
+-0.0, non-finite values and the magnitudes it prints with an exponent.
 """
 
 import csv
@@ -371,6 +374,48 @@ def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return texts[:, shown[0] : shown[-1] + 1].copy(), code
 
 
+def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    """Whether two balance traces, or ``None``s, hold the same bits, so
+    that ``0.0`` and ``-0.0`` differ; compares views, copying nothing."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def trace_groups(results: list[SimResult], paths: list) -> list[tuple]:
+    """``(result, path, twins)`` per distinct trace, in the order of first
+    appearance. Results whose trace files hold the same bytes, i.e. with
+    equal actuation and the same bits in each balance trace, are one
+    group: its file is written to the last of their paths, ``path``, and
+    linked to the others, ``twins``."""
+    groups = []
+    # Results of one sweep with equal traces share these scalars, so only
+    # the groups with a result's scalars can hold it.
+    buckets = {}
+    for result, path in zip(results, paths, strict=True):
+        key = (
+            result.psf,
+            result.total_spend,
+            result.final_real_balance,
+            result.first_disconnect_step,
+        )
+        bucket = buckets.setdefault(key, [])
+        for first, group_paths in bucket:
+            if first is result or (
+                np.array_equal(first.actuation, result.actuation)
+                and _same_bits(first.real_balance_trace, result.real_balance_trace)
+                and _same_bits(
+                    first.virtual_balance_trace, result.virtual_balance_trace
+                )
+            ):
+                group_paths.append(path)
+                break
+        else:
+            bucket.append((result, [path]))
+            groups.append(bucket[-1])
+    return [(result, paths[-1], paths[:-1]) for result, paths in groups]
+
+
 def write_trace_csvs(
     results: list[SimResult], loads: LoadSet, paths: list, write=write_file
 ) -> None:
@@ -378,33 +423,36 @@ def write_trace_csvs(
     as :func:`write_trace_csv` writes it, formatting the results
     together.
 
-    The results share one horizon. A result listed more than once is
-    formatted once and its bytes written to each of its paths. The
-    balances of all results are formatted together by
-    :func:`_balance_bytes`, once per distinct bit pattern: the plans of
-    one budget fraction keep passing through the same balances. The
-    texts live until the call returns, so a call should hold one such
-    group, not a whole sweep.
+    The results share one horizon. Results with the same trace bytes
+    (:func:`trace_groups`) are formatted once: their bytes go to one
+    file, and the group's other paths are made hard links to it, so
+    identical traces are one inode with several names. A path that
+    already exists with another name is replaced, not written through;
+    where links fail, each path is written in full (see
+    ``files.write_file``). The balances of all groups are formatted
+    together by :func:`_balance_bytes`, once per distinct bit pattern:
+    the plans of one budget fraction keep passing through the same
+    balances. The texts live until the call returns, so a call should
+    hold one such group, not a whole sweep.
 
     Each file's body is built as one byte array: a row per step of
     fixed-width, NUL-padded fields, with the actuation digits taken
     straight from the 0/1 actuation; the NULs are dropped once. The
-    calling thread does all of this formatting, and hands each file's
-    header and body bytes to ``write(path, chunks)``. By default that is
-    ``files.write_file``, which writes the file on the calling thread
-    before the next one is formatted. ``emit_outputs`` passes
-    ``files.BundleWriter.write`` instead: it queues the file for the
-    writer's one thread and returns once the bounded queue has room, so
-    that the files are written while the next are formatted, and they
-    are complete once ``emit_outputs`` has joined that thread.
+    calling thread does all of this formatting, and hands each group's
+    header and body bytes to ``write(path, chunks, twins)``, with the
+    group's other paths as ``twins``. By default that is
+    ``files.write_file``, which writes and links the files on the
+    calling thread before the next group is formatted. ``emit_outputs``
+    passes ``files.BundleWriter.write`` instead: it queues the group for
+    the writer's one thread and returns once the bounded queue has room,
+    so that the files are written while the next are formatted, and
+    they are complete once ``emit_outputs`` has joined that thread.
     """
-    groups = {}  # id(result) -> (result, its paths)
-    for result, path in zip(results, paths, strict=True):
-        groups.setdefault(id(result), (result, []))[1].append(path)
+    groups = trace_groups(results, paths)
     if not groups:
         return
     traces = []
-    for result, _ in groups.values():
+    for result, _, _ in groups:
         traces.append(result.real_balance_trace)
         if result.virtual_balance_trace is not None:
             traces.append(result.virtual_balance_trace)
@@ -430,7 +478,7 @@ def write_trace_csvs(
     frame[:, acts - 1 : -2 : 2] = ord(",")
     frame[:, -2:] = [ord("\r"), ord("\n")]
     rows = iter(code)
-    for result, result_paths in groups.values():
+    for result, path, twins in groups:
         # Each result's fields overwrite the last one's in the frame.
         frame[:, real : virtual - 1] = texts.take(next(rows), axis=0)
         if result.virtual_balance_trace is not None:
@@ -439,8 +487,7 @@ def write_trace_csvs(
             frame[:, virtual : acts - 1] = 0
         frame[:, acts:-2:2] = result.actuation.T + ord("0")
         body = frame[frame != 0]
-        for path in result_paths:
-            write(path, (head, body))
+        write(path, (head, body), twins)
 
 
 def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:

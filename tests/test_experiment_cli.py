@@ -473,23 +473,42 @@ class TestEmitOutputs:
             assert expected.read_bytes() in (config.output_dir / name).read_bytes()
 
     def test_each_file_written_once(self, tmp_path, monkeypatch):
-        """One emit writes each file of the bundle through one truncating
-        open and opens no other file. The writer may also have created a
-        trace file ahead, empty, through one non-truncating open."""
+        """One emit writes each small CSV and each distinct trace through
+        one truncating open, and makes every other trace file with the
+        same bytes through one hard link to it; it opens or links no
+        other path. The writer may also have created a written trace
+        ahead, empty, through one non-truncating open. Each distinct
+        trace is one inode."""
         config = from_dict(base_config(step_minutes=15, horizon_days=30), tmp_path)
         results = run_experiment(config)
         opened = collections.Counter()  # (path, truncating) -> opens
-        real_open = os.open
+        linked = collections.Counter()  # path -> links made to it
+        real_open, real_link = os.open, os.link
 
         def counting_open(path, flags, *args, **kwargs):
             opened[os.fspath(path), bool(flags & os.O_TRUNC)] += 1
             return real_open(path, flags, *args, **kwargs)
 
+        def counting_link(src, dst, *args, **kwargs):
+            linked[os.fspath(dst)] += 1
+            return real_link(src, dst, *args, **kwargs)
+
         monkeypatch.setattr(os, "open", counting_open)
-        written = {str(p) for p in emit_outputs(results, tmp_path / "bundle")}
-        assert {path for path, _ in opened} == written
+        monkeypatch.setattr(os, "link", counting_link)
+        paths = emit_outputs(results, tmp_path / "bundle")
+        by_bytes = collections.defaultdict(list)
+        for path in paths:
+            by_bytes[path.read_bytes()].append(str(path))
+        assert len(by_bytes) < len(paths)
+        written = {path for path, _ in opened}
+        assert written | set(linked) == {str(p) for p in paths}
         assert all(opened[path, True] == 1 for path in written)
         assert all(opened[path, False] <= 1 for path in written)
+        assert all(count == 1 for count in linked.values())
+        assert not written & set(linked)
+        for same in by_bytes.values():
+            assert len(written.intersection(same)) == 1
+            assert len({os.stat(path).st_ino for path in same}) == 1
 
     def test_rerun_byte_identical(self, tmp_path):
         """A rerun into the same directory writes the same bytes, also
@@ -509,6 +528,43 @@ class TestEmitOutputs:
             path.write_bytes(b"junk," * (len(first[path.name]) // 5 + 100))
         assert emit() == first
 
+    def test_rerun_keeps_bytes_of_other_links(self, tmp_path):
+        """A rerun of another config into a bundle whose files also have
+        names in a snapshot (as ``cp -al`` makes) replaces the bundle's
+        files and leaves the snapshot's bytes alone."""
+        out, snap = tmp_path / "out", tmp_path / "snap"
+        emit_outputs(run_experiment(from_dict(base_config(), tmp_path)), out)
+        first = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+        for name in first:
+            (snap / name).parent.mkdir(parents=True, exist_ok=True)
+            os.link(out / name, snap / name)
+        changed = run_experiment(from_dict(base_config(alpha_per_wh=0.0002), tmp_path))
+        emit_outputs(changed, out)
+        emit_outputs(changed, tmp_path / "fresh")
+        assert {p.relative_to(snap): p.read_bytes() for p in snap.rglob("*.csv")} == first
+        assert {
+            p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")
+        } == {
+            p.relative_to(tmp_path / "fresh"): p.read_bytes()
+            for p in (tmp_path / "fresh").rglob("*.csv")
+        }
+
+    def test_failed_links_write_each_file(self, tmp_path, monkeypatch):
+        """Where the file system refuses hard links, every file is written
+        in full: the same bundle, one inode per file, no empty file."""
+        config = from_dict(base_config(policies=["BSL", "AFG", "DFM", "OBM"]), tmp_path)
+        results = run_experiment(config)
+        linked = emit_outputs(results, tmp_path / "linked")
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "link", refuse)
+        copied = emit_outputs(results, tmp_path / "copied")
+        assert any(p.stat().st_nlink > 1 for p in linked)
+        assert [p.read_bytes() for p in copied] == [p.read_bytes() for p in linked]
+        assert all(p.stat().st_nlink == 1 for p in copied)
+        assert all(p.stat().st_size for p in copied)
 
     @pytest.mark.parametrize(
         "overrides, digest",
@@ -674,6 +730,34 @@ class TestCli:
         ]
         assert (out / "summary.csv").exists()
         assert bundles[0] == bundles[1] != bundles[2]
+
+    def test_rerun_with_another_seed_over_linked_bundle(self, tmp_path):
+        """A 2-day CSV bundle of ``--seed 1``, whose equal traces are
+        hard links to one file, rerun with ``--seed 2`` into the same
+        directory: every file is that of a fresh ``--seed 2`` run, also
+        where the two seeds group the traces differently."""
+        write_noisy_csv(tmp_path / "house.csv", days=2)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                base_config(
+                    data={"csv": "house.csv"},
+                    regimes=ALL_REGIMES,
+                    policies=["BSL", "AFG", "DFM", "OBM"],
+                )
+            )
+        )
+
+        def run(out, seed):
+            argv = ["run", "--config", str(config_path), "--out", str(out)]
+            assert cli.main([*argv, "--seed", seed]) == 0
+            return {p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")}
+
+        seed_1 = run(tmp_path / "out", "1")
+        assert any(p.stat().st_nlink > 1 for p in (tmp_path / "out").rglob("*.csv"))
+        fresh = run(tmp_path / "fresh", "2")
+        assert fresh != seed_1
+        assert run(tmp_path / "out", "2") == fresh
 
     def test_relative_output_paths(self, tmp_path, monkeypatch):
         """A relative ``--out`` lands under the working directory, a

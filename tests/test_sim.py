@@ -1,11 +1,12 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 import sim_reference
 from conftest import assert_sim_invariants, constant_series
-from prepaid_ems import afg, sim
+from prepaid_ems import afg, files, sim
 from prepaid_ems.milp.grid_search import CHUNK, solve_dfm_grid
 from prepaid_ems.model import (
     Budget,
@@ -618,8 +619,9 @@ def test_trace_writer_matches_oracle(tmp_path):
 def test_trace_group_matches_oracle(tmp_path):
     """Results formatted together share balance texts at the same step
     and across steps; every file is still the row-by-row writer's, with
-    0.0 and -0.0 at one step each keeping their own text, and a result
-    listed twice is written to both of its paths."""
+    0.0 and -0.0 at one step each keeping their own text. A result
+    listed twice, and a bit-equal copy of it, are one file with several
+    names; a copy with a -0.0 for a 0.0 is a file of its own."""
     rng = np.random.default_rng(77)
     total = 300
     base = np.repeat(rng.normal(0.0, 10.0, total), rng.integers(1, 9, total))[:total]
@@ -632,6 +634,8 @@ def test_trace_group_matches_oracle(tmp_path):
     flipped[40:60:3] = -0.0
     on = (rng.random((3, total)) < 0.5).astype(np.int8)
     shared = _traced(on, signed, None)
+    one_sign = signed.copy()
+    one_sign[41] = -0.0
     results = [
         _traced(on, base, same_step),
         shared,
@@ -639,6 +643,8 @@ def test_trace_group_matches_oracle(tmp_path):
         _traced(on[::-1].copy(), flipped, signed),
         _traced(on, same_step, flipped),
         shared,
+        _traced(on.copy(), signed.copy(), None),
+        _traced(on, one_sign, None),
     ]
     loads = LoadSet.from_pairs([("a", 0.5), ("b,c", 0.3), ("Küche", 0.2)])
     paths = [tmp_path / f"trace{i}.csv" for i in range(len(results))]
@@ -649,12 +655,16 @@ def test_trace_group_matches_oracle(tmp_path):
         with open(expected, "w", newline="") as fh:
             fh.write(sim_reference.trace_csv_text(result, loads))
         assert path.read_bytes() == expected.read_bytes()
+    assert os.path.samefile(paths[1], paths[5])
+    assert os.path.samefile(paths[1], paths[6])
+    assert not os.path.samefile(paths[1], paths[7])
 
 
 def test_group_formats_each_bit_pattern_once(tmp_path, monkeypatch):
     """The balances of a group go to the formatter once per distinct bit
     pattern, whatever step and trace they occur at; 0.0 and -0.0 at the
-    same step keep their own text."""
+    same step keep their own text. Results with equal traces are built
+    into bytes once and handed over as one file with a twin."""
     formatted = []
     format_all = sim.repr_bytes
 
@@ -667,13 +677,24 @@ def test_group_formats_each_bit_pattern_once(tmp_path, monkeypatch):
     signed = runs.copy()
     signed[-1] = -0.0
     on = np.ones((2, len(runs)), dtype=np.int8)
-    results = [_traced(on, runs, runs[::-1].copy()), _traced(on, signed, runs)]
+    results = [
+        _traced(on, runs, runs[::-1].copy()),
+        _traced(on, signed, runs),
+        _traced(on.copy(), runs.copy(), runs[::-1].copy()),
+    ]
     loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.5)])
-    paths = [tmp_path / "zero.csv", tmp_path / "signed.csv"]
-    write_trace_csvs(results, loads, paths)
+    paths = [tmp_path / "zero.csv", tmp_path / "signed.csv", tmp_path / "copy.csv"]
+    handed = []
+
+    def write(path, chunks, twins):
+        handed.append((path, list(twins)))
+        files.write_file(path, chunks, twins)
+
+    write_trace_csvs(results, loads, paths, write)
     (values,) = formatted
     patterns = values.view(np.int64).tolist()
     assert len(set(patterns)) == len(patterns)
     assert set(patterns) == set(np.concatenate([runs, signed]).view(np.int64).tolist())
+    assert handed == [(paths[2], [paths[0]]), (paths[1], [])]
     last = [path.read_text().splitlines()[-1].split(",")[1] for path in paths]
-    assert last == ["0.0", "-0.0"]
+    assert last == ["0.0", "-0.0", "0.0"]
