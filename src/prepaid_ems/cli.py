@@ -10,12 +10,10 @@ A relative ``run --out`` is resolved against the working directory; a
 relative ``output_dir`` in the config, like its ``data.csv``, against
 the config file's directory.
 
-In the bundle that ``run --out`` writes, trace files with the same bytes
-are one inode with several names (hard links). A run into an existing
-bundle replaces a file that has another name too, e.g. in a snapshot
-made with ``cp -al``, rather than writing through it, so the snapshot
-keeps its bytes. Where the file system refuses hard links, each file is
-written in full.
+The bundle that ``run --out`` writes follows the file rule of
+``prepaid_ems.files``: trace files with the same bytes are hard links,
+and a run into an existing bundle leaves a ``cp -al`` snapshot of it
+its bytes.
 """
 
 import argparse

@@ -25,19 +25,18 @@ calling thread only formats bytes: the small CSVs first, so that their
 files are created while it formats the traces, then each fraction's
 trace bodies. One ``files.BundleWriter`` thread does all the file-system
 work: the ``traces/`` mkdir and every open, write, link and close, in
-the order the files are handed to it. Trace files with the same bytes
-(``sim.trace_groups``) are one inode with several names: the sweep
+the order the files are handed to it. Each fraction's trace files are
+grouped by their bytes once (``sim.trace_groups``), since the sweep
 repeats traces by construction (BSL never reads the forecast, AFG only
-its daily averages), and a hard link costs the kernel a small fraction
-of a new file. A bundle file that already exists with another name, from
-an earlier emit or a ``cp -al`` snapshot, is replaced, not written
-through; where links fail, each file is written in full. While no file
-waits for it, the writer creates the trace files still to come that are
-written rather than linked, empty, so that writing one later costs
-little. The files wait in a queue of at most ``files.QUEUED_FILES``, so
-only a few trace bodies are held at once. ``emit_outputs`` joins the
-thread before it returns, on success and on error; the writer's first
-error is raised from it, with the path that failed.
+its daily averages); ``files`` says how a group's paths become files.
+The same groups name the files the writer creates ahead and feed the
+formatter: while no file waits for it, the writer creates the trace
+files still to come that are written rather than linked, empty, so that
+writing one later costs little. The files wait in a queue of at most
+``files.QUEUED_FILES``, so only a few trace bodies are held at once.
+``emit_outputs`` joins the thread before it returns, on success and on
+error; the writer's first error is raised from it, with the path that
+failed.
 
 OBM fixes a set of served steps. On a perfect detailed view that is the
 optimal schedule, but on a shuffled view the meter serves a scheduled
@@ -269,24 +268,17 @@ def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
 
     This thread formats the files' bytes and one ``files.BundleWriter``
     thread writes them (see the module docstring); every file is
-    complete when the call returns. Cells with the same trace bytes (the
-    baseline of one budget fraction across regimes, and any plans that
-    serve alike) share one formatted trace, and their files are one
-    inode with several names. An existing file with another name is
-    replaced, not written through, and where links fail each file is
-    written in full.
+    complete when the call returns. Cells of one budget fraction with
+    the same trace bytes (the fraction's baseline across regimes, and
+    any plans that serve alike) share one formatted trace; ``files``
+    says how their paths become files.
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     trace_dir = out / "traces"
-    traces = _trace_groups(results, trace_dir)
-    trace_paths = [path for _, paths in traces for path in paths]
+    trace_paths, traces = _trace_groups(results, trace_dir)
     # Only the files that are written, not linked, are created ahead.
-    ahead = [
-        path
-        for group, paths in traces
-        for _, path, _ in sim.trace_groups(group, paths)
-    ]
+    ahead = [path for groups in traces for _, path, _ in groups]
     with BundleWriter(trace_dir, ahead=ahead) as writer:
         write = writer.write
         written = [
@@ -308,8 +300,8 @@ def emit_outputs(results: ExperimentResults, output_dir) -> list[Path]:
                 path = _write_table(write, cells, out / name, entry, bsl_columns)
                 written.append(path)
         written.extend(_write_plotdata(write, results, out))
-        for group, paths in traces:
-            sim.write_trace_csvs(group, results.loads, paths, write)
+        for groups in traces:
+            sim.write_trace_csvs(groups, results.loads, write)
     return written + trace_paths
 
 
@@ -440,15 +432,16 @@ def _write_plotdata(write, results: ExperimentResults, out: Path) -> list[Path]:
     return paths
 
 
-def _trace_groups(results: ExperimentResults, trace_dir: Path) -> list[tuple]:
-    """``(results, paths)`` per budget fraction: one trace file per solved
-    cell, and the files of one fraction are formatted together (see
-    ``sim.write_trace_csvs``)."""
-    groups = []
+def _trace_groups(results: ExperimentResults, trace_dir: Path) -> tuple[list, list]:
+    """The trace paths, one per solved cell in cell order, and each
+    budget fraction's ``sim.trace_groups`` of its cells; the files of
+    one fraction are formatted together (see ``sim.write_trace_csvs``)."""
+    paths, groups = [], []
     solved = [c for c in sorted(results.cells, key=_cell_key) if c.result is not None]
     for fraction, group in itertools.groupby(solved, key=lambda c: c.fraction):
         cells = list(group)
         tag = fraction_tag(fraction)
-        paths = [trace_dir / f"{c.regime.label}_{tag}_{c.policy}.csv" for c in cells]
-        groups.append(([c.result for c in cells], paths))
-    return groups
+        names = [trace_dir / f"{c.regime.label}_{tag}_{c.policy}.csv" for c in cells]
+        paths += names
+        groups.append(sim.trace_groups([c.result for c in cells], names))
+    return paths, groups

@@ -1,17 +1,18 @@
 """Writing the results bundle's files.
 
+The bundle's file rule: each distinct trace is written once, and the
+other trace files with the same bytes, its twins, are hard links to it,
+because a new file costs the kernel far more than a hard link. A file
+of the bundle that already exists and has other names too (a copy made
+by an earlier emit, or a snapshot taken with ``cp -al``) is replaced,
+not written through, so the other names keep their bytes. Where the
+file system refuses a link, each file is written in full instead.
+
 :func:`write_file` is the one function that fills a file of the bundle,
 whichever thread calls it, and :func:`link_file` gives a file a second
 name. :class:`BundleWriter` runs them on one background thread, so that
 the kernel's work on the files overlaps the formatting of their bytes on
 the calling thread.
-
-Files with the same bytes are one inode with several names, because a
-new file costs the kernel far more than a hard link. A file of the bundle
-that already exists and has another name too (a copy made by an earlier
-emit, or a snapshot taken with ``cp -al``) is replaced, not written
-through, so the other names keep their bytes. Where the file system
-refuses a link, the file is written in full instead.
 """
 
 import collections
@@ -77,9 +78,7 @@ def link_file(path, source, chunks) -> None:
 class BundleWriter:
     """One thread that makes a directory and then writes files, in the
     order they are handed to :meth:`write`. A file's twins are linked to
-    it right after it is written, or where links fail, written in full;
-    a file or twin that already exists with another name is replaced,
-    not written through (see the module docstring).
+    it right after it is written, by the module's file rule.
 
     Creating a file costs the kernel far more than filling it, so while
     no file waits, the thread creates the next of the ``ahead`` files

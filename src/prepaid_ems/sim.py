@@ -56,13 +56,12 @@ stack; they exist for the benchmark's hooks and the tests.
 
 Trace files (:func:`write_trace_csvs`) are built as bytes in numpy, one
 array per distinct trace, with no Python string per row or balance.
-Results with the same trace bytes are one group (:func:`trace_groups`):
-their files are one inode with several names, or where links fail, each
-file written in full; an existing file with another name is replaced,
-not written through. The balances' texts come from
-``floatrepr.repr_bytes``, the same bytes as ``repr``: computed in numpy
-for magnitudes in [1e-4, 1e16), and by ``repr`` itself only for 0.0,
--0.0, non-finite values and the magnitudes it prints with an exponent.
+Results with the same trace bytes are one group (:func:`trace_groups`),
+formatted once; ``files`` says how a group's paths become files. The
+balances' texts come from ``floatrepr.repr_bytes``, the same bytes as
+``repr``: computed in numpy for magnitudes in [1e-4, 1e16), and by
+``repr`` itself only for 0.0, -0.0, non-finite values and the
+magnitudes it prints with an exponent.
 """
 
 import csv
@@ -416,39 +415,32 @@ def trace_groups(results: list[SimResult], paths: list) -> list[tuple]:
     return [(result, paths[-1], paths[:-1]) for result, paths in groups]
 
 
-def write_trace_csvs(
-    results: list[SimResult], loads: LoadSet, paths: list, write=write_file
-) -> None:
-    """Write the trace of ``results[i]`` to ``paths[i]``, each file
-    as :func:`write_trace_csv` writes it, formatting the results
+def write_trace_csvs(groups: list[tuple], loads: LoadSet, write=write_file) -> None:
+    """Write the trace of each ``(result, path, twins)`` of ``groups``, as
+    :func:`trace_groups` gives them, to ``path`` and its ``twins``, each
+    file as :func:`write_trace_csv` writes it, formatting the results
     together.
 
-    The results share one horizon. Results with the same trace bytes
-    (:func:`trace_groups`) are formatted once: their bytes go to one
-    file, and the group's other paths are made hard links to it, so
-    identical traces are one inode with several names. A path that
-    already exists with another name is replaced, not written through;
-    where links fail, each path is written in full (see
-    ``files.write_file``). The balances of all groups are formatted
-    together by :func:`_balance_bytes`, once per distinct bit pattern:
-    the plans of one budget fraction keep passing through the same
-    balances. The texts live until the call returns, so a call should
-    hold one such group, not a whole sweep.
+    The results share one horizon. Each group's bytes are built once;
+    how its path and twins become files is ``files``' rule. The balances
+    of all groups are formatted together by :func:`_balance_bytes`, once
+    per distinct bit pattern: the plans of one budget fraction keep
+    passing through the same balances. The texts live until the call
+    returns, so a call should hold one such fraction, not a whole sweep.
 
     Each file's body is built as one byte array: a row per step of
     fixed-width, NUL-padded fields, with the actuation digits taken
     straight from the 0/1 actuation; the NULs are dropped once. The
     calling thread does all of this formatting, and hands each group's
-    header and body bytes to ``write(path, chunks, twins)``, with the
-    group's other paths as ``twins``. By default that is
-    ``files.write_file``, which writes and links the files on the
-    calling thread before the next group is formatted. ``emit_outputs``
-    passes ``files.BundleWriter.write`` instead: it queues the group for
-    the writer's one thread and returns once the bounded queue has room,
-    so that the files are written while the next are formatted, and
-    they are complete once ``emit_outputs`` has joined that thread.
+    header and body bytes to ``write(path, chunks, twins)``. By default
+    that is ``files.write_file``, which writes and links the files on
+    the calling thread before the next group is formatted.
+    ``emit_outputs`` passes ``files.BundleWriter.write`` instead: it
+    queues the group for the writer's one thread and returns once the
+    bounded queue has room, so that the files are written while the
+    next are formatted, and they are complete once ``emit_outputs`` has
+    joined that thread.
     """
-    groups = trace_groups(results, paths)
     if not groups:
         return
     traces = []
@@ -506,4 +498,4 @@ def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
     digits are computed there too, and ``repr`` is called only for
     0.0, -0.0, non-finite values and values outside ±[1e-4, 1e16).
     """
-    write_trace_csvs([result], loads, [path])
+    write_trace_csvs([(result, path, ())], loads)

@@ -22,6 +22,7 @@ import numpy as np
 
 from prepaid_ems.afg import EnablePlan, max_durations
 from prepaid_ems.model import (
+    BOUND_SLACK,
     BUDGET_MARGIN,
     ThresholdPlan,
     daily_average,
@@ -30,7 +31,6 @@ from prepaid_ems.model import (
     pinned_off,
     psf,
 )
-from prepaid_ems.obm import BOUND_SLACK
 from prepaid_ems.sim import SimResult
 
 

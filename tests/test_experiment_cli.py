@@ -315,16 +315,39 @@ class TestEmitOutputs:
         written = emit_outputs(results, tmp_path / "fast")
         # Sizes as the call leaves them, before anything else runs.
         sizes = [p.stat().st_size for p in written]
+        # One call per fraction, in order: each of the fraction's trace
+        # paths once, as a group's path or as a twin, and each group's
+        # result that of one of its cells.
+        cell_at = {
+            tmp_path
+            / "fast"
+            / "traces"
+            / f"{c.regime.label}_b{round(c.fraction * 100)}_{c.policy}.csv": c
+            for c in solved
+        }
         fractions = sorted({c.fraction for c in solved})
-        assert [len(call) for call in calls] == [
-            sum(c.fraction == f for c in solved) for f in fractions
-        ]
-        assert {id(r) for call in calls for r in call} == distinct
+        assert len(calls) == len(fractions)
+        for fraction, groups in zip(fractions, calls):
+            named = [[path, *twins] for _, path, twins in groups]
+            assert sorted(p for names in named for p in names) == sorted(
+                p for p, c in cell_at.items() if c.fraction == fraction
+            )
+            for (result, _, _), names in zip(groups, named):
+                assert any(cell_at[p].result is result for p in names)
 
-        def oracle(results, loads, paths, write):
-            for result, path in zip(results, paths, strict=True):
+        def oracle(groups, loads, write):
+            for result, path, twins in groups:
+                assert not twins
                 write(path, [sim_reference.trace_csv_text(result, loads).encode()])
 
+        # The oracle writes every file from its own cell's result.
+        monkeypatch.setattr(
+            sim,
+            "trace_groups",
+            lambda results, paths: [
+                (r, p, ()) for r, p in zip(results, paths, strict=True)
+            ],
+        )
         monkeypatch.setattr(sim, "write_trace_csvs", oracle)
         emit_outputs(results, tmp_path / "oracle")
         fast = {
@@ -362,6 +385,24 @@ class TestEmitOutputs:
                 cell.result, results.loads
             ).encode()
 
+    def test_groups_each_fraction_once(self, tmp_path, monkeypatch):
+        """One emit groups each budget fraction's trace files once, and
+        the formatter gets those same groups."""
+        results = run_experiment(from_dict(base_config(), tmp_path))
+        grouped, handed = [], []
+        group, write = sim.trace_groups, sim.write_trace_csvs
+        monkeypatch.setattr(
+            sim, "trace_groups", lambda *args: grouped.append(group(*args)) or grouped[-1]
+        )
+        monkeypatch.setattr(
+            sim,
+            "write_trace_csvs",
+            lambda groups, *args: handed.append(groups) or write(groups, *args),
+        )
+        emit_outputs(results, tmp_path / "out")
+        assert len(grouped) == len({c.fraction for c in results.cells}) == 2
+        assert [id(groups) for groups in handed] == [id(groups) for groups in grouped]
+
     @pytest.mark.parametrize(
         "fault",
         [
@@ -396,15 +437,17 @@ class TestEmitOutputs:
             kept.write_bytes(b"earlier run")
             write_traces = sim.write_trace_csvs
 
-            def second_fails(results, loads, paths, *args):
+            def second_fails(groups, loads, *args):
                 if formatted:
-                    # Once the writer has created this fraction's files.
+                    # Once the writer has created this fraction's written
+                    # files; twins are never created ahead.
+                    paths = [path for _, path, _ in groups]
                     deadline = time.monotonic() + 30
                     while not all(map(Path.exists, paths)) and time.monotonic() < deadline:
                         time.sleep(0.001)
                     raise RuntimeError("formatter failed")
-                formatted.append(paths)
-                write_traces(results, loads, paths, *args)
+                formatted.append(groups)
+                write_traces(groups, loads, *args)
 
             formatted = []
             monkeypatch.setattr(sim, "write_trace_csvs", second_fails)

@@ -648,7 +648,7 @@ def test_trace_group_matches_oracle(tmp_path):
     ]
     loads = LoadSet.from_pairs([("a", 0.5), ("b,c", 0.3), ("Küche", 0.2)])
     paths = [tmp_path / f"trace{i}.csv" for i in range(len(results))]
-    write_trace_csvs(results, loads, paths)
+    write_trace_csvs(sim.trace_groups(results, paths), loads)
     expected = tmp_path / "expected.csv"
     for result, path in zip(results, paths):
         # The text encoded as a file opened for writing text encodes it.
@@ -690,7 +690,7 @@ def test_group_formats_each_bit_pattern_once(tmp_path, monkeypatch):
         handed.append((path, list(twins)))
         files.write_file(path, chunks, twins)
 
-    write_trace_csvs(results, loads, paths, write)
+    write_trace_csvs(sim.trace_groups(results, paths), loads, write)
     (values,) = formatted
     patterns = values.view(np.int64).tolist()
     assert len(set(patterns)) == len(patterns)
