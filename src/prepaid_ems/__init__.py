@@ -12,7 +12,9 @@ forecast regimes:
   thresholds against per-timestep demand forecasts, solved exactly by
   a dynamic program over per-day served counts.
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
-  every timestep, an upper bound under perfect detailed forecasts.
+  every timestep. Under perfect detailed forecasts it bounds every plan
+  that keeps the real balance at or above the budget's margin, which
+  AFG does not (K4 in ROADMAP.md: AFG can overdraw by part of a step).
 * ``BSL`` -- unrationed baseline: serve everything until the wallet
   runs dry.
 """

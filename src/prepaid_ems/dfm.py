@@ -22,8 +22,8 @@ step's cost, and a partial A is dropped when another B spends at most
 step, for at least A's value: every completion of B then spends no
 more, before and at its last step, than A's. After the last load only
 the Pareto-optimal ``(spend, pre, value)`` options are kept. They
-depend only on the day's demand, so :func:`view_options` builds them
-once for all budgets and for every view that repeats the day.
+depend only on the day's demand, so :func:`plan_view` builds them once
+for all budgets, and for every view that repeats the day.
 
 **Feasibility, and the edge at 0.0.** With ``m`` the sliver of the
 budget that every policy holds back (``model.BUDGET_MARGIN`` of it):
@@ -44,13 +44,13 @@ and the dust is far smaller than ``m``.
 
 **Dynamic program.** After each day the states are the Pareto-optimal
 ``(S, value)`` pairs, S the spend so far. A state is dropped when its
-value plus the Dantzig bound of the days left (the LP relaxation over
-their options' upper hulls, against the money left) falls below an
-incumbent: the value of a beam pass that keeps the ``BEAM`` states
-with the best bound each day. The bound respects the virtual wallet:
-the spend through each day stays within that day's limit plus its
-largest last-step cost. The last day takes the best feasible (state,
-option) pair; ties go to the first in option order.
+value plus the Dantzig bound of the days left (``prepaid_ems.mck``: the
+LP relaxation over their options' upper hulls, against the money left)
+falls below an incumbent: the value of a beam pass that keeps the
+``BEAM`` states with the best bound each day. The bound respects the
+virtual wallet: the spend through each day stays within that day's
+limit plus its largest last-step cost. The last day takes the best
+feasible (state, option) pair; ties go to the first in option order.
 
 **Decoding.** The counts become an actuation on the view, and each
 load-day's threshold goes mid-band on that actuation's virtual
@@ -62,6 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from prepaid_ems.mck import chunked_runs, dantzig, ranked_table
 from prepaid_ems.model import (
     BOUND_SLACK,
     BUDGET_MARGIN,
@@ -74,10 +75,10 @@ from prepaid_ems.model import (
     pinned_off,
 )
 
-#: Most pairs one solve may form: the (partial vector, count) pairs that
-#: build its view's day options plus, in each pass of its dynamic
-#: program, each day's states times options. A cell that needs more is
-#: reported unsolved.
+#: Most pairs one budget's solve may form: the (partial vector, count)
+#: pairs that build its view's day options plus, in each pass of its
+#: dynamic program, each day's states times options. A cell that needs
+#: more is reported unsolved.
 WORK_BOUND = 30_000_000
 
 #: Pairs formed at a time, which bounds the memory of one merge and of
@@ -232,7 +233,7 @@ def _bound_tables(hulls, ceilings) -> list[tuple[np.ndarray, np.ndarray]]:
     within ``ceilings[e]``. Built backwards: the bound after day d is
     the max-plus convolution of day d + 1's hull with the bound after
     day d + 1 cut at ``ceilings[d + 1]``, a merge of their steps in
-    falling slope order.
+    falling slope order: the cut's value plus their ranked table.
     """
     last = len(hulls) - 1
     xs, ys = np.array([ceilings[last]]), np.zeros(1)
@@ -241,14 +242,14 @@ def _bound_tables(hulls, ceilings) -> list[tuple[np.ndarray, np.ndarray]]:
         top = ceilings[d + 1]
         later = xs < top
         xs = np.append(xs[later], top)
-        ys = np.append(ys[later], np.interp(top, *tables[-1]))
+        ys = np.append(ys[later], dantzig(tables[-1], top))
         # Steps leftward from the cut, so slopes fall, and the day's hull.
         width = np.concatenate((np.diff(xs)[::-1], hulls[d + 1][0]))
         rise = np.concatenate(((ys[:-1] - ys[1:])[::-1], hulls[d + 1][1]))
         width, rise = width[width > 0], rise[width > 0]
         order = np.argsort(-(rise / width), kind="stable")
-        xs = top - np.concatenate(([0.0], np.cumsum(width[order])))[::-1]
-        ys = ys[-1] + np.concatenate(([0.0], np.cumsum(rise[order])))[::-1]
+        run, gain = ranked_table(width[order], rise[order])
+        xs, ys = top - run[::-1], ys[-1] + gain[::-1]
         tables.append((xs, ys))
     return tables[::-1]
 
@@ -282,22 +283,6 @@ def view_options(
     return days
 
 
-def _pairs(spend_so_far, day: DayOptions, limit: float, capacity: float):
-    """Every feasible (state, option) pair of one day, in chunks of about
-    ``CHUNK`` pairs in option order: the state index, the option index
-    and the spend after the day."""
-    # States are sorted by spend, so each option takes a prefix of them.
-    room = np.minimum(limit - day.pre, capacity - day.spend)
-    takes = np.searchsorted(spend_so_far, room, side="right")
-    ends = np.cumsum(takes)
-    cuts = np.searchsorted(ends, np.arange(CHUNK, ends[-1], CHUNK), side="right")
-    for lo, hi in zip([0, *cuts], [*cuts, len(takes)]):
-        taken = takes[lo:hi]
-        option = np.repeat(np.arange(lo, hi), taken)
-        state = np.arange(len(option)) - np.repeat(np.cumsum(taken) - taken, taken)
-        yield state, option, spend_so_far[state] + day.spend[option]
-
-
 def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work):
     """The dynamic program over the days. States whose bound falls below
     ``floor`` are dropped; with ``beam``, at most that many states with
@@ -308,10 +293,16 @@ def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work)
     last = len(days) - 1
     for d, day in enumerate(days):
         work = _charge(work, int(len(day.spend) * len(spend)))
+        # The states are sorted by spend, so each option takes a prefix of
+        # them; the feasible pairs come in option order, a chunk at a time.
+        room = np.minimum(limits[d] - day.pre, capacity - day.spend)
+        takes = np.searchsorted(spend, room, side="right")
+        options, first = np.arange(len(takes)), np.zeros_like(takes)
         kept = []
-        for state, option, new_spend in _pairs(spend, day, limits[d], capacity):
+        for option, state in chunked_runs(options, first, takes, CHUNK):
+            new_spend = spend[state] + day.spend[option]
             new_value = value[state] + day.value[option]
-            bound = new_value + np.interp(new_spend, *tables[d])
+            bound = new_value + dantzig(tables[d], new_spend)
             keep = bound >= floor
             kept.append([x[keep] for x in (state, option, new_spend, new_value, bound)])
         state, option, new_spend, new_value, bound = (
@@ -366,37 +357,44 @@ def mid_band_thresholds(
     return np.where(served.any(axis=2), np.maximum(mid, 0.0), pinned_off(recharges))
 
 
-def solve_dfm(
+def plan_view(
     view: DemandSeries,
     loads: LoadSet,
     tariff: Tariff,
-    budget: Budget,
+    budgets: list[Budget],
     known: dict | None = None,
-) -> tuple[ThresholdPlan, float]:
-    """Optimal threshold plan on ``view`` within the budget, and its
-    objective, the priority-weighted share of demanded steps served.
-    ``known`` keeps day options across calls (:func:`view_options`).
-    Raises :class:`DfmTooLarge` past ``WORK_BOUND``."""
-    days = view_options(view, loads, tariff, known)
-    grid = view.grid
-    recharges = dfm_recharges(budget, grid.num_days)
-    margin = BUDGET_MARGIN * budget.initial_balance
-    limits = np.cumsum(recharges) - margin
-    capacity = effective_budget(budget)
-    # The spend through day d is at most its limit plus the day's largest
-    # last-step cost, or an earlier day's such ceiling if it serves nothing.
-    overshoot = [day.overshoot for day in days]
-    ceilings = np.minimum(np.maximum.accumulate(limits + overshoot), capacity)
-    tables = _bound_tables([day.hull for day in days], ceilings)
+) -> list[tuple[ThresholdPlan, float] | DfmTooLarge]:
+    """Optimal threshold plan on ``view`` within each budget, and its
+    objective, the priority-weighted share of demanded steps served; for
+    a budget past ``WORK_BOUND``, the :class:`DfmTooLarge` it raised.
+    ``known`` keeps day options across views (:func:`view_options`)."""
+    try:
+        days = view_options(view, loads, tariff, known)
+    except DfmTooLarge as exc:
+        return [exc.with_traceback(None)] * len(budgets)
+    hulls, overshoot = [day.hull for day in days], [day.overshoot for day in days]
     work = sum(day.work for day in days)
-    incumbent, _, work = _search(days, limits, capacity, tables, -np.inf, BEAM, work)
-    floor = incumbent - BOUND_SLACK * float(loads.gammas.sum())
-    objective, chosen, _ = _search(days, limits, capacity, tables, floor, None, work)
-
-    counts = np.stack([day.counts[o] for day, o in zip(days, chosen)], axis=1)
-    demanded = view.power.reshape(view.num_loads, grid.num_days, -1) > 0
-    # A load-day serving n steps serves its first n demanded ones.
-    served = demanded & (np.cumsum(demanded, axis=2) <= counts[..., None])
-    served = served.reshape(view.num_loads, -1)
-    thresholds = mid_band_thresholds(served, view, tariff, recharges)
-    return ThresholdPlan(thresholds, recharges), objective
+    slack = BOUND_SLACK * float(loads.gammas.sum())
+    demanded = view.power.reshape(view.num_loads, len(days), -1) > 0
+    rank = np.cumsum(demanded, axis=2)
+    plans = []
+    for budget in budgets:
+        recharges = dfm_recharges(budget, len(days))
+        limits = np.cumsum(recharges) - BUDGET_MARGIN * budget.initial_balance
+        capacity = effective_budget(budget)
+        # The spend through day d is at most its limit plus the day's largest
+        # last-step cost, or an earlier day's such ceiling if it serves nothing.
+        ceilings = np.minimum(np.maximum.accumulate(limits + overshoot), capacity)
+        problem = (days, limits, capacity, _bound_tables(hulls, ceilings))
+        try:
+            incumbent, _, spent = _search(*problem, -np.inf, BEAM, work)
+            objective, chosen, _ = _search(*problem, incumbent - slack, None, spent)
+        except DfmTooLarge as exc:
+            plans.append(exc.with_traceback(None))  # frees the search's frames
+            continue
+        counts = np.stack([day.counts[o] for day, o in zip(days, chosen)], axis=1)
+        # A load-day serving n steps serves its first n demanded ones.
+        served = (demanded & (rank <= counts[..., None])).reshape(view.num_loads, -1)
+        thresholds = mid_band_thresholds(served, view, tariff, recharges)
+        plans.append((ThresholdPlan(thresholds, recharges), objective))
+    return plans

@@ -2,21 +2,21 @@
 
 One experiment sweeps the cross product of budget fractions, forecast
 regimes and policies in two phases. First each policy plans each
-regime's forecast view once for every budget fraction: AFG ranks the
-view's daily averages once and walks the ranking per budget
-(``afg.plan_view``); OBM builds the view's count-search tables once and
-searches them per budget, and a shuffled view reuses its source's
-search (``obm.plan_view``); DFM is solved exactly in process
-(``prepaid_ems.dfm``), from day options built once per distinct day of
-the sweep's views. A DFM cell past the solver's work bound reads
-``unsolved`` with the reason, the only note a cell can carry. Then all
-setpoints of the sweep are simulated against the true demand in two
-stacked simulator passes, each plan with its fraction's budget: one
-for the threshold plans (AFG, DFM), one for every fraction's
-unrationed baseline and the schedules (OBM). Service metrics plus the
-improvement over the baseline are recorded per cell. The trace files
-of one budget fraction are formatted together, as bytes built in numpy
-with each distinct trace and each distinct balance formatted once (see
+regime's forecast view once for every budget fraction, through the same
+``plan_view`` call: AFG ranks the view's daily averages once and walks
+the ranking per budget; OBM builds the view's count-search tables once
+and searches them per budget; DFM builds the view's day options once
+and runs its dynamic program per budget. OBM and DFM reuse what they
+built for a view whose costs or days another view repeats. A DFM cell
+past the solver's work bound reads ``unsolved`` with the reason, the
+only note a cell can carry. Then all setpoints of the sweep are
+simulated against the true demand in two stacked simulator passes,
+each plan with its fraction's budget: one for the threshold plans (AFG,
+DFM), one for every fraction's unrationed baseline and the schedules
+(OBM). Service metrics plus the improvement over the baseline are
+recorded per cell. The trace files of one budget fraction are
+formatted together, as bytes built in numpy with each distinct trace
+and each distinct balance formatted once (see
 ``sim.write_trace_csvs``). Everything is deterministic for a fixed
 config, including output bytes.
 
@@ -52,6 +52,7 @@ import io
 import itertools
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -138,41 +139,33 @@ def _check_costs(truth: DemandSeries, loads: LoadSet, tariff: Tariff) -> None:
         )
 
 
-def _plan_dfm(view, known, loads, tariff, budget):
-    """DFM's exact plan on ``view``; the day options it builds are kept
-    in ``known`` for the sweep's other cells."""
-    # Loaded on first use: a sweep without DFM does not load the solver.
-    from prepaid_ems import dfm
-
-    try:
-        plan, objective = dfm.solve_dfm(view, loads, tariff, budget, known)
-    except dfm.DfmTooLarge as exc:
-        logger.warning("DFM skipped: %s", exc)
-        return None, None, f"unsolved: {exc}"
-    return plan, objective, ""
-
-
 def _plan_cells(config, views, loads, tariff, budgets) -> list[list[tuple]]:
     """Per budget, ``(regime, policy, plan, objective, note)`` for every
     cell, in sweep order. The plan is a ``ThresholdPlan`` (AFG, DFM), a
     schedule (OBM), or ``None`` for BSL and for a policy that found no
-    plan. Each regime's view is planned once for every budget."""
+    plan. Each regime's view is planned once for every budget, and the
+    OBM and DFM planners keep what they built for the sweep's other
+    views."""
+    planners = {
+        "BSL": lambda *args: [(None, None)] * len(budgets),
+        "AFG": afg.plan_view,
+        "OBM": partial(obm.plan_view, known={}),
+    }
+    if "DFM" in config.policies:
+        # Loaded on first use: a sweep without DFM does not load the solver.
+        from prepaid_ems import dfm
+
+        planners["DFM"] = partial(dfm.plan_view, known={})
     planned = [[] for _ in budgets]
-    obm_known, dfm_known = {}, {}
     for regime in config.regimes:
-        view = views[regime]
         for policy in config.policies:
-            if policy == "BSL":
-                plans = [(None, None, "")] * len(budgets)
-            elif policy == "AFG":
-                plans = [(*p, "") for p in afg.plan_view(view, loads, tariff, budgets)]
-            elif policy == "OBM":
-                plans = obm.plan_view(view, loads, tariff, budgets, obm_known)
-                plans = [(*p, "") for p in plans]
-            else:
-                plans = [_plan_dfm(view, dfm_known, loads, tariff, b) for b in budgets]
+            plans = planners[policy](views[regime], loads, tariff, budgets)
             for cells, plan in zip(planned, plans):
-                cells.append((regime, policy, *plan))
+                if isinstance(plan, Exception):  # DFM past its work bound
+                    logger.warning("DFM skipped: %s", plan)
+                    cells.append((regime, policy, None, None, f"unsolved: {plan}"))
+                else:
+                    cells.append((regime, policy, *plan, ""))
     return planned
 
 

@@ -17,15 +17,16 @@ source's costs, reuses its source's search and counts (``known``).
 
 **The search.** The counts are searched exactly, depth first, loads in
 order of their best value/cost ratio and counts from largest to
-smallest, pruned by the Dantzig bound (the fractional-knapsack
-relaxation over the loads not yet fixed; Martello & Toth, *Knapsack
-Problems*, 1990). The last two loads are solved in closed form: for
-every count of the first, the second takes as many steps as the money
-left buys. Among equally valued count vectors the first one visited is
-kept. A level's ceiling is concave in its count, so the counts above
-the best form one run, found on a coarse grid first (``_window``); so
-are the closed form's counts whose ceiling, with the second load taken
-fractionally, is within one of its steps of the most it reaches.
+smallest, pruned by the Dantzig bound (``prepaid_ems.mck``: the
+fractional-knapsack relaxation over the loads not yet fixed; Martello &
+Toth, *Knapsack Problems*, 1990). The last two loads are solved in
+closed form: for every count of the first, the second takes as many
+steps as the money left buys. Among equally valued count vectors the
+first one visited is kept. A level's ceiling is concave in its count,
+so the counts above the best form one run, found on a coarse grid
+first (``_window``); so are the closed form's counts whose ceiling,
+with the second load taken fractionally, is within one of its steps of
+the most it reaches.
 
 With three or more loads the search starts from an incumbent, the
 greedy count vector: every demanded step is ranked once by falling
@@ -67,6 +68,7 @@ on every Python version.
 
 import numpy as np
 
+from prepaid_ems.mck import chunked_runs, dantzig, ranked_table, runs
 from prepaid_ems.model import (
     BOUND_SLACK,
     Budget,
@@ -156,9 +158,7 @@ class _CountSearch:
             )
         if len(self.order) > 1:
             b = self.order[-1]
-            self.b_table = _bound_table(
-                costs[b], np.full(len(costs[b]), values[b]), values[b] / costs[b]
-            )
+            self.b_table = ranked_table(costs[b], np.full(len(costs[b]), values[b]))
         self.pair_calls = 0
         self.frontier = None
         self.solved = {}
@@ -198,7 +198,7 @@ class _CountSearch:
 
             def ceiling(na):  # the second load's steps taken fractionally
                 money_left = cap - prefix[a][na]
-                return value + na * values[a] + _dantzig(self.b_table, money_left)
+                return value + na * values[a] + dantzig(self.b_table, money_left)
 
             # A total above the best, or at the most the pair reaches, has
             # a ceiling within one step of the second load of that most.
@@ -220,12 +220,12 @@ class _CountSearch:
 
             def ceiling(n):
                 money_left = cap - prefix[k][n]
-                return value + n * values[k] + _dantzig(table, money_left) + slack
+                return value + n * values[k] + dantzig(table, money_left) + slack
 
             n = _window(_affordable(prefix[k], cap), ceiling, best_value)
             caps = cap - prefix[k][n]
             vals = value + n * values[k]
-            ceilings = vals + _dantzig(table, caps) + slack
+            ceilings = vals + dantzig(table, caps) + slack
             live = np.flatnonzero(ceilings > best_value)
             frontier = self._frontier() if level + 1 == last else None
             if frontier is None:
@@ -283,7 +283,7 @@ class _CountSearch:
         if not len(keep):
             return []
         since = np.searchsorted(best, top[keep] - self.slack, side="left")
-        child, point = _runs(keep, since, upto[keep])
+        child, point = runs(keep, since, upto[keep] - since + 1)
         na = n_a[point]
         affords = na <= np.searchsorted(prefix_a, caps[child], side="right") - 1
         child, na = child[affords], na[affords]
@@ -331,7 +331,7 @@ def _ranked_tables(costs, values, order):
     tables = {}
     for level in range(1, len(order) - 1):
         sub = rank[level_of[rank] >= level]
-        tables[level] = _bound_table(cost[sub], value[level_of[sub]], ratio[sub])
+        tables[level] = ranked_table(cost[sub], value[level_of[sub]])
     ranked = (np.cumsum(cost[rank]), level_of[rank])
     return tables, ranked, level_of[sub] == len(order) - 2
 
@@ -353,23 +353,6 @@ def _search_total(greedy, order, prefix, values, cap: float):
 def _affordable(prefix: np.ndarray, cap: float) -> int:
     """Most steps whose cumulative cost stays within ``cap``."""
     return int(np.searchsorted(prefix, cap, side="right")) - 1
-
-
-def _bound_table(cost, value, ratio):
-    """Cumulative cost and value of the ranked steps, with each step's
-    ratio; a trailing zero ratio stands past the last step."""
-    return (
-        np.concatenate(([0.0], np.cumsum(cost))),
-        np.concatenate(([0.0], np.cumsum(value))),
-        np.concatenate((ratio, [0.0])),
-    )
-
-
-def _dantzig(table, caps: np.ndarray) -> np.ndarray:
-    """Fractional-knapsack value of each capacity in ``caps``."""
-    cum_cost, cum_value, ratio = table
-    j = np.searchsorted(cum_cost, caps, side="right") - 1
-    return cum_value[j] + (caps - cum_cost[j]) * ratio[j]
 
 
 def _window(top: int, ceiling, floor, drop=np.inf) -> np.ndarray:
@@ -414,7 +397,7 @@ def _pair_frontier(prefix_a, va, prefix_b, vb, table, is_a, tol):
 
     def within(cols):
         cost = prefix_a[rows] + prefix_b[cols]
-        return _dantzig(table, cost) - (rows * va + cols * vb) <= tau
+        return dantzig(table, cost) - (rows * va + cols * vb) <= tau
 
     # The b steps ranked before each a step: the row's greedy column.
     ranked_a = np.flatnonzero(is_a)
@@ -425,10 +408,7 @@ def _pair_frontier(prefix_a, va, prefix_b, vb, table, is_a, tol):
     if widths.sum() > FRONTIER_CAP:
         return None
     cost, value, n_a = np.zeros(1), np.zeros(1), np.zeros(1, dtype=np.int64)
-    ends = np.cumsum(widths)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], CHUNK), side="right")
-    for lo, hi in zip(cuts, [*cuts[1:], len(rows)]):
-        row, col = _runs(rows[lo:hi], first[lo:hi], last[lo:hi])
+    for row, col in chunked_runs(rows, first, widths, CHUNK):
         chunk = prefix_a[row] + prefix_b[col]
         by_cost = np.argsort(chunk)
         cost = np.concatenate((cost, chunk[by_cost]))
@@ -440,14 +420,6 @@ def _pair_frontier(prefix_a, va, prefix_b, vb, table, is_a, tol):
         kept = value >= np.maximum.accumulate(value) - tol
         cost, value, n_a = cost[kept], value[kept], n_a[kept]
     return cost, np.maximum.accumulate(value), n_a
-
-
-def _runs(owner, start, stop):
-    """Each ``owner`` repeated once per index of its run ``start..stop``
-    (inclusive), beside those indices."""
-    width = stop - start + 1
-    offset = start - (np.cumsum(width) - width)
-    return np.repeat(owner, width), np.arange(width.sum()) + np.repeat(offset, width)
 
 
 def _bisect(holds, lo, hi, lowest: bool):

@@ -395,7 +395,7 @@ def test_criterion_5_perfect_forecast_dominance():
 
 def test_criterion_5_holds_for_the_sweep_solvers():
     """Criterion 5 on the planners the sweep runs: on the same cells, the
-    plans of ``obm.plan_view``, ``afg.plan_view`` and ``dfm.solve_dfm``
+    plans of ``obm.plan_view``, ``afg.plan_view`` and ``dfm.plan_view``
     simulated against the truth they were planned on. OBM and DFM
     realize their planned objectives, AFG and DFM stay within the
     budget, and OBM's PSF bounds both. DFM is not checked against AFG:
@@ -410,7 +410,7 @@ def test_criterion_5_holds_for_the_sweep_solvers():
 
         [(schedule, obm_objective)] = obm.plan_view(truth, loads, tariff, [budget])
         [(afg_plan, _)] = afg.plan_view(truth, loads, tariff, [budget])
-        dfm_plan, dfm_objective = dfm.solve_dfm(truth, loads, tariff, budget)
+        [(dfm_plan, dfm_objective)] = dfm.plan_view(truth, loads, tariff, [budget])
         [optimal] = sim.simulate_schedules([schedule], truth, loads, tariff, [budget])
         greedy, detailed = sim.simulate_threshold_plans(
             [afg_plan, dfm_plan], truth, loads, tariff, [budget, budget]

@@ -100,22 +100,53 @@ def _case(seed):
     loads = LoadSet.from_pairs(
         (f"l{k}", float(g)) for k, g in enumerate(rng.uniform(0.1, 1.0, num_loads))
     )
+    return view, loads, compute_budget(view, TARIFF, _fraction(seed, rng))
+
+
+def _fraction(seed, rng):
+    """A zero, ample, half or random budget fraction, by the seed."""
     kind = seed % 5
-    fraction = 0.0 if kind == 0 else 1.0 if kind == 1 else float(rng.uniform(0.2, 0.9))
     if kind == 2:
-        fraction = 0.5  # flat demand then often fills the wallet to 0.0 exactly
-    return view, loads, compute_budget(view, TARIFF, fraction)
+        return 0.5  # flat demand then often fills the wallet to 0.0 exactly
+    return 0.0 if kind == 0 else 1.0 if kind == 1 else float(rng.uniform(0.2, 0.9))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_matches_brute_force(seed):
-    view, loads, budget = _case(seed)
-    plan, objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+def _tie_case(seed):
+    """One seeded instance with ties across loads and days: 2-4 loads of
+    one priority and one flat power over 2-3 days of 2-4 steps, every day
+    a copy of the first, and a budget as in ``_case``. Steps lose their
+    demand on every day until at most MAX_VECTORS count vectors remain."""
+    rng = np.random.default_rng(seed)
+    num_loads, days = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+    steps = int(rng.choice([2, 3, 4]))
+    grid = TimeGrid(24.0 / steps, steps, days)
+    day = 250.0 * (rng.random((num_loads, steps)) < 0.7)
+    while int(np.prod((day > 0).sum(axis=1) + 1)) ** days > MAX_VECTORS:
+        busy = np.argwhere(day > 0)
+        k, t = busy[rng.integers(len(busy))]
+        day[k, t] = 0.0
+    view = DemandSeries(grid, np.tile(day, days))
+    loads = LoadSet.from_pairs((f"l{k}", 0.5) for k in range(num_loads))
+    return view, loads, compute_budget(view, TARIFF, _fraction(seed, rng))
+
+
+def _check_against_brute_force(view, loads, budget):
+    plan, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     assert objective == pytest.approx(brute_force(view, loads, budget), abs=1e-9)
     result = sim.simulate_thresholds(plan, view, loads, TARIFF, budget)
     assert result.psf == pytest.approx(objective, abs=1e-9)
     assert _keeps_the_margin(result, budget)
     assert result.final_real_balance >= 0.0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_matches_brute_force(seed):
+    _check_against_brute_force(*_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ties_match_brute_force(seed):
+    _check_against_brute_force(*_tie_case(seed))
 
 
 def test_matches_highs_where_highs_holds():
@@ -142,7 +173,7 @@ def test_matches_highs_where_highs_holds():
             continue
         if not _keeps_the_margin(highs, budget):
             continue
-        _, objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+        _, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
         assert objective == pytest.approx(solution.objective, abs=1e-9), seed
         compared += 1
     assert compared >= 6
@@ -156,7 +187,7 @@ def test_plans_keep_off_the_zero_edge():
     view = DemandSeries(grid, [[500.0, 500.0, 500.0, 250.0, 250.0, 0.0]])
     loads = LoadSet.from_pairs([("x", 1.0)])
     budget = Budget(16.0)
-    plan, objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+    plan, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     result = sim.simulate_thresholds(plan, view, loads, TARIFF, budget)
     assert result.actuation.tolist() == [[1, 1, 0, 1, 1, 0]]
     assert objective == pytest.approx(0.8) and result.psf == pytest.approx(0.8)
@@ -174,16 +205,16 @@ def test_known_days_serve_every_budget_and_view():
     known = {}
     for fraction in (0.3, 0.6, 0.9):
         budget = compute_budget(view, TARIFF, fraction)
-        plan, objective = dfm.solve_dfm(view, loads, TARIFF, budget, known)
-        fresh, fresh_objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+        plan, objective = dfm.plan_view(view, loads, TARIFF, [budget], known)[0]
+        fresh, fresh_objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
         assert objective == fresh_objective
         assert np.array_equal(plan.thresholds, fresh.thresholds)
     # A shuffled view repeats every day, so it builds none.
     built = len(known)
     shuffled = shuffle_days(view, 5)
-    plan, objective = dfm.solve_dfm(shuffled, loads, TARIFF, budget, known)
+    plan, objective = dfm.plan_view(shuffled, loads, TARIFF, [budget], known)[0]
     assert len(known) == built
-    fresh, fresh_objective = dfm.solve_dfm(shuffled, loads, TARIFF, budget)
+    fresh, fresh_objective = dfm.plan_view(shuffled, loads, TARIFF, [budget])[0]
     assert objective == fresh_objective
     assert np.array_equal(plan.thresholds, fresh.thresholds)
 
@@ -191,15 +222,43 @@ def test_known_days_serve_every_budget_and_view():
 def test_work_bound(monkeypatch):
     view, loads, budget = _case(7)
     monkeypatch.setattr(dfm, "WORK_BOUND", 10)
-    with pytest.raises(dfm.DfmTooLarge, match="more than 10 candidate pairs"):
-        dfm.solve_dfm(view, loads, TARIFF, budget)
+    [error] = dfm.plan_view(view, loads, TARIFF, [budget])
+    assert isinstance(error, dfm.DfmTooLarge)
+    assert str(error) == "DFM needs more than 10 candidate pairs"
+
+
+@pytest.mark.parametrize("work_bound", [None, 80])
+def test_view_plans_match_single_budget_solves(monkeypatch, work_bound):
+    """One ``plan_view`` over all of a view's budgets gives each budget
+    the threshold, recharge and objective bits of a ``plan_view`` of that
+    budget alone; under a lowered ``WORK_BOUND``, where some views solve
+    some budgets and not others, it leaves the same budgets unsolved."""
+    if work_bound is not None:
+        monkeypatch.setattr(dfm, "WORK_BOUND", work_bound)
+    mixed = 0
+    for view, loads, _ in [*map(_case, range(40)), *map(_tie_case, range(40))]:
+        budgets = [compute_budget(view, TARIFF, f) for f in (0.0, 0.3, 0.5, 0.7, 1.0)]
+        plans = dfm.plan_view(view, loads, TARIFF, budgets)
+        unsolved = [isinstance(plan, dfm.DfmTooLarge) for plan in plans]
+        mixed += any(unsolved) and not all(unsolved)
+        for budget, plan in zip(budgets, plans):
+            [alone] = dfm.plan_view(view, loads, TARIFF, [budget])
+            assert type(plan) is type(alone)
+            if isinstance(alone, dfm.DfmTooLarge):
+                assert str(plan) == str(alone)
+                continue
+            (plan, objective), (alone, alone_objective) = plan, alone
+            assert plan.thresholds.tobytes() == alone.thresholds.tobytes()
+            assert plan.recharges.tobytes() == alone.recharges.tobytes()
+            assert objective.hex() == alone_objective.hex()
+    assert mixed > 0 if work_bound else mixed == 0
 
 
 @pytest.mark.parametrize("seed", [7, 13, 33])
 def test_chunks_do_not_change_the_plan(monkeypatch, seed):
     view, loads, budget = _case(seed)
-    plan, objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+    plan, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     monkeypatch.setattr(dfm, "CHUNK", 5)
-    chunked, chunked_objective = dfm.solve_dfm(view, loads, TARIFF, budget)
+    chunked, chunked_objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     assert chunked_objective == objective
     assert np.array_equal(chunked.thresholds, plan.thresholds)

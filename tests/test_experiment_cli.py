@@ -633,14 +633,23 @@ class TestEmitOutputs:
                 },
                 "528a921a71f26e18adf78343f09924e03b520d202fdf67767b768c2af9998544",
             ),
+            (
+                {
+                    "step_minutes": 15,
+                    "horizon_days": 30,
+                    "policies": ["BSL", "AFG", "DFM", "OBM"],
+                },
+                "bbcbba58d3ba0316f21c0274d6267eafcf366b8285373270f27f8cbd950ca127",
+            ),
         ],
-        ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy"],
+        ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy", "30d-15min-dfm"],
     )
     def test_bundle_digest_pinned(self, tmp_path, overrides, digest):
-        """The bundle's bytes for three fixed sweeps over all four regimes,
+        """The bundle's bytes for four fixed sweeps over all four regimes,
         digested as the benchmark digests them (each CSV's path and
         bytes, in path order). The CSV sweep reads days 1-3 of a 5-day
-        file of noisy demand."""
+        file of noisy demand; the last sweep runs DFM over 30 days of
+        15-minute steps and solves every cell."""
         if "data" in overrides:
             write_noisy_csv(tmp_path / "house.csv", days=5)
         config = from_dict(base_config(regimes=ALL_REGIMES, **overrides), tmp_path)

@@ -37,6 +37,28 @@ def test_experiment_does_not_load_dfm():
     assert "prepaid_ems.dfm" not in loaded
 
 
+FRIDGE = {"rated_w": 150, "on_probability": 1.0, "mean_on_hours": 10}
+
+
+@pytest.mark.parametrize("policies", [["BSL", "AFG", "OBM"], ["DFM"]])
+def test_sweep_loads_dfm_only_to_plan_it(policies):
+    config = {
+        "loads": [{"name": "fridge", "gamma": 1.0}],
+        "data": {"synthetic": {"profiles": {"fridge": FRIDGE}}},
+        "alpha_per_wh": 0.00016,
+        "step_minutes": 60,
+        "horizon_days": 2,
+        "policies": policies,
+    }
+    loaded = _loaded_after(
+        "from prepaid_ems.config import from_dict; "
+        "from prepaid_ems.experiment import run_experiment; "
+        f"run_experiment(from_dict({config!r}))"
+    )
+    assert "prepaid_ems.obm" in loaded
+    assert ("prepaid_ems.dfm" in loaded) == ("DFM" in policies)
+
+
 def test_dfm_does_not_load_milp():
     loaded = _loaded_after("import prepaid_ems.dfm")
     assert "prepaid_ems.dfm" in loaded
