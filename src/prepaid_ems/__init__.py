@@ -9,8 +9,9 @@ forecast regimes:
 * ``AFG`` -- average-forecast greedy: needs only daily average power
   per load, solved exactly by a fractional-knapsack greedy pass.
 * ``DFM`` -- detailed-forecast MILP: optimizes per-day wallet
-  thresholds against per-timestep demand forecasts, solved exactly by
-  a dynamic program over per-day served counts.
+  thresholds against per-timestep demand forecasts, each day recharged
+  with what the plan spends that day as in AFG, solved exactly by a
+  dynamic program over per-day served counts.
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
   every timestep. Under perfect detailed forecasts it bounds every plan
   that keeps the real balance at or above the budget's margin, which

@@ -72,9 +72,9 @@ def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
     if args.out:
         config.output_dir = Path(args.out)
     if args.seed is not None:
+        seed = config_mod.parse_seed(args.seed, "--seed")
         config.regimes = [
-            config_mod.parse_regime(regime.label, args.seed)
-            for regime in config.regimes
+            config_mod.parse_regime(regime.label, seed) for regime in config.regimes
         ]
     return config
 
@@ -127,8 +127,9 @@ def _cmd_synth(args) -> int:
         step_minutes = 15
     if args.days <= 0:
         raise ConfigError(f"--days must be positive, got {args.days}")
+    seed = config_mod.parse_seed(args.seed, "--seed")
     grid = TimeGrid.from_minutes(step_minutes, args.days)
-    series = synth_household(args.seed, loads, grid, profiles)
+    series = synth_household(seed, loads, grid, profiles)
     try:
         export_csv(series, loads, args.out)
     except OSError as exc:

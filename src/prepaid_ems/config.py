@@ -144,6 +144,15 @@ def parse_regime(name: str, shuffle_seed: int) -> ForecastSpec:
     return ForecastSpec(fidelity, granularity, seed)
 
 
+def parse_seed(value, name: str) -> int:
+    """``value`` as a seed of ``rng.SplitMix64``: an integer in
+    ``[0, 2**64)``. Anything else is a config error naming ``name``."""
+    seed = _number(int, value, name)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _require(data: dict, key: str):
     if key not in data:
         raise ConfigError(f"missing required config field {key!r}")
@@ -235,7 +244,7 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
         csv_path = base / _typed(source["csv"], str, "csv")
     elif "synthetic" in source:
         synth = _typed(source["synthetic"], dict, "synthetic")
-        synth_seed = _number(int, synth.get("seed", 1), "synthetic seed")
+        synth_seed = parse_seed(synth.get("seed", 1), "synthetic seed")
         profiles = {
             name: _profile(entry, f"synthetic profile {name!r}")
             for name, entry in _typed(
@@ -245,7 +254,7 @@ def from_dict(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     else:
         raise ConfigError("data section must contain 'csv' or 'synthetic'")
 
-    shuffle_seed = _number(int, data.get("shuffle_seed", 1), "shuffle_seed")
+    shuffle_seed = parse_seed(data.get("shuffle_seed", 1), "shuffle_seed")
     regime_names = _typed(data.get("regimes", list(REGIME_NAMES)), list, "regimes")
     regimes = [parse_regime(name, shuffle_seed) for name in regime_names]
 

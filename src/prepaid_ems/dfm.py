@@ -1,56 +1,54 @@
 """Exact in-process solver for the detailed-forecast threshold model (DFM).
 
-DFM gives the virtual wallet an even share of the budget at each day
-start (:func:`dfm_recharges`) and sets one threshold per load-day.
-Within a day the virtual balance only falls, so a load is on from the
-day start until its threshold trips and stays off after: a threshold
-plan comes down to one served count per load-day, the load serving the
-first n of its demanded steps that day. The solver searches those
-counts exactly. It is a multiple-choice knapsack over the days, solved
-by a dominance (Pareto) dynamic program (Kellerer, Pferschy & Pisinger,
-*Knapsack Problems*, 2004; Pisinger, *EJOR* 83, 1995). A limited view
-is a view whose costs are constant within a load-day, so both views
-run the same code.
+DFM sets one threshold per load-day on a virtual wallet. Within a day
+the virtual balance only falls, so a load is on from the day start
+until its threshold trips and stays off after: a threshold plan comes
+down to one served count per load-day, the load serving the first n of
+its demanded steps that day. The solver searches those counts exactly.
+It is a multiple-choice knapsack over the days (Kellerer, Pferschy &
+Pisinger, *Knapsack Problems*, 2004; Pisinger, *EJOR* 83, 1995). A
+limited view is a view whose costs are constant within a load-day, so
+both views run the same code.
 
-**Day options.** A count vector of one day has a spend, a value
+**Recharges.** Day d's recharge is what the plan spends on day d on
+its view, and day 0 also gets ``m``, the sliver of the budget that
+every policy holds back (``model.BUDGET_MARGIN`` of it):
+:func:`planned_recharges`. This is AFG's rule
+(``afg.compute_recharges``). The paper's own rule is unknown here: only
+its abstract is at hand. An even share of the budget per day would
+keep the plan from moving money between days, and so make the detailed
+model lose to AFG when both are given the truth.
+
+**Feasibility, and the edge at 0.0.** Under this rule day d starts at a
+virtual balance of ``m`` plus the day's spend, so every served step
+begins with a virtual balance above ``m``, whatever the order of the
+day's steps. What is left is the real wallet: the total spend is at
+most ``effective_budget``, so the real balance stays at least ``m``
+after every served step. No plan ends a step at real balance 0.0. Flat
+demand often puts a balance on exactly 0.0, and there the float dust
+between the program's sums and the simulator's running differences
+(some 1e-16 of the budget) would decide whether the step is served.
+Balances do not gather at ``m`` as they do at 0.0, and the dust is far
+smaller than ``m``.
+
+**Day options.** A count vector of one day has a spend and a value
 (``n_k gamma_k / N_k`` summed over the loads, ``N_k`` the load's
-demanded steps over the horizon) and ``pre``, the spend before the
-day's last served step. The options are built by merging one load at
-a time. A partial vector also carries its last served step and that
-step's cost, and a partial A is dropped when another B spends at most
-``pre_A`` minus the most the loads still to merge can cost at one
-step, for at least A's value: every completion of B then spends no
-more, before and at its last step, than A's. After the last load only
-the Pareto-optimal ``(spend, pre, value)`` options are kept. They
-depend only on the day's demand, so :func:`plan_view` builds them once
-for all budgets, and for every view that repeats the day.
+demanded steps over the horizon). A day's options are the strict
+(spend, value) staircase of its count vectors: no other vector spends
+at most as much for at least as much. They are built by merging one
+load at a time, each merge pairing the staircase so far with every
+count of the load and keeping the pairs' staircase. They depend only
+on the day's demand, so :func:`plan_view` builds them once for all
+budgets, and for every view that repeats the day.
 
-**Feasibility, and the edge at 0.0.** With ``m`` the sliver of the
-budget that every policy holds back (``model.BUDGET_MARGIN`` of it):
-
-* every served step begins with a virtual balance of at least ``m``:
-  day d's option is feasible after a spend S on the days before iff
-  ``S + pre <= (recharges through day d) - m``; a day that serves
-  nothing needs no money;
-* the real balance stays at least ``m`` after every served step: the
-  total spend is at most ``effective_budget``.
-
-So no plan starts a served step at virtual balance 0.0 or ends one at
-real balance 0.0. Flat demand often puts a balance on exactly 0.0, and
-there the float dust between the program's sums and the simulator's
-running differences (some 1e-16 of the budget) would decide whether
-the step is served. Balances do not gather at ``m`` as they do at 0.0,
-and the dust is far smaller than ``m``.
-
-**Dynamic program.** After each day the states are the Pareto-optimal
-``(S, value)`` pairs, S the spend so far. A state is dropped when its
-value plus the Dantzig bound of the days left (``prepaid_ems.mck``: the
-LP relaxation over their options' upper hulls, against the money left)
+**Dynamic program.** After each day the states are the (S, value)
+staircase, S the spend so far. A state is dropped when its value plus
+the Dantzig bound of the days left (``prepaid_ems.mck``: the LP
+relaxation over their options' upper hulls, against the money left)
 falls below an incumbent: the value of a beam pass that keeps the
-``BEAM`` states with the best bound each day. The bound respects the
-virtual wallet: the spend through each day stays within that day's
-limit plus its largest last-step cost. The last day takes the best
-feasible (state, option) pair; ties go to the first in option order.
+``BEAM`` states with the best bound each day. The last day takes the
+best feasible (state, option) pair; ties go to the first in option
+order.
 
 **Decoding.** The counts become an actuation on the view, and each
 load-day's threshold goes mid-band on that actuation's virtual
@@ -75,10 +73,10 @@ from prepaid_ems.model import (
     pinned_off,
 )
 
-#: Most pairs one budget's solve may form: the (partial vector, count)
-#: pairs that build its view's day options plus, in each pass of its
-#: dynamic program, each day's states times options. A cell that needs
-#: more is reported unsolved.
+#: Most pairs one budget's solve may form: the (option, count) pairs
+#: that build its view's day options plus, in each pass of its dynamic
+#: program, each day's states times options. A cell that needs more is
+#: reported unsolved.
 WORK_BOUND = 30_000_000
 
 #: Pairs formed at a time, which bounds the memory of one merge and of
@@ -93,22 +91,15 @@ class DfmTooLarge(ValueError):
     """The solve would form more than ``WORK_BOUND`` pairs."""
 
 
-def dfm_recharges(budget: Budget, num_days: int) -> np.ndarray:
-    """The DFM's daily recharges: the budget split evenly over the days."""
-    return np.full(num_days, budget.initial_balance / num_days)
-
-
 @dataclass(frozen=True)
 class DayOptions:
-    """The Pareto-optimal count vectors of one day. ``pre`` is ``-inf``
-    for the vector that serves nothing, which is feasible on any day."""
+    """The (spend, value) staircase of one day's count vectors, by
+    rising spend; the first option serves nothing."""
 
     spend: np.ndarray  # [option], $
-    pre: np.ndarray  # [option], $ spent before the day's last served step
     value: np.ndarray  # [option]
     counts: np.ndarray  # [option, load]
     hull: tuple[np.ndarray, np.ndarray]  # spend and value steps of the upper hull
-    overshoot: float  # largest cost of an option's last served step, $
     work: int  # pairs formed to build them
 
 
@@ -127,131 +118,62 @@ def _staircase(spend, value) -> np.ndarray:
     return order[v > np.maximum.accumulate(np.concatenate(([-np.inf], v[:-1])))]
 
 
-def _pareto(spend, pre, value) -> np.ndarray:
-    """Indices of the Pareto-optimal ``(spend, pre, value)`` vectors,
-    less spend and pre and more value being better; of equal vectors
-    the first is kept. The caller has already dropped every vector that
-    one spending at most its ``pre`` beats."""
-    order = np.lexsort((-value, pre, spend))
-    s, p, v = spend[order], pre[order], value[order]
-    # Left to check: the vectors sorted before each one that spend more
-    # than its pre, a window of them right before it.
-    width = np.arange(len(s)) - np.searchsorted(s, p, side="right")
-    beaten = np.zeros(len(s), dtype=bool)
-    wide = np.argsort(-width, kind="stable")
-    # at_least[w]: how many vectors have a window of at least w.
-    at_least = np.cumsum(np.bincount(np.maximum(width, 0))[::-1])[::-1]
-    for shift in range(1, len(at_least)):
-        i = wide[: at_least[shift]]
-        j = i - shift
-        beaten[i] |= (p[j] <= p[i]) & (v[j] >= v[i])
-    return order[~beaten]
-
-
 def _day_options(power, cost, values) -> DayOptions:
     """The options of one day, ``power`` and ``cost`` its ``[load, step]``
-    demand and step costs, merging the most expensive loads first.
-
-    Each merge pairs every partial vector with every count of the load.
-    A pair is dropped when another spends at most its ``pre`` less the
-    reserve (the most the loads still to merge cost at one step) for at
-    least its value. The best value within a spend is read off the
-    (spend, value) staircase of all pairs, which the pairs of the
-    partial vectors on their own staircase already span.
-    """
-    demanded = [k for k in range(len(power)) if power[k].any()]
-    demanded.sort(key=lambda k: -cost[k].max())
+    demand and step costs. Each demanded load in turn pairs every option
+    so far with every count of its own; the pairs' staircase is the
+    staircase of the chunks' staircases."""
+    demanded = np.flatnonzero(power.any(axis=1))
     work = 0
-    spend, value, over = np.zeros(1), np.zeros(1), np.zeros(1)
-    last = np.full(1, -1)
+    spend, value = np.zeros(1), np.zeros(1)
     counts = np.zeros((1, 0), dtype=np.int64)
-    for i, k in enumerate(demanded):
-        steps = np.flatnonzero(power[k] > 0)
-        choices = len(steps) + 1
+    for k in demanded:
+        prefix = np.concatenate(([0.0], np.cumsum(cost[k, power[k] > 0])))
+        choices = len(prefix)
         work = _charge(work, len(spend) * choices)
-        step_cost = np.concatenate(([0.0], cost[k, steps]))
-        step_of = np.concatenate(([-1], steps))
-        prefix, gain = np.cumsum(step_cost), np.arange(choices) * values[k]
-        front = _staircase(spend, value)
-        stair_spend = (spend[front, None] + prefix).ravel()
-        stair_value = (value[front, None] + gain).ravel()
-        stair = _staircase(stair_spend, stair_value)
-        stair_spend, stair_value = stair_spend[stair], stair_value[stair]
-        rest = demanded[i + 1 :]
-        reserve = float(cost[rest].sum(axis=0).max()) if rest else 0.0
-        kept = []
+        gain = np.arange(choices) * values[k]
         rows = max(1, CHUNK // choices)
+        kept = []
         for lo in range(0, len(spend), rows):
-            part = slice(lo, lo + rows)
-            # The pairs of these partial vectors, as [vector, count] arrays.
-            new_spend = spend[part, None] + prefix
-            new_value = value[part, None] + gain
-            # The cost of the pair's last served step.
-            before, prior = last[part, None], over[part, None]
-            ties = np.where(step_of == before, prior + step_cost, prior)
-            new_over = np.where(step_of > before, step_cost, ties)
-            # Serving nothing (no last step) is beaten by nothing.
-            reach = np.where(new_over > 0, new_spend - new_over - reserve, -np.inf)
-            reach = np.searchsorted(stair_spend, reach, side="right")
-            keep = np.flatnonzero((reach == 0) | (stair_value[reach - 1] < new_value))
-            pairs = (new_spend, new_value, new_over)
-            kept.append([keep + lo * choices, *(x.ravel()[keep] for x in pairs)])
-        keep, spend, value, over = (np.concatenate(x) for x in zip(*kept))
-        if not rest:
-            best = _pareto(spend, spend - over, value)
-            keep, spend, value, over = keep[best], spend[best], value[best], over[best]
+            new_spend = (spend[lo : lo + rows, None] + prefix).ravel()
+            new_value = (value[lo : lo + rows, None] + gain).ravel()
+            stair = _staircase(new_spend, new_value)
+            kept.append((stair + lo * choices, new_spend[stair], new_value[stair]))
+        keep, spend, value = (np.concatenate(x) for x in zip(*kept))
+        stair = _staircase(spend, value)
+        keep, spend, value = keep[stair], spend[stair], value[stair]
         a, n = np.divmod(keep, choices)
-        last = np.maximum(last[a], step_of[n])
         counts = np.column_stack([counts[a], n])
     full = np.zeros((len(spend), len(power)), dtype=np.int64)
     full[:, demanded] = counts
-    pre = np.where(last < 0, -np.inf, spend - over)
-    hull = _hull_steps(spend, value)
-    return DayOptions(spend, pre, value, full, hull, float(over.max()), work)
+    return DayOptions(spend, value, full, _hull_steps(spend, value), work)
 
 
 def _hull_steps(spend, value) -> tuple[np.ndarray, np.ndarray]:
-    """Spend and value steps along the upper concave hull of the
-    options from ``(0, 0)``, slopes falling."""
-    front = _staircase(spend, value)
-    s, v = spend[front], value[front]
+    """Spend and value steps along the upper concave hull of a staircase
+    that starts at ``(0, 0)``, slopes falling."""
     vertex = [0]
-    while vertex[-1] < len(s) - 1:
+    while vertex[-1] < len(spend) - 1:
         i = vertex[-1]
-        slope = (v[i + 1 :] - v[i]) / (s[i + 1 :] - s[i])
+        slope = (value[i + 1 :] - value[i]) / (spend[i + 1 :] - spend[i])
         # The last of equally steep points, so each step is a full edge.
         vertex.append(i + len(slope) - int(np.argmax(slope[::-1])))
-    return np.diff(s[vertex]), np.diff(v[vertex])
+    return np.diff(spend[vertex]), np.diff(value[vertex])
 
 
-def _bound_tables(hulls, ceilings) -> list[tuple[np.ndarray, np.ndarray]]:
+def _bound_tables(hulls) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per day d, the Dantzig bound of the days after d as a function of
-    the spend S through day d: breakpoints ``(S ascending, value)``.
-
-    It is the LP relaxation over the days' hulls (``hulls[e]``, their
-    spend and value steps) in which the spend through each day e stays
-    within ``ceilings[e]``. Built backwards: the bound after day d is
-    the max-plus convolution of day d + 1's hull with the bound after
-    day d + 1 cut at ``ceilings[d + 1]``, a merge of their steps in
-    falling slope order: the cut's value plus their ranked table.
-    """
-    last = len(hulls) - 1
-    xs, ys = np.array([ceilings[last]]), np.zeros(1)
-    tables = [(xs, ys)]
-    for d in range(last - 1, -1, -1):
-        top = ceilings[d + 1]
-        later = xs < top
-        xs = np.append(xs[later], top)
-        ys = np.append(ys[later], dantzig(tables[-1], top))
-        # Steps leftward from the cut, so slopes fall, and the day's hull.
-        width = np.concatenate((np.diff(xs)[::-1], hulls[d + 1][0]))
-        rise = np.concatenate(((ys[:-1] - ys[1:])[::-1], hulls[d + 1][1]))
-        width, rise = width[width > 0], rise[width > 0]
-        order = np.argsort(-(rise / width), kind="stable")
-        run, gain = ranked_table(width[order], rise[order])
-        xs, ys = top - run[::-1], ys[-1] + gain[::-1]
-        tables.append((xs, ys))
-    return tables[::-1]
+    the money left: the ranked table of their hull steps. Every hull
+    step is ranked once by falling slope (stable); each day's table
+    filters that ranking, which keeps its order."""
+    width, rise = (np.concatenate(steps) for steps in zip(*hulls))
+    day_of = np.repeat(np.arange(len(hulls)), [len(w) for w, _ in hulls])
+    rank = np.argsort(-(rise / width), kind="stable")
+    tables = []
+    for d in range(len(hulls)):
+        later = rank[day_of[rank] > d]
+        tables.append(ranked_table(width[later], rise[later]))
+    return tables
 
 
 def view_options(
@@ -283,7 +205,7 @@ def view_options(
     return days
 
 
-def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work):
+def _search(days: list[DayOptions], capacity, tables, floor, beam, work):
     """The dynamic program over the days. States whose bound falls below
     ``floor`` are dropped; with ``beam``, at most that many states with
     the best bounds are kept per day. Returns the best value, the chosen
@@ -295,14 +217,13 @@ def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work)
         work = _charge(work, int(len(day.spend) * len(spend)))
         # The states are sorted by spend, so each option takes a prefix of
         # them; the feasible pairs come in option order, a chunk at a time.
-        room = np.minimum(limits[d] - day.pre, capacity - day.spend)
-        takes = np.searchsorted(spend, room, side="right")
+        takes = np.searchsorted(spend, capacity - day.spend, side="right")
         options, first = np.arange(len(takes)), np.zeros_like(takes)
         kept = []
         for option, state in chunked_runs(options, first, takes, CHUNK):
             new_spend = spend[state] + day.spend[option]
             new_value = value[state] + day.value[option]
-            bound = new_value + dantzig(tables[d], new_spend)
+            bound = new_value + dantzig(tables[d], capacity - new_spend)
             keep = bound >= floor
             kept.append([x[keep] for x in (state, option, new_spend, new_value, bound)])
         state, option, new_spend, new_value, bound = (
@@ -324,6 +245,25 @@ def _search(days: list[DayOptions], limits, capacity, tables, floor, beam, work)
     return float(new_value[best]), chosen[::-1], work
 
 
+def _step_costs(served, demand: DemandSeries, tariff: Tariff) -> np.ndarray:
+    """What the actuation ``served[load, step]`` costs on ``demand``, as
+    ``[day, step of the day]``."""
+    grid = demand.grid
+    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
+    return cost.reshape(grid.num_days, grid.steps_per_day)
+
+
+def planned_recharges(
+    served: np.ndarray, demand: DemandSeries, tariff: Tariff, budget: Budget
+) -> np.ndarray:
+    """DFM's daily recharges for the actuation ``served[load, step]``:
+    what it spends each day on ``demand``, day 0 also getting the
+    budget's margin."""
+    recharges = _step_costs(served, demand, tariff).sum(axis=1)
+    recharges[0] += BUDGET_MARGIN * budget.initial_balance
+    return recharges
+
+
 def mid_band_thresholds(
     served: np.ndarray,
     demand: DemandSeries,
@@ -342,8 +282,7 @@ def mid_band_thresholds(
     """
     grid = demand.grid
     num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
-    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
-    cost = cost.reshape(num_days, n)
+    cost = _step_costs(served, demand, tariff)
     # Virtual balance at each step start of each day, and after its last step.
     spent = np.cumsum(cost.sum(axis=1))
     start = np.cumsum(recharges) - np.concatenate([[0.0], spent[:-1]])
@@ -372,20 +311,14 @@ def plan_view(
         days = view_options(view, loads, tariff, known)
     except DfmTooLarge as exc:
         return [exc.with_traceback(None)] * len(budgets)
-    hulls, overshoot = [day.hull for day in days], [day.overshoot for day in days]
+    tables = _bound_tables([day.hull for day in days])
     work = sum(day.work for day in days)
     slack = BOUND_SLACK * float(loads.gammas.sum())
     demanded = view.power.reshape(view.num_loads, len(days), -1) > 0
     rank = np.cumsum(demanded, axis=2)
     plans = []
     for budget in budgets:
-        recharges = dfm_recharges(budget, len(days))
-        limits = np.cumsum(recharges) - BUDGET_MARGIN * budget.initial_balance
-        capacity = effective_budget(budget)
-        # The spend through day d is at most its limit plus the day's largest
-        # last-step cost, or an earlier day's such ceiling if it serves nothing.
-        ceilings = np.minimum(np.maximum.accumulate(limits + overshoot), capacity)
-        problem = (days, limits, capacity, _bound_tables(hulls, ceilings))
+        problem = (days, effective_budget(budget), tables)
         try:
             incumbent, _, spent = _search(*problem, -np.inf, BEAM, work)
             objective, chosen, _ = _search(*problem, incumbent - slack, None, spent)
@@ -395,6 +328,7 @@ def plan_view(
         counts = np.stack([day.counts[o] for day, o in zip(days, chosen)], axis=1)
         # A load-day serving n steps serves its first n demanded ones.
         served = (demanded & (rank <= counts[..., None])).reshape(view.num_loads, -1)
+        recharges = planned_recharges(served, view, tariff, budget)
         thresholds = mid_band_thresholds(served, view, tariff, recharges)
         plans.append((ThresholdPlan(thresholds, recharges), objective))
     return plans

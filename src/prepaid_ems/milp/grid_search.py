@@ -51,23 +51,23 @@ def solve_dfm_grid(
     """Best threshold plan over a per-load-day candidate grid, and its
     PSF on ``demand``.
 
-    Candidates per load-day: zero, ``grid_resolution`` evenly spaced
-    points up to the daily recharge (``dfm.dfm_recharges``), and
-    ``model.pinned_off``, just above the recharges summed through that
-    day. Load-days with no forecast demand only get the pinned-off
-    candidate -- their threshold cannot matter. Ties keep the first
-    combination in enumeration order, so results are deterministic.
+    The virtual wallet gets an even share of the budget each day, a
+    recharge rule of this oracle's own: the sweep's DFM recharges what
+    its plan spends (``prepaid_ems.dfm``). Candidates per load-day:
+    zero, ``grid_resolution`` evenly spaced points up to the daily
+    recharge, and ``model.pinned_off``, just above the recharges summed
+    through that day. Load-days with no forecast demand only get the
+    pinned-off candidate -- their threshold cannot matter. Ties keep
+    the first combination in enumeration order, so results are
+    deterministic.
     """
-    # Imported here: at module level it would load ``dfm`` in every sweep.
-    from prepaid_ems.dfm import dfm_recharges
-
     if grid_resolution < 1:
         raise ValueError(f"grid_resolution must be >= 1, got {grid_resolution}")
     grid = demand.grid
     num_loads = demand.num_loads
     num_days = grid.num_days
-    recharges = dfm_recharges(budget, num_days)
-    recharge = float(recharges[0])
+    recharge = budget.initial_balance / num_days
+    recharges = np.full(num_days, recharge)
     off = pinned_off(recharges).tolist()
 
     avg = daily_average(demand)

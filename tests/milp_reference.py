@@ -13,31 +13,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.dfm import dfm_recharges, mid_band_thresholds
+from prepaid_ems.dfm import mid_band_thresholds, planned_recharges
 from prepaid_ems.milp import MilpModel, Solution, extract_schedule
 from prepaid_ems.model import (
+    BUDGET_MARGIN,
     Budget,
     DemandSeries,
     LoadSet,
     Tariff,
+    ThresholdPlan,
     demand_indicator,
 )
 
-#: Smallest balance the indicator rows treat as "money in the wallet".
-INDICATOR_EPS = 1e-6
+#: Smallest balance the indicator rows treat as "money in the wallet",
+#: and the least a balance must fall below a threshold to disable a
+#: load. It is kept well above HiGHS's MIP feasibility tolerance (1e-6):
+#: at 1e-6, HiGHS returned plans that end the real wallet at 0.0 and that
+#: keep a load off at a balance equal to its threshold.
+INDICATOR_EPS = 1e-4
 
 
 def _wallet_bound(demand: DemandSeries, tariff: Tariff, budget: Budget) -> float:
     """Big-M bound on the magnitude of every balance the wallets reach.
 
-    The wallet starts at the budget and can overshoot below zero by at
-    most one step's worth of every load running simultaneously, so
-    ``budget + alpha * dt * sum_k max_t P`` bounds its magnitude.
+    The real wallet starts at the budget and can overshoot below zero
+    by at most one step's worth of every load running simultaneously.
+    The virtual wallet holds at most the margin plus what one day
+    spends, which the real wallet keeps within the budget. So
+    ``budget + margin + alpha * dt * sum_k max_t P`` bounds both.
     """
     swing = tariff.alpha * demand.grid.step_hours * float(
         demand.power.max(axis=1).sum()
     )
-    bound = budget.initial_balance + swing
+    bound = budget.initial_balance * (1.0 + BUDGET_MARGIN) + swing
     return bound if bound > 0 else 1.0  # degenerate zero-budget zero-demand model
 
 
@@ -48,8 +56,9 @@ def build_dfm(
 
     Decision variables: per-load per-day thresholds, real and virtual
     wallet balances per step, real/virtual enable binaries, and binary
-    actuations. The virtual wallet gets :func:`dfm_recharges` at each
-    day start.
+    actuations. Each day start recharges the virtual wallet with what
+    the day spends, and day 0 also with the budget's margin: the rule of
+    ``dfm.planned_recharges``.
 
     The real balance needs one step beyond the horizon: serving the last
     step requires the wallet to stay positive after paying for it, so a
@@ -67,7 +76,8 @@ def build_dfm(
     grid = demand.grid
     num_loads = demand.num_loads
     total = grid.total_steps
-    recharges = dfm_recharges(budget, grid.num_days)
+    n = grid.steps_per_day
+    margin = BUDGET_MARGIN * budget.initial_balance
     d = demand_indicator(demand)
     cost_factor = tariff.alpha * grid.step_hours
 
@@ -117,12 +127,17 @@ def build_dfm(
         coeffs = {f"z_t{t}": 1.0, f"z_t{t - 1}": -1.0}
         coeffs.update(spend_coeffs(t - 1))
         model.add_constraint(f"real_wallet_t{t}", coeffs, "=", 0.0)
-    # Virtual wallet recurrence; the recharge enters at each day start.
-    model.add_constraint("virtual_wallet_t0", {"x_t0": 1.0}, "=", recharges[0])
-    for t in range(1, total):
-        coeffs = {f"x_t{t}": 1.0, f"x_t{t - 1}": -1.0}
-        coeffs.update(spend_coeffs(t - 1))
-        rhs = recharges[grid.day_of(t)] if t % grid.steps_per_day == 0 else 0.0
+    # Virtual wallet recurrence; each day start is recharged with the
+    # day's spend, and the margin enters at the first step.
+    for t in range(total):
+        coeffs = {f"x_t{t}": 1.0}
+        if t > 0:
+            coeffs[f"x_t{t - 1}"] = -1.0
+            coeffs.update(spend_coeffs(t - 1))
+        if t % n == 0:
+            for s in range(t, t + n):
+                coeffs.update((name, -c) for name, c in spend_coeffs(s).items())
+        rhs = margin if t == 0 else 0.0
         model.add_constraint(f"virtual_wallet_t{t}", coeffs, "=", rhs)
 
     for k in range(num_loads):
@@ -201,24 +216,25 @@ def build_dfm(
     return model
 
 
-def extract_thresholds(
+def extract_plan(
     model: MilpModel,
     solution: Solution,
     demand: DemandSeries,
     tariff: Tariff,
-    recharges: np.ndarray,
-) -> np.ndarray:
-    """Threshold matrix ``[load, day]`` that makes the simulator repeat a
-    solved DFM model's actuation on ``demand``, the model's forecast view,
-    with ``recharges`` the model's daily recharges: the
-    ``mid_band_thresholds`` of the decoded actuation. The solver's own
-    thresholds sit on a balance the virtual wallet reaches, so float
-    dust in the simulator would decide whether the load is still on
-    there.
+    budget: Budget,
+) -> ThresholdPlan:
+    """Threshold plan that makes the simulator repeat a solved DFM
+    model's actuation on ``demand``, the model's forecast view: the
+    model's recharges for the decoded actuation, and its
+    ``mid_band_thresholds``. The solver's own thresholds sit on a
+    balance the virtual wallet reaches, so float dust in the simulator
+    would decide whether the load is still on there.
     """
     grid = demand.grid
     served = extract_schedule(model, solution, demand.num_loads, grid.total_steps)
-    return mid_band_thresholds(served, demand, tariff, recharges)
+    recharges = planned_recharges(served, demand, tariff, budget)
+    thresholds = mid_band_thresholds(served, demand, tariff, recharges)
+    return ThresholdPlan(thresholds, recharges)
 
 
 class MissingVariable(ValueError):

@@ -7,9 +7,9 @@ import itertools
 import numpy as np
 import pytest
 
-from milp_reference import build_dfm, extract_thresholds
+from milp_reference import build_dfm, extract_plan
 from prepaid_ems import dfm, sim
-from prepaid_ems.dfm import dfm_recharges, mid_band_thresholds
+from prepaid_ems.dfm import mid_band_thresholds, planned_recharges
 from prepaid_ems.forecast import shuffle_days, to_limited
 from prepaid_ems.milp import SolveStatus
 from prepaid_ems.model import (
@@ -51,14 +51,15 @@ def _keeps_the_margin(result, budget):
 
 
 def brute_force(view, loads, budget):
-    """Best PSF on ``view`` over every count vector whose mid-band plan
-    the simulator serves exactly, within the wallet rule."""
+    """Best PSF on ``view`` over every count vector whose mid-band plan,
+    recharged with what the vector spends each day, the simulator serves
+    exactly, within the wallet rule."""
     grid = view.grid
     demanded = (view.power > 0).reshape(view.num_loads, grid.num_days, -1).sum(axis=2)
-    recharges = dfm_recharges(budget, grid.num_days)
     vectors, plans = [], []
     for combo in itertools.product(*(range(m + 1) for m in demanded.ravel())):
         served = _actuation(view, np.reshape(combo, demanded.shape))
+        recharges = planned_recharges(served, view, TARIFF, budget)
         thresholds = mid_band_thresholds(served, view, TARIFF, recharges)
         vectors.append(served)
         plans.append(ThresholdPlan(thresholds, recharges))
@@ -149,6 +150,59 @@ def test_ties_match_brute_force(seed):
     _check_against_brute_force(*_tie_case(seed))
 
 
+def _days(view, loads):
+    """Each day of ``view`` as ``_day_options`` takes it: its ``[load,
+    step]`` demand and costs, and the loads' values per step."""
+    n = view.grid.steps_per_day
+    demanded = (view.power > 0).sum(axis=1)
+    values = np.where(demanded > 0, loads.gammas / np.maximum(demanded, 1), 0.0)
+    cost = TARIFF.alpha * view.grid.step_hours * view.power
+    for d in range(view.grid.num_days):
+        span = slice(d * n, (d + 1) * n)
+        yield view.power[:, span], cost[:, span], values
+
+
+def _spend_and_value(power, cost, values, counts):
+    """A day's count vector summed as the merge sums it, load by load."""
+    spend = value = 0.0
+    for k in np.flatnonzero(power.any(axis=1)):
+        prefix = np.concatenate(([0.0], np.cumsum(cost[k, power[k] > 0])))
+        spend += float(prefix[counts[k]])
+        value += counts[k] * values[k]
+    return spend, value
+
+
+@pytest.mark.parametrize(
+    "case", [*((_case, s) for s in range(40)), *((_tie_case, s) for s in range(20))]
+)
+def test_day_options_are_the_staircase_of_every_count_vector(monkeypatch, case):
+    """A day's options, merged whole or one option's pairs at a time,
+    are the strict (spend, value) staircase of all its count vectors,
+    and each option's counts give its spend and value."""
+    make, seed = case
+    view, loads, _ = make(seed)
+    for power, cost, values in _days(view, loads):
+        options = dfm._day_options(power, cost, values)
+        limits = [int(m) for m in (power > 0).sum(axis=1)]
+        points = {
+            _spend_and_value(power, cost, values, counts)
+            for counts in itertools.product(*(range(m + 1) for m in limits))
+        }
+        stair = sorted(
+            (s, v)
+            for s, v in points
+            if not any((t <= s and w >= v) and (t, w) != (s, v) for t, w in points)
+        )
+        assert list(zip(options.spend.tolist(), options.value.tolist())) == stair
+        for counts, s, v in zip(options.counts, options.spend, options.value):
+            assert _spend_and_value(power, cost, values, counts) == (s, v)
+        monkeypatch.setattr(dfm, "CHUNK", 2)
+        chunked = dfm._day_options(power, cost, values)
+        monkeypatch.undo()
+        for name in ("spend", "value", "counts"):
+            assert np.array_equal(getattr(chunked, name), getattr(options, name))
+
+
 def test_matches_highs_where_highs_holds():
     """HiGHS on ``build_dfm`` is an oracle only where it reports an
     optimum whose own plan realizes its objective within the wallet
@@ -164,11 +218,8 @@ def test_matches_highs_where_highs_holds():
         solution = solve_highs(model)
         if solution.status is not SolveStatus.OPTIMAL:
             continue
-        recharges = dfm_recharges(budget, view.grid.num_days)
-        thresholds = extract_thresholds(model, solution, view, TARIFF, recharges)
-        highs = sim.simulate_thresholds(
-            ThresholdPlan(thresholds, recharges), view, loads, TARIFF, budget
-        )
+        plan = extract_plan(model, solution, view, TARIFF, budget)
+        highs = sim.simulate_thresholds(plan, view, loads, TARIFF, budget)
         if abs(highs.psf - solution.objective) > 1e-9:
             continue
         if not _keeps_the_margin(highs, budget):
@@ -180,23 +231,26 @@ def test_matches_highs_where_highs_holds():
 
 
 def test_plans_keep_off_the_zero_edge():
-    """Day 0's three 4 $ steps would leave the virtual wallet at exactly
-    0.0 before the third, and serving day 1's 2 $ steps too would leave
-    the real one at 0.0; the plan serves neither edge."""
+    """Day 0's three 4 $ steps and day 1's two 2 $ steps cost the whole
+    16 $ budget, so serving all five would leave the real wallet at
+    exactly 0.0; the plan serves four."""
     grid = TimeGrid(8.0, 3, 2)
     view = DemandSeries(grid, [[500.0, 500.0, 500.0, 250.0, 250.0, 0.0]])
     loads = LoadSet.from_pairs([("x", 1.0)])
     budget = Budget(16.0)
     plan, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     result = sim.simulate_thresholds(plan, view, loads, TARIFF, budget)
-    assert result.actuation.tolist() == [[1, 1, 0, 1, 1, 0]]
+    assert result.actuation.sum() == 4
     assert objective == pytest.approx(0.8) and result.psf == pytest.approx(0.8)
-    assert result.final_real_balance == pytest.approx(4.0)
+    assert result.final_real_balance >= 2.0
     assert objective == pytest.approx(brute_force(view, loads, budget), abs=1e-12)
-    # On the edge: thresholds of zero serve all five steps and empty
-    # the real wallet.
-    edge = ThresholdPlan(np.zeros((1, 2)), plan.recharges)
+    # On the edge: recharged for all five steps, thresholds of zero serve
+    # them and empty the real wallet.
+    served = np.array([[1, 1, 1, 1, 1, 0]], dtype=np.int8)
+    recharges = planned_recharges(served, view, TARIFF, budget)
+    edge = ThresholdPlan(np.zeros((1, 2)), recharges)
     edge_result = sim.simulate_thresholds(edge, view, loads, TARIFF, budget)
+    assert np.array_equal(edge_result.actuation, served)
     assert edge_result.final_real_balance == 0.0
 
 

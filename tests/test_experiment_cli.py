@@ -274,13 +274,13 @@ class TestEmitOutputs:
         assert (config.output_dir / "table2.csv").read_bytes() == (
             b"balance,detailed_AFG,detailed_DFM,detailed_OBM,"
             b"limited_AFG,limited_DFM,limited_OBM\r\n"
-            b"70%,6.33,11.2,11.2,6.33,8.22,6.33\r\n"
-            b"100%,0,-6,-1.56,0,-12.2,0\r\n"
+            b"70%,6.33,11.2,11.2,6.33,4.78,6.33\r\n"
+            b"100%,0,-1.56,-1.56,0,-1.56,0\r\n"
         )
         assert (config.output_dir / "table3.csv").read_bytes() == (
             b"balance,limited_AFG,limited_DFM,limited_OBM,BSL,days\r\n"
-            b"70%,79 (8.22),76 (5.22),79 (8.22),70.8,1\r\n"
-            b"100%,88 (-12),80.2 (-19.8),88 (-12),100,0\r\n"
+            b"70%,79 (8.22),79 (8.22),79 (8.22),70.8,1\r\n"
+            b"100%,88 (-12),88 (-12),88 (-12),100,0\r\n"
         )
 
     def test_table3_without_baseline(self, tmp_path):
@@ -614,7 +614,7 @@ class TestEmitOutputs:
         [
             (
                 {"policies": ["BSL", "AFG", "DFM", "OBM"]},
-                "c8e4489236eb25a89ea640790450b540f7ea2680710209f25be54433ef212a14",
+                "14800d94b579b2ed15b6911d5db9c0ddabbe89d6a7cc479ab19da744125ba6fd",
             ),
             (
                 {
@@ -631,7 +631,7 @@ class TestEmitOutputs:
                     "horizon_days": 3,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "528a921a71f26e18adf78343f09924e03b520d202fdf67767b768c2af9998544",
+                "588505697c3beafc3df58560929fdfc206af583cb31564a6f406ee749f7aca0b",
             ),
             (
                 {
@@ -639,7 +639,7 @@ class TestEmitOutputs:
                     "horizon_days": 30,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "bbcbba58d3ba0316f21c0274d6267eafcf366b8285373270f27f8cbd950ca127",
+                "ce04ca67be0c62d88ce7396cd7d4f67f6040cbfba7e5fd6d763debffbd9ec448",
             ),
         ],
         ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy", "30d-15min-dfm"],
@@ -950,6 +950,16 @@ class TestCli:
             ("data section must contain 'csv' or 'synthetic'", {"data": {}}),
             ("duplicate load names: ['heater']", {"loads": [HEATER, HEATER]}),
             ("must contain a JSON object", lambda data: [data]),
+            # Seeds outside [0, 2**64) would wrap onto the seeds inside it.
+            ("shuffle_seed must lie in [0, 2**64), got -1", {"shuffle_seed": -1}),
+            ("shuffle_seed must lie in [0, 2**64)", {"shuffle_seed": 2**64}),
+            (
+                "synthetic seed must lie in [0, 2**64), got -1",
+                lambda data: {
+                    **data,
+                    "data": {"synthetic": {**data["data"]["synthetic"], "seed": -1}},
+                },
+            ),
         ],
     )
     def test_malformed_value_exit_2(self, tmp_path, capsys, field, overrides):
@@ -964,6 +974,19 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and field in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_seed_flag_out_of_range_exit_2(self, tmp_path, capsys, command, seed):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(base_config()))
+        out = tmp_path / ("out" if command == "run" else "house.csv")
+        args = [command, "--config", str(config_path), "--out", str(out)]
+        if command == "synth":
+            args += ["--days", "1"]
+        assert cli.main([*args, "--seed", seed]) == 2
+        assert capsys.readouterr().err.startswith("config error: --seed must lie in")
+        assert not out.exists()
 
     def test_module_entrypoint(self):
         proc = subprocess.run(

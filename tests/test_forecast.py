@@ -344,6 +344,11 @@ class TestShuffleDays:
         assert rng.next_u64() == 0xE220A8397B1DCDAF
         assert rng.next_u64() == 0x6E789E6AA1B965F4
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_splitmix_rejects_seeds_it_would_wrap(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            SplitMix64(seed)
+
     @pytest.mark.parametrize(
         "draw, expected",
         [

@@ -78,5 +78,5 @@ def test_simulator_and_threshold_solvers_load_no_policy(module):
 def test_milp_keeps_no_dfm_model_or_checker():
     import prepaid_ems.milp as milp
 
-    for name in ("build_dfm", "check_feasibility", "extract_thresholds"):
+    for name in ("build_dfm", "check_feasibility", "extract_plan"):
         assert not hasattr(milp, name), name

@@ -10,9 +10,8 @@ from milp_reference import (
     MissingVariable,
     build_dfm,
     check_feasibility,
-    extract_thresholds,
+    extract_plan,
 )
-from prepaid_ems.dfm import dfm_recharges
 from prepaid_ems.forecast import ApplianceProfile, synth_household
 from prepaid_ems.milp import (
     InstanceTooLarge,
@@ -30,7 +29,6 @@ from prepaid_ems.model import (
     DemandSeries,
     LoadSet,
     Tariff,
-    ThresholdPlan,
     TimeGrid,
     compute_budget,
     demand_indicator,
@@ -227,8 +225,11 @@ class TestBuildDfm:
         zero = Solution(
             {v.name: 0.0 for v in model.variables}, 0.0, SolveStatus.FEASIBLE
         )
+        # The virtual wallet starts at the margin, 3e-9 $, within the
+        # checker's tolerance of 0. (A zero balance at a zero threshold
+        # also breaks the rows that keep a load off.)
         names = {v.constraint for v in check_feasibility(model, zero)}
-        assert names == {"real_wallet_t0", "virtual_wallet_t0"}
+        assert {name for name in names if "wallet" in name} == {"real_wallet_t0"}
 
     def test_actuation_without_demand_flagged(self, two_loads, tariff):
         grid = TimeGrid(12.0, 2, 1)
@@ -243,14 +244,22 @@ class TestBuildDfm:
         assert "act_nodemand_k0_t1" in names
 
     def test_recharge_lands_on_day_starts(self, one_load, tariff):
+        # Each day start is recharged with the cost of the day's served
+        # steps (1.2 $ each), and day 0 also with the margin.
         grid = TimeGrid(12.0, 2, 2)
         demand = constant_series(grid, [100.0])
         model = build_dfm(demand, one_load, tariff, Budget(4.0))
         by_name = {c.name: c for c in model.constraints}
-        assert by_name["virtual_wallet_t0"].rhs == pytest.approx(2.0)
-        assert by_name["virtual_wallet_t1"].rhs == 0.0
-        assert by_name["virtual_wallet_t2"].rhs == pytest.approx(2.0)
-        assert by_name["virtual_wallet_t3"].rhs == 0.0
+        rows = [by_name[f"virtual_wallet_t{t}"] for t in range(4)]
+        assert [row.rhs for row in rows] == [4e-9, 0.0, 0.0, 0.0]
+        assert [row.coeffs for row in rows] == pytest.approx(
+            [
+                {"x_t0": 1.0, "a_k0_t0": -1.2, "a_k0_t1": -1.2},
+                {"x_t1": 1.0, "x_t0": -1.0, "a_k0_t0": 1.2},
+                {"x_t2": 1.0, "x_t1": -1.0, "a_k0_t1": 1.2, "a_k0_t2": -1.2, "a_k0_t3": -1.2},
+                {"x_t3": 1.0, "x_t2": -1.0, "a_k0_t2": 1.2},
+            ]
+        )
         assert by_name["real_wallet_t0"].rhs == pytest.approx(4.0)
 
 
@@ -368,10 +377,12 @@ class TestSolveDfmGrid:
 
 class TestExtractors:
     def test_threshold_extraction(self, two_loads, tariff):
-        # Steps cost 1.2 (heater) and 0.6 (pump); 5 is recharged each day.
+        # Steps cost 1.2 (heater) and 0.6 (pump); each day is recharged
+        # with its spend, 2.4, and day 0 also with the margin m = 1e-8.
         # Day 0 serves both loads at step 0 and the pump at step 1, so the
-        # virtual balance runs 5 -> 3.2 -> 2.6; day 1 serves only the
-        # heater: 7.6 -> 6.4 -> 5.2.
+        # virtual balance runs 2.4 -> 0.6 -> 0 (each plus m); day 1 serves
+        # only the heater: 2.4 -> 1.2 -> 0 (plus m). The pump is pinned
+        # off on day 1, above the recharges' sum 4.8 + m.
         grid = TimeGrid(12.0, 2, 2)
         demand = constant_series(grid, [100.0, 50.0])
         budget = Budget(10.0)
@@ -382,12 +393,12 @@ class TestExtractors:
             (f"a_k{k}_t{t}", 1.0) for k, t in zip(*np.nonzero(served))
         )
         solution = Solution(values, 0.0, SolveStatus.FEASIBLE)
-        recharges = np.array([5.0, 5.0])
-        thresholds = extract_thresholds(model, solution, demand, tariff, recharges)
-        assert thresholds == pytest.approx(
-            np.array([[(5.0 + 3.2) / 2, (6.4 + 5.2) / 2], [(3.2 + 2.6) / 2, 10.0001]])
+        plan = extract_plan(model, solution, demand, tariff, budget)
+        m = 1e-8
+        assert plan.recharges == pytest.approx([2.4 + m, 2.4], rel=0, abs=1e-15)
+        assert plan.thresholds == pytest.approx(
+            np.array([[1.5 + m, 0.6 + m], [0.3 + m, 4.8001 + m]]), rel=0, abs=1e-14
         )
-        plan = ThresholdPlan(thresholds, recharges)
         result = simulate_thresholds(plan, demand, two_loads, tariff, budget)
         assert np.array_equal(result.actuation, served)
 
@@ -411,9 +422,7 @@ class TestExtractors:
             model = build_dfm(truth, loads, tariff, budget)
             solution = solve_highs(model)
             assert solution.status is SolveStatus.OPTIMAL
-            recharges = dfm_recharges(budget, grid.num_days)
-            thresholds = extract_thresholds(model, solution, truth, tariff, recharges)
-            plan = ThresholdPlan(thresholds, recharges)
+            plan = extract_plan(model, solution, truth, tariff, budget)
             result = simulate_thresholds(plan, truth, loads, tariff, budget)
             assert result.psf == pytest.approx(solution.objective, abs=1e-9), fraction
 
