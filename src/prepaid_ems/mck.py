@@ -15,9 +15,12 @@ def runs(owner, start, width):
 
 def chunked_runs(owner, start, width, size: int):
     """:func:`runs` of consecutive owners, about ``size`` indices at a
-    time, in owner order; at least one chunk."""
+    time, in owner order: at least one chunk, and none empty unless all
+    runs are. A run wider than ``size`` makes one chunk of its own."""
     ends = np.cumsum(width)
     cuts = np.searchsorted(ends, np.arange(size, ends[-1], size), side="right")
+    # Each owner bound once, and none before the first index.
+    cuts = np.unique(cuts[cuts > np.searchsorted(ends, 0, side="right")])
     for lo, hi in zip([0, *cuts], [*cuts, len(width)]):
         yield runs(owner[lo:hi], start[lo:hi], width[lo:hi])
 

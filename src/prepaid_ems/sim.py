@@ -59,9 +59,13 @@ array per distinct trace, with no Python string per row or balance.
 Results with the same trace bytes are one group (:func:`trace_groups`),
 formatted once; ``files`` says how a group's paths become files. The
 balances' texts come from ``floatrepr.repr_bytes``, the same bytes as
-``repr``: computed in numpy for magnitudes in [1e-4, 1e16), and by
-``repr`` itself only for 0.0, -0.0, non-finite values and the
-magnitudes it prints with an exponent.
+``repr``: computed in numpy for magnitudes in [1e-4, 1e15), and by
+``repr`` itself only for 0.0, -0.0, non-finite values and the other
+magnitudes. :func:`_balance_bytes` formats each distinct bit pattern of
+a call's balances once: ``np.unique`` over the first step of each run of
+equal steps, and ``np.repeat`` of each run's row. On a paper-scale
+budget fraction (about 13,500 runs, 8,700 distinct balances) the
+formatting takes two thirds of its time and ``np.unique`` a fifth.
 """
 
 import csv
@@ -351,10 +355,9 @@ def simulate_baseline(
 
 def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``(texts, code)`` for equally long float traces: row
-    ``code[trace, step]`` of ``texts`` is the ``floatrepr.repr_bytes`` of that
-    entry, cut to the columns some text uses. Each distinct bit pattern
-    is formatted once; bits, not floats, are compared, so ``0.0`` and
-    ``-0.0`` keep their own text."""
+    ``code[trace, step]`` of ``texts`` is the ``floatrepr.repr_bytes`` of
+    that entry. Each distinct bit pattern is formatted once; bits, not
+    floats, are compared, so ``0.0`` and ``-0.0`` keep their own text."""
     bits = np.array(traces, dtype=float).view(np.int64)
     # A step with the bits of the step before it repeats that step's text.
     new = np.ones(bits.shape, dtype=bool)
@@ -364,13 +367,13 @@ def _balance_bytes(traces: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     # memory.
     del bits
     patterns, inverse = np.unique(starts, return_inverse=True)
-    # The inverse's shape differs across numpy 2.0.x.
-    inverse = inverse.reshape(-1).astype(np.int32)
-    code = inverse[np.cumsum(new, dtype=np.int32) - 1].reshape(new.shape)
-    del starts, inverse, new
-    texts = repr_bytes(patterns.view(np.float64))
-    shown = np.flatnonzero(texts.any(axis=0))
-    return texts[:, shown[0] : shown[-1] + 1].copy(), code
+    # Each run of equal steps repeats its first step's row; traces start
+    # runs, so no run crosses from one trace into the next. The
+    # inverse's shape differs across numpy 2.0.x.
+    at = np.flatnonzero(new)
+    code = np.repeat(inverse.reshape(-1).astype(np.int32), np.diff(at, append=new.size))
+    del starts, inverse, at
+    return repr_bytes(patterns.view(np.float64)), code.reshape(new.shape)
 
 
 def _same_bits(a: np.ndarray | None, b: np.ndarray | None) -> bool:
@@ -496,6 +499,6 @@ def write_trace_csv(result: SimResult, loads: LoadSet, path) -> None:
     This is :func:`write_trace_csvs` on one result. No body field needs
     quoting, so the body is built as bytes in numpy; the balances'
     digits are computed there too, and ``repr`` is called only for
-    0.0, -0.0, non-finite values and values outside ±[1e-4, 1e16).
+    0.0, -0.0, non-finite values and magnitudes outside [1e-4, 1e15).
     """
     write_trace_csvs([(result, path, ())], loads)

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prepaid_ems import floatrepr
 from prepaid_ems.floatrepr import repr_bytes
 
 
@@ -74,3 +75,38 @@ def test_balances_and_random_bit_patterns():
     balances = (start[:, None] - np.cumsum(costs, axis=1)).ravel()
     bits = rng.integers(-(2**63), 2**63 - 1, 50_000, dtype=np.int64, endpoint=True)
     assert_reprs(np.concatenate([balances, bits.view(np.float64)]))
+
+
+def test_halfway_values_round_to_even():
+    # V = a * 10**k lands exactly halfway between two 17-digit integers:
+    # a = odd / 2**(k + 1) with V = odd * 5**k / 2, k = 2 in [1e14, 1e15),
+    # and the same halves just past 1e15, where repr is called.
+    rng = np.random.default_rng(8)
+    odd = 2 * rng.integers(4 * 10**14, 4 * 10**15, 200) + 1
+    named = [123456789012345.625, 123456789012345.875, 1234567890123456.25]
+    assert_reprs(np.concatenate([odd / 8.0, named, [1234567890123456.75]]))
+    text = repr_bytes(np.array(named[:1])).tobytes().strip(b"\0")
+    assert text == b"123456789012345.62"
+
+
+def test_ties_between_two_multiples_of_ten_that_both_fit():
+    # a = odd / 2**k makes V = odd * 5**k an integer ending in 5; at the
+    # top of each decade the interval is wider than 10, so both multiples
+    # of 10 next to V read back to a and tie.
+    values = []
+    for decade in range(-4, 15):
+        k = 16 - decade
+        top = 10 ** (decade + 1) * 2**k
+        odd = np.linspace(0.8 * top, top - 2, 50).astype(np.int64) | 1
+        values.append(odd / float(2**k))
+    assert_reprs(neighbours(np.concatenate(values)))
+
+
+def test_one_call_longer_than_a_pass_mixes_every_decade():
+    # Each pass of the kernel sees values from 1e-4 to 1e15 and past it.
+    rng = np.random.default_rng(9)
+    count = 3 * floatrepr._CHUNK + 7
+    values = 10.0 ** rng.uniform(-4, 15.5, count)
+    values[::2] = np.round(values[::2], rng.integers(0, 6))
+    values[rng.random(count) < 0.5] *= -1
+    assert_reprs(values)

@@ -23,5 +23,22 @@ def test_chunks_concatenate_to_the_runs(size):
     inside owner 2's run, and one past the total."""
     parts = list(chunked_runs(OWNER, START, WIDTH, size))
     assert (len(parts) > 1) == (size < WIDTH.sum())
+    assert all(len(got) for got, _ in parts)
     for got, want in zip(zip(*parts), runs(OWNER, START, WIDTH)):
+        assert np.concatenate(got).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize(
+    "width",
+    [
+        np.full(3, 1000),
+        # Empty runs first, between and last.
+        np.array([0, 0, 300, 0, 300, 0]),
+    ],
+)
+def test_runs_wider_than_a_chunk_make_one_chunk_each(width):
+    owner, start = np.arange(len(width)), np.arange(len(width))
+    parts = list(chunked_runs(owner, start, width, 256))
+    assert [len(got) for got, _ in parts] == width[width > 0].tolist()
+    for got, want in zip(zip(*parts), runs(owner, start, width)):
         assert np.concatenate(got).tolist() == want.tolist()
