@@ -15,7 +15,8 @@ forecast regimes:
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
   every timestep. Under perfect detailed forecasts it bounds every plan
   that keeps the real balance at or above the budget's margin, which
-  AFG does not (K4 in ROADMAP.md: AFG can overdraw by part of a step).
+  AFG does not always do (K4 in ROADMAP.md: under detailed truth, AFG
+  can overdraw by one step on the horizon's last day).
 * ``BSL`` -- unrationed baseline: serve everything until the wallet
   runs dry.
 """

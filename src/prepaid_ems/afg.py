@@ -8,20 +8,19 @@ its demanded time, cost is the price of running it for an hour. The
 greedy pass over items in non-increasing benefit/cost order is exact
 for this problem. The ranking does not depend on the budget, so
 :func:`plan_view` builds a view's daily averages and ranking once and
-each budget only walks it: the money left before every item is one
-running difference over the ranked items' full-day costs.
+walks it for all budgets at once: the money left before every item is
+one running difference over the ranked items' full-day costs.
 
-The resulting durations are turned into the control artifact actually
-shipped to the household: one virtual-wallet recharge per day plus one
-wallet threshold per load per day. The meter checks its balances at the
-start of each step, so the thresholds are placed for the simulator's
-step length: simulating them against a constant daily-average demand
-reproduces the planned durations to within one step and spends no
-more than the recharges, give or take the sliver of the balance that
-the greedy pass holds back.
+The plan ships as the artifact DFM ships, one virtual-wallet recharge
+per day and one threshold per load per day, decoded by DFM's rule
+(:func:`compute_thresholds`). Its whole steps spend at most
+``effective_budget``, so against a constant daily-average demand the
+plan serves exactly those steps and leaves the real wallet at ``m`` or
+more. Under detailed demand a step costs what its true power does, not
+the day's average; on the horizon's last day, where the virtual balance
+is the real one, such a step can still overdraw the real wallet.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,10 +33,11 @@ from prepaid_ems.model import (
     LoadSet,
     Tariff,
     ThresholdPlan,
+    TimeGrid,
     _frozen,
     daily_average,
     effective_budget,
-    pinned_off,
+    mid_band_thresholds,
 )
 
 
@@ -93,31 +93,29 @@ def solve_greedy(
     break toward higher priority, then earlier day, then load order, so
     results are reproducible.
     """
-    return _greedy_walk(_ranked_items(avg, loads, tariff), budget)
+    items = _ranked_items(avg, loads, tariff)
+    return EnablePlan(_greedy_walk(items, [budget])[0], items.max_durations)
 
 
 def plan_view(
     view: DemandSeries, loads: LoadSet, tariff: Tariff, budgets: list[Budget]
 ) -> list[tuple[ThresholdPlan, float]]:
-    """AFG's threshold plan on ``view`` and its planned objective, the
-    priority-weighted share of demanded hours enabled, for each budget.
-    The daily averages and the item ranking are built once; each budget
-    only walks the ranking and places its thresholds."""
-    avg = daily_average(view)
+    """AFG's threshold plan on ``view`` and its planned objective for
+    each budget: the PSF its whole steps serve on the averages view.
+    The daily averages and the item ranking are built once; the budgets
+    walk the ranking together, and their steps are decoded as one
+    stack."""
+    avg, grid = daily_average(view), view.grid
     items = _ranked_items(avg, loads, tariff)
-    cap = items.max_durations.sum(axis=1)
-    demanded = cap > 0
-    plans = []
-    for budget in budgets:
-        plan = _greedy_walk(items, budget)
-        recharges = compute_recharges(plan, avg, tariff)
-        thresholds = compute_thresholds(
-            plan, recharges, avg, tariff, view.grid.step_hours
-        )
-        enabled = plan.durations.sum(axis=1)
-        planned = loads.gammas[demanded] * enabled[demanded] / cap[demanded]
-        plans.append((thresholds, float(planned.sum())))
-    return plans
+    # The whole steps that fit in the planned hours, none rounded up.
+    steps = np.floor(_greedy_walk(items, budgets) / grid.step_hours).astype(int)
+    plans = compute_thresholds(steps, avg, tariff, grid, budgets)
+    # The averages view's demanded steps, scored as ``model.psf`` scores.
+    demanded = grid.steps_per_day * np.count_nonzero(avg.power, axis=1)
+    mask = demanded > 0
+    share = np.ascontiguousarray(steps.sum(axis=-1)[:, mask] / demanded[mask])
+    planned = (loads.gammas[mask] * share).sum(axis=-1)
+    return [(plan, float(value)) for plan, value in zip(plans, planned)]
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,9 @@ def _ranked_items(avg: DailyAverageDemand, loads: LoadSet, tariff: Tariff) -> _I
     return _Items(load[rank], day[rank], cost_per_hour[rank], smax)
 
 
-def _greedy_walk(items: _Items, budget: Budget) -> EnablePlan:
-    """The greedy pass over ``items`` within the budget.
+def _greedy_walk(items: _Items, budgets: list[Budget]) -> np.ndarray:
+    """The greedy pass over ``items`` within each budget: the durations
+    ``[budget, load, day]``.
 
     The money left before each item is one running difference,
     ``np.subtract.accumulate`` over the items' full-day costs: the same
@@ -160,63 +159,42 @@ def _greedy_walk(items: _Items, budget: Budget) -> EnablePlan:
     everything ranked after it stays off."""
     smax = items.max_durations
     caps = smax[items.load, items.day]
-    left = np.subtract.accumulate(
-        np.concatenate(([effective_budget(budget)], items.cost_per_hour * caps))
-    )[:-1]
-    full = (left > 0) & (left / items.cost_per_hour >= caps)
-    stop = int(np.argmin(full)) if not full.all() else len(full)
-    s = np.zeros_like(smax)
-    s[items.load[:stop], items.day[:stop]] = caps[:stop]
-    if stop < len(full) and left[stop] > 0:
-        s[items.load[stop], items.day[stop]] = left[stop] / items.cost_per_hour[stop]
-    return EnablePlan(s, smax)
-
-
-def compute_recharges(
-    plan: EnablePlan, avg: DailyAverageDemand, tariff: Tariff
-) -> np.ndarray:
-    """Virtual-wallet recharge per day: the cost of running the planned
-    durations at the forecast average powers."""
-    return _frozen(tariff.alpha * (plan.durations * avg.power).sum(axis=0))
+    costs = np.repeat([items.cost_per_hour * caps], len(budgets), axis=0)
+    start = np.array([effective_budget(budget) for budget in budgets])[:, None]
+    left = np.subtract.accumulate(np.concatenate([start, costs], 1), axis=1)[:, :-1]
+    buys = left / items.cost_per_hour
+    full = (left > 0) & (buys >= caps)
+    # The first item not served in full; past the last one if all are.
+    past = np.zeros((len(budgets), 1), dtype=bool)
+    stop = np.argmin(np.concatenate([full, past], 1), axis=1)[:, None]
+    rank = np.arange(len(caps))
+    hours = np.where(rank == stop, np.where(left > 0, buys, 0.0), caps * (rank < stop))
+    s = np.zeros((len(budgets), *smax.shape))
+    s[:, items.load, items.day] = hours
+    return s
 
 
 def compute_thresholds(
-    plan: EnablePlan,
-    recharges: np.ndarray,
+    steps: np.ndarray,
     avg: DailyAverageDemand,
     tariff: Tariff,
-    step_hours: float,
-) -> ThresholdPlan:
-    """Translate planned durations into wallet thresholds for a meter
-    that steps every ``step_hours``.
-
-    Per load-day, over the whole ``[load, day]`` matrix at once: fully
-    enabled loads get zero. Disabled loads get a threshold above the
-    recharges summed through that day, the most the virtual wallet can
-    hold, so unspent balance carried over from earlier days never
-    switches them on.
-
-    The marginal load is served in whole steps: the balance is checked
-    at each step start and, from the day's recharge ``R``, falls by
-    ``c = alpha * step_hours * drain`` per step while every enabled load
-    runs. It gets ``n`` steps, the whole steps that fit in its planned
-    hours, by placing its threshold mid-band in
-    ``(R - n*c, R - (n-1)*c]``, clear of the float dust on either edge.
-    A marginal load with ``n = 0`` is disabled.
-    """
-    # Counting whole steps must forgive the sliver the greedy pass held
-    # back (BUDGET_MARGIN of the balance), or a plan meant to fill n
-    # steps comes out a hair short and gets n - 1. Twice the sliver
-    # keeps division dust from tipping the count; a step rounded up so
-    # spends at most BUDGET_MARGIN of the balance past it.
-    slack = 2 * BUDGET_MARGIN * float(np.sum(recharges))
-    s, smax = plan.durations, plan.max_durations
-    thresholds = np.where((s == smax) & (s > 0), 0.0, pinned_off(recharges))
-    for k, d in np.argwhere((s > 0) & (s < smax)):  # the marginal load-day
-        load_rate = tariff.alpha * avg.power[k, d]  # $ per hour
-        n = math.floor((s[k, d] + slack / load_rate) / step_hours)
-        if n > 0:
-            enabled = s[:, d] > 0
-            step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()
-            thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
-    return ThresholdPlan(thresholds, recharges)
+    grid: TimeGrid,
+    budgets: list[Budget],
+) -> list[ThresholdPlan]:
+    """AFG's control artifact for each budget's ``steps[budget, load,
+    day]``. Each load-day serves its steps from the day start on the
+    averages view, whose power is the daily average at every step. Day
+    d is recharged with what its steps cost, ``alpha x hours x average``
+    summed over the loads, day 0 also with the margin ``m``, and each
+    threshold goes mid-band (``model.mid_band_thresholds``)."""
+    view = DemandSeries(grid, np.repeat(avg.power, grid.steps_per_day, axis=1))
+    hours = steps * grid.step_hours
+    recharges = tariff.alpha * (hours * avg.power).sum(axis=-2)
+    recharges[:, 0] += BUDGET_MARGIN * np.array([b.initial_balance for b in budgets])
+    # The narrowest integers that hold a day's steps make the compare cheap.
+    width = np.min_scalar_type(grid.steps_per_day)
+    day_step = np.arange(grid.steps_per_day, dtype=width)
+    first = day_step < steps.astype(width)[..., None]
+    served = first.reshape(*steps.shape[:-1], grid.total_steps)
+    thresholds = mid_band_thresholds(served, view, tariff, recharges)
+    return [ThresholdPlan(*plan) for plan in zip(thresholds, recharges)]

@@ -13,8 +13,9 @@ both views run the same code.
 **Recharges.** Day d's recharge is what the plan spends on day d on
 its view, and day 0 also gets ``m``, the sliver of the budget that
 every policy holds back (``model.BUDGET_MARGIN`` of it):
-:func:`planned_recharges`. This is AFG's rule
-(``afg.compute_recharges``). The paper's own rule is unknown here: only
+:func:`planned_recharges`. This is AFG's rule too
+(``afg.compute_thresholds``), which prices its whole steps at the daily
+averages. The paper's own rule is unknown here: only
 its abstract is at hand. An even share of the budget per day would
 keep the plan from moving money between days, and so make the detailed
 model lose to AFG when both are given the truth.
@@ -52,8 +53,9 @@ order.
 
 **Decoding.** The counts become an actuation on the view, and each
 load-day's threshold goes mid-band on that actuation's virtual
-balances (:func:`mid_band_thresholds`). The tests decode a solved
-threshold MILP the same way.
+balances (``model.mid_band_thresholds``). That is the one decoder of
+the threshold policies: AFG decodes its whole steps on its averages
+view with it, and the tests decode a solved threshold MILP with it.
 """
 
 from dataclasses import dataclass
@@ -69,8 +71,9 @@ from prepaid_ems.model import (
     LoadSet,
     Tariff,
     ThresholdPlan,
+    _step_costs,
     effective_budget,
-    pinned_off,
+    mid_band_thresholds,
 )
 
 #: Most pairs one budget's solve may form: the (option, count) pairs
@@ -245,14 +248,6 @@ def _search(days: list[DayOptions], capacity, tables, floor, beam, work):
     return float(new_value[best]), chosen[::-1], work
 
 
-def _step_costs(served, demand: DemandSeries, tariff: Tariff) -> np.ndarray:
-    """What the actuation ``served[load, step]`` costs on ``demand``, as
-    ``[day, step of the day]``."""
-    grid = demand.grid
-    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=0)
-    return cost.reshape(grid.num_days, grid.steps_per_day)
-
-
 def planned_recharges(
     served: np.ndarray, demand: DemandSeries, tariff: Tariff, budget: Budget
 ) -> np.ndarray:
@@ -262,38 +257,6 @@ def planned_recharges(
     recharges = _step_costs(served, demand, tariff).sum(axis=1)
     recharges[0] += BUDGET_MARGIN * budget.initial_balance
     return recharges
-
-
-def mid_band_thresholds(
-    served: np.ndarray,
-    demand: DemandSeries,
-    tariff: Tariff,
-    recharges: np.ndarray,
-) -> np.ndarray:
-    """Threshold matrix ``[load, day]`` that makes the simulator repeat
-    the actuation ``served[load, step]`` on ``demand``, with
-    ``recharges`` the daily recharges.
-
-    The actuation is paid for on ``demand``, and each load-day's
-    threshold goes mid-band: halfway between the virtual balance at the
-    start of the load's last served step and the balance after paying
-    for it, the next lower one the view reaches. A load-day never
-    served is pinned off, as in AFG.
-    """
-    grid = demand.grid
-    num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
-    cost = _step_costs(served, demand, tariff)
-    # Virtual balance at each step start of each day, and after its last step.
-    spent = np.cumsum(cost.sum(axis=1))
-    start = np.cumsum(recharges) - np.concatenate([[0.0], spent[:-1]])
-    balance = start[:, None] - np.concatenate(
-        [np.zeros((num_days, 1)), np.cumsum(cost, axis=1)], axis=1
-    )
-    served = np.asarray(served).reshape(num_loads, num_days, n).astype(bool)
-    last = n - 1 - np.argmax(served[..., ::-1], axis=2)
-    days = np.arange(num_days)
-    mid = (balance[days, last] + balance[days, last + 1]) / 2
-    return np.where(served.any(axis=2), np.maximum(mid, 0.0), pinned_off(recharges))
 
 
 def plan_view(

@@ -175,9 +175,9 @@ class DemandSeries:
                 f"power has {power.shape[1]} timesteps but the grid has "
                 f"{self.grid.total_steps}"
             )
-        if not np.all(np.isfinite(power)):
+        if not np.isfinite(power).all():
             raise ValueError("power contains non-finite entries")
-        if np.any(power < 0):
+        if (power < 0).any():
             k, t = np.argwhere(power < 0)[0]
             raise ValueError(f"negative power {power[k, t]} at load {k}, step {t}")
         power.setflags(write=False)
@@ -198,7 +198,7 @@ class DailyAverageDemand:
         power = np.array(self.power, dtype=float)
         if power.ndim != 2:
             raise ValueError(f"power must be 2-D [load, day], got {power.ndim}-D")
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
+        if not np.isfinite(power).all() or (power < 0).any():
             raise ValueError("daily averages must be finite and non-negative")
         power.setflags(write=False)
         object.__setattr__(self, "power", power)
@@ -220,11 +220,11 @@ class ThresholdPlan:
                 f"thresholds {thr.shape} must be [load, day] with one recharge "
                 f"per day, got {rec.shape}"
             )
-        if not (np.all(np.isfinite(thr)) and np.all(np.isfinite(rec))):
+        if not (np.isfinite(thr).all() and np.isfinite(rec).all()):
             raise ValueError("thresholds and recharges must be finite")
-        if np.any(thr < 0):
+        if (thr < 0).any():
             raise ValueError("thresholds must be non-negative")
-        if np.any(rec < 0):
+        if (rec < 0).any():
             raise ValueError("recharges must be non-negative")
         thr.setflags(write=False)
         rec.setflags(write=False)
@@ -239,7 +239,55 @@ class ThresholdPlan:
 def pinned_off(recharges: np.ndarray) -> np.ndarray:
     """Per-day threshold that keeps a load off: just above the recharges
     summed through that day, the most the virtual wallet can hold."""
-    return np.cumsum(recharges) + THRESHOLD_MARGIN
+    return np.cumsum(recharges, axis=-1) + THRESHOLD_MARGIN
+
+
+def _step_costs(served, demand: DemandSeries, tariff: Tariff) -> np.ndarray:
+    """What the actuations ``served[..., load, step]`` cost on ``demand``,
+    as ``[..., day, step of the day]``."""
+    grid = demand.grid
+    cost = tariff.alpha * grid.step_hours * (demand.power * served).sum(axis=-2)
+    return cost.reshape(*cost.shape[:-1], grid.num_days, grid.steps_per_day)
+
+
+def mid_band_thresholds(
+    served: np.ndarray, demand: DemandSeries, tariff: Tariff, recharges: np.ndarray
+) -> np.ndarray:
+    """Threshold matrix ``[load, day]`` that makes the simulator repeat
+    the actuation ``served[load, step]`` on ``demand``, with
+    ``recharges`` the daily recharges; or a stack of them, one per plan
+    of ``served[plan, load, step]`` and ``recharges[plan, day]``.
+
+    The actuation is paid for on ``demand``, and each load-day's
+    threshold goes mid-band: halfway between the virtual balance at the
+    start of the load's last served step and the balance after paying
+    for it, the next lower one the view reaches. A load-day never
+    served is pinned off. This is the one decoder of the threshold
+    policies: DFM decodes its counts with it, AFG its whole steps.
+    """
+    grid = demand.grid
+    num_loads, num_days, n = demand.num_loads, grid.num_days, grid.steps_per_day
+    stacked = np.ndim(served) == 3
+    served = np.asarray(served, dtype=bool).reshape(-1, num_loads, num_days, n)
+    recharges = np.reshape(recharges, (len(served), num_days))
+    flat = served.reshape(len(served), num_loads, grid.total_steps)
+    cost = _step_costs(flat, demand, tariff)
+    # Virtual balance at each day start, and what the day has paid before
+    # each of its steps and after its last: [plan, day, step].
+    spent = np.cumsum(cost.sum(axis=2), axis=1)
+    before = np.concatenate([np.zeros_like(spent[:, :1]), spent[:, :-1]], axis=1)
+    start = np.cumsum(recharges, axis=1) - before
+    paid = np.cumsum(cost, axis=2)
+    paid = np.concatenate([np.zeros_like(paid[..., :1]), paid], axis=2)
+    # The last served step is the first in reverse order.
+    last = n - 1 - np.argmax(np.ascontiguousarray(served[..., ::-1]), axis=3)
+    plan, day = np.arange(len(served))[:, None, None], np.arange(num_days)
+    top = start[plan, day] - paid[plan, day, last]
+    bottom = start[plan, day] - paid[plan, day, last + 1]
+    mid = np.maximum((top + bottom) / 2, 0.0)
+    off = pinned_off(recharges)[:, None, :]
+    thresholds = np.where(served.any(axis=3), mid, off)
+    return thresholds if stacked else thresholds[0]
 
 
 def compute_budget(demand: DemandSeries, tariff: Tariff, fraction: float) -> Budget:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from prepaid_ems import afg
 from prepaid_ems.model import DemandSeries, LoadSet, Tariff, TimeGrid
 
 
@@ -18,6 +19,20 @@ def constant_series(grid: TimeGrid, levels) -> DemandSeries:
     """Series where each load draws a constant power all horizon."""
     power = np.repeat(np.asarray(levels, dtype=float)[:, None], grid.total_steps, axis=1)
     return DemandSeries(grid, power)
+
+
+def whole_steps(hours, grid: TimeGrid) -> np.ndarray:
+    """The whole steps of ``grid`` that fit in ``hours``."""
+    return np.floor(hours / grid.step_hours).astype(int)
+
+
+def afg_plan(avg, loads, tariff, budget, grid: TimeGrid):
+    """AFG's enable plan on the daily averages ``avg``, and the threshold
+    plan that its whole steps of ``grid`` decode to."""
+    plan = afg.solve_greedy(avg, loads, tariff, budget)
+    steps = whole_steps(plan.durations, grid)[None]
+    [thresholds] = afg.compute_thresholds(steps, avg, tariff, grid, [budget])
+    return plan, thresholds
 
 
 def assert_sim_invariants(result, truth, loads, tariff, budget):

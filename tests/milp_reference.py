@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.dfm import mid_band_thresholds, planned_recharges
+from prepaid_ems.dfm import planned_recharges
 from prepaid_ems.milp import MilpModel, Solution, extract_schedule
 from prepaid_ems.model import (
     BUDGET_MARGIN,
@@ -23,6 +23,7 @@ from prepaid_ems.model import (
     Tariff,
     ThresholdPlan,
     demand_indicator,
+    mid_band_thresholds,
 )
 
 #: Smallest balance the indicator rows treat as "money in the wallet",

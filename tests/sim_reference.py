@@ -9,21 +9,18 @@ re-evaluates every step. The two agree because the virtual balance
 never rises within a day. The DFM grid search's original enumeration
 loop, the original row-by-row trace writer, the OBM count search as it
 was before it started from a greedy incumbent, and AFG's item-by-item
-greedy pass and load-day by load-day threshold loop are kept the same
-way.
+greedy pass are kept the same way.
 """
 
 import csv
 import io
 import itertools
-import math
 
 import numpy as np
 
 from prepaid_ems.afg import EnablePlan, max_durations
 from prepaid_ems.model import (
     BOUND_SLACK,
-    BUDGET_MARGIN,
     ThresholdPlan,
     daily_average,
     demand_indicator,
@@ -285,27 +282,3 @@ def solve_greedy(avg, loads, tariff, budget):
         if hours < smax[k, d]:
             break  # budget exhausted; everything ranked lower stays zero
     return EnablePlan(s, smax)
-
-
-def compute_thresholds(plan, recharges, avg, tariff, step_hours):
-    """AFG's thresholds as they were placed: load-day by load-day."""
-    num_loads, num_days = plan.durations.shape
-    slack = 2 * BUDGET_MARGIN * float(np.sum(recharges))
-    thresholds = np.zeros((num_loads, num_days))
-    off = pinned_off(recharges)
-    for d in range(num_days):
-        enabled = plan.durations[:, d] > 0
-        step_cost = tariff.alpha * step_hours * avg.power[enabled, d].sum()
-        for k in range(num_loads):
-            s = plan.durations[k, d]
-            if s == plan.max_durations[k, d] and s > 0:
-                continue  # fully enabled: threshold zero
-            n = 0
-            if s > 0:
-                load_rate = tariff.alpha * avg.power[k, d]  # $ per hour
-                n = math.floor((s + slack / load_rate) / step_hours)
-            if n == 0:
-                thresholds[k, d] = off[d]
-            else:
-                thresholds[k, d] = recharges[d] - (n - 0.5) * step_cost
-    return ThresholdPlan(thresholds, recharges)

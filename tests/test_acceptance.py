@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_sim_invariants
+from conftest import afg_plan, assert_sim_invariants, whole_steps
 from milp_reference import INDICATOR_EPS, build_dfm, check_feasibility
 from prepaid_ems import afg, dfm, obm, sim
 from prepaid_ems.config import from_dict
@@ -115,15 +115,15 @@ def test_criterion_1_afg_matches_lp_oracle():
 
 
 def test_criterion_2_threshold_closed_loop():
-    """Simulating the computed thresholds against constant daily-average
-    demand reproduces the planned durations within one timestep.
+    """Simulating AFG's plan against constant daily-average demand
+    serves exactly the whole steps it decoded, realizes the objective
+    it reported, and leaves the real wallet at the margin ``m`` or more.
 
     Instances carry an always-on "anchor" load whose benefit/cost ratio
     tops the ranking, so every day with demand has a fully enabled load
-    next to the marginal one. The anchor does not keep the wallets from
-    overdrawing: that rests on the thresholds being placed for the
-    simulator's step, so the marginal load runs the whole steps that fit
-    in its plan and disabled loads stay off on every later day.
+    next to the marginal one. The wallet stays at ``m`` or more because
+    the whole steps spend at most ``effective_budget`` and every
+    threshold sits mid-band on the balances those steps leave.
     """
     rng = np.random.default_rng(77)
     grid_step = 0.5
@@ -144,22 +144,19 @@ def test_criterion_2_threshold_closed_loop():
         extras_cost = 0.001 * 24.0 * extras.sum()
         budget = Budget(anchor_cost + float(rng.uniform(0.05, 0.95)) * extras_cost)
 
-        plan = afg.solve_greedy(avg, loads, tariff, budget)
-        recharges = afg.compute_recharges(plan, avg, tariff)
         grid = TimeGrid(grid_step, int(24 / grid_step), d)
-        tplan = afg.compute_thresholds(plan, recharges, avg, tariff, grid_step)
         truth = DemandSeries(
             grid, np.repeat(avg.power, grid.steps_per_day, axis=1)
         )
+        [(tplan, objective)] = afg.plan_view(truth, loads, tariff, [budget])
+        plan = afg.solve_greedy(daily_average(truth), loads, tariff, budget)
         result = sim.simulate_thresholds(tplan, truth, loads, tariff, budget)
-        served_hours = (
-            result.actuation.reshape(len(loads), d, grid.steps_per_day).sum(axis=2)
-            * grid_step
-        )
-        assert np.all(np.abs(served_hours - plan.durations) <= grid_step + 1e-9)
-        assert result.total_spend <= budget.initial_balance + 1e-12
+        served = result.actuation.reshape(len(loads), d, grid.steps_per_day)
+        assert np.array_equal(served.sum(axis=2), whole_steps(plan.durations, grid))
+        assert abs(result.psf - objective) <= 1e-9
+        assert result.final_real_balance >= BUDGET_MARGIN * budget.initial_balance
         checked += 1
-    report(2, f"{checked} plans reproduced within one timestep")
+    report(2, f"{checked} plans serve their whole steps and realize their objective")
 
 
 def test_criterion_3_knapsack_matches_enumeration():
@@ -371,12 +368,7 @@ def test_criterion_5_perfect_forecast_dominance():
         schedule = extract_schedule(model, solution, 2, truth.grid.total_steps)
         obm = sim.simulate_schedule(schedule, truth, loads, tariff, budget)
 
-        avg = daily_average(truth)
-        plan = afg.solve_greedy(avg, loads, tariff, budget)
-        recharges = afg.compute_recharges(plan, avg, tariff)
-        tplan = afg.compute_thresholds(
-            plan, recharges, avg, tariff, truth.grid.step_hours
-        )
+        _, tplan = afg_plan(daily_average(truth), loads, tariff, budget, truth.grid)
         greedy = sim.simulate_thresholds(tplan, truth, loads, tariff, budget)
 
         dplan, _ = solve_dfm_grid(truth, loads, tariff, budget, grid_resolution=3)
@@ -457,12 +449,7 @@ def test_criterion_6_money_conservation_and_prepaid_safety():
         results = [sim.simulate_baseline(truth, loads, tariff, budget)]
         schedule = (rng.random(power.shape) < 0.5).astype(np.int8)
         results.append(sim.simulate_schedule(schedule, truth, loads, tariff, budget))
-        avg = daily_average(truth)
-        plan = afg.solve_greedy(avg, loads, tariff, budget)
-        recharges = afg.compute_recharges(plan, avg, tariff)
-        tplan = afg.compute_thresholds(
-            plan, recharges, avg, tariff, grid.step_hours
-        )
+        _, tplan = afg_plan(daily_average(truth), loads, tariff, budget, grid)
         results.append(sim.simulate_thresholds(tplan, truth, loads, tariff, budget))
         for result in results:
             assert_sim_invariants(result, truth, loads, tariff, budget)

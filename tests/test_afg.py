@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import sim_reference
+from conftest import afg_plan, whole_steps
 from prepaid_ems.afg import (
     EnablePlan,
-    compute_recharges,
     compute_thresholds,
     max_durations,
     plan_view,
@@ -12,7 +12,6 @@ from prepaid_ems.afg import (
 )
 from prepaid_ems.model import (
     BUDGET_MARGIN,
-    THRESHOLD_MARGIN,
     Budget,
     DailyAverageDemand,
     DemandSeries,
@@ -23,6 +22,7 @@ from prepaid_ems.model import (
     daily_average,
     effective_budget,
     pinned_off,
+    psf,
 )
 from prepaid_ems.sim import simulate_thresholds
 
@@ -191,47 +191,60 @@ class TestSolveGreedy:
         assert time.monotonic() - start < 1.0
 
 
+QUARTER_HOURS = TimeGrid(0.25, 96, 1)
+
+
 class TestRecharges:
     def test_worked_example(self, worked):
+        # The pump's 11 whole steps and the heater's day cost 2.95 $;
+        # day 0 also gets the margin m.
         loads, avg, tariff, budget = worked
-        plan = solve_greedy(avg, loads, tariff, budget)
-        recharges = compute_recharges(plan, avg, tariff)
-        assert recharges[0] == pytest.approx(3.0, abs=1e-6)
-        assert recharges.sum() <= effective_budget(budget) + 1e-12
+        _, tplan = afg_plan(avg, loads, tariff, budget, QUARTER_HOURS)
+        margin = BUDGET_MARGIN * budget.initial_balance
+        assert tplan.recharges[0] == pytest.approx(2.95 + margin, abs=1e-12)
+        assert tplan.recharges.sum() <= budget.initial_balance
 
     def test_zero_plan(self, worked):
         loads, avg, tariff, _ = worked
-        plan = solve_greedy(avg, loads, tariff, Budget(0.0))
-        assert compute_recharges(plan, avg, tariff).sum() == 0.0
+        _, tplan = afg_plan(avg, loads, tariff, Budget(0.0), QUARTER_HOURS)
+        assert tplan.recharges.sum() == 0.0
 
     def test_identical_days_equal_recharges(self):
         loads = LoadSet.from_pairs([("a", 1.0)])
         avg = DailyAverageDemand([[150.0, 150.0]])
-        plan = solve_greedy(avg, loads, Tariff(0.001), Budget(100.0))
-        recharges = compute_recharges(plan, avg, Tariff(0.001))
-        assert recharges[0] == pytest.approx(recharges[1])
+        budget = Budget(100.0)
+        grid = TimeGrid(0.25, 96, 2)
+        _, tplan = afg_plan(avg, loads, Tariff(0.001), budget, grid)
+        margin = BUDGET_MARGIN * budget.initial_balance
+        assert tplan.recharges[0] - margin == pytest.approx(tplan.recharges[1])
 
 
 class TestThresholds:
     def test_worked_example(self, worked):
         loads, avg, tariff, budget = worked
-        plan = solve_greedy(avg, loads, tariff, budget)
-        recharges = compute_recharges(plan, avg, tariff)
-        tplan = compute_thresholds(plan, recharges, avg, tariff, 0.25)
-        assert tplan.thresholds[0, 0] == 0.0
-        # Both loads drain 0.3 $/h, 0.075 $ per 15-min step, from the 3 $
-        # recharge. The pump's 3 h are 12 steps, so its threshold sits
-        # mid-band between the balances after 12 and 11 steps:
-        # 3.0 - 11.5 * 0.075 = 2.1375.
-        assert tplan.thresholds[1, 0] == pytest.approx(2.1375, abs=1e-6)
+        _, tplan = afg_plan(avg, loads, tariff, budget, QUARTER_HOURS)
+        margin = BUDGET_MARGIN * budget.initial_balance
+        # Both loads drain 0.075 $ per 15-min step from the 2.95 $ + m
+        # recharge while the pump runs, the heater alone 0.025 $ after.
+        # The pump's 11th and last step starts at 2.95 - 10 * 0.075 = 2.2 $
+        # + m and ends at 2.125 $ + m, so its threshold sits mid-band at
+        # 2.1625 $ + m. The heater's last step, the day's last, starts at
+        # 0.025 $ + m and ends at m: 0.0125 $ + m.
+        assert tplan.thresholds[0, 0] == pytest.approx(0.0125 + margin, abs=1e-12)
+        assert tplan.thresholds[1, 0] == pytest.approx(2.1625 + margin, abs=1e-12)
 
-    def test_fully_enabled_all_zero(self):
+    def test_fully_enabled_serves_every_step(self):
         loads = LoadSet.from_pairs([("a", 0.5), ("b", 0.5)])
         avg = DailyAverageDemand([[100.0], [100.0]])
-        plan = solve_greedy(avg, loads, Tariff(0.001), Budget(50.0))
-        recharges = compute_recharges(plan, avg, Tariff(0.001))
-        tplan = compute_thresholds(plan, recharges, avg, Tariff(0.001), 0.25)
-        assert (tplan.thresholds == 0.0).all()
+        tariff, budget = Tariff(0.001), Budget(50.0)
+        _, tplan = afg_plan(avg, loads, tariff, budget, QUARTER_HOURS)
+        truth = DemandSeries(QUARTER_HOURS, np.repeat(avg.power, 96, axis=1))
+        result = simulate_thresholds(tplan, truth, loads, tariff, budget)
+        assert (result.actuation == 1).all()
+        # Each threshold is the one below its load's last step: half that
+        # step's cost above what is left after it, the margin m.
+        margin = BUDGET_MARGIN * budget.initial_balance
+        assert tplan.thresholds == pytest.approx(np.full((2, 1), 0.025 + margin))
 
     def test_disabled_above_recharge(self):
         loads = LoadSet.from_pairs([("a", 0.9), ("b", 0.1)])
@@ -239,32 +252,30 @@ class TestThresholds:
         avg = DailyAverageDemand([[100.0], [10000.0]])
         tariff = Tariff(0.001)
         budget = Budget(2.4)
-        plan = solve_greedy(avg, loads, tariff, budget)
+        plan, tplan = afg_plan(avg, loads, tariff, budget, QUARTER_HOURS)
         assert plan.durations[1, 0] == 0.0
-        recharges = compute_recharges(plan, avg, tariff)
-        tplan = compute_thresholds(plan, recharges, avg, tariff, 0.25)
-        assert tplan.thresholds[1, 0] > recharges[0]
+        assert tplan.thresholds[1, 0] > tplan.recharges[0]
 
     def test_disabled_load_stays_off_after_carry_over(self):
         # a: 100 W both days, always funded. b: 100 W on day 0 (marginal,
-        # 2.5 h planned), 400 W on day 1 (priced out). At 1-h steps b runs
-        # 2 whole steps on day 0 and leaves 0.05 $ unspent, which carries
-        # into day 1 above that day's own 2.4 $ recharge.
+        # 2.5 h planned, 2 whole steps at 1-h steps), 400 W on day 1
+        # (priced out). The truth has no b on day 0, so the 0.2 $ planned
+        # for it carries into day 1 above that day's own 2.4 $ recharge.
         loads = LoadSet.from_pairs([("a", 0.7), ("b", 0.3)])
         grid = TimeGrid(1.0, 24, 2)
         avg = DailyAverageDemand([[100.0, 100.0], [100.0, 400.0]])
         tariff = Tariff(0.001)
         budget = Budget(5.05)
-        plan = solve_greedy(avg, loads, tariff, budget)
+        plan, tplan = afg_plan(avg, loads, tariff, budget, grid)
         assert fractional_entry(plan) == (1, 0)
         assert plan.durations[1, 1] == 0.0
-        recharges = compute_recharges(plan, avg, tariff)
-        tplan = compute_thresholds(plan, recharges, avg, tariff, grid.step_hours)
-        truth = DemandSeries(grid, np.repeat(avg.power, grid.steps_per_day, axis=1))
+        power = np.repeat(avg.power, grid.steps_per_day, axis=1)
+        power[1, :24] = 0.0
+        truth = DemandSeries(grid, power)
         result = simulate_thresholds(tplan, truth, loads, tariff, budget)
-        assert result.virtual_balance_trace[24] > recharges[1] + THRESHOLD_MARGIN
-        assert result.actuation[1, :24].sum() == 2
-        assert result.actuation[1, 24:].sum() == 0
+        carried = result.virtual_balance_trace[24] - tplan.recharges[1]
+        assert carried == pytest.approx(0.2 + BUDGET_MARGIN * 5.05, abs=1e-12)
+        assert result.actuation[1].sum() == 0
         assert result.actuation[0].sum() == 48
 
     def test_marginal_threshold_in_range(self):
@@ -276,12 +287,13 @@ class TestThresholds:
                 (f"l{i}", g) for i, g in enumerate(rng.uniform(0.1, 1, 4))
             )
             budget = Budget(rng.uniform(0.2, 0.9) * 0.001 * 24 * avg.power.sum())
-            plan = solve_greedy(avg, loads, tariff, budget)
-            recharges = compute_recharges(plan, avg, tariff)
-            tplan = compute_thresholds(plan, recharges, avg, tariff, 0.25)
+            grid = TimeGrid(0.25, 96, 3)
+            plan, tplan = afg_plan(avg, loads, tariff, budget, grid)
             if fractional_entry(plan) is not None:
+                # A served day starts at its own recharge plus m.
                 k, d = fractional_entry(plan)
-                assert 0.0 <= tplan.thresholds[k, d] <= recharges[d] + 1e-12
+                top = tplan.recharges[d] + BUDGET_MARGIN * budget.initial_balance
+                assert 0.0 <= tplan.thresholds[k, d] <= top + 1e-12
 
 
 class TestPlanValidation:
@@ -339,31 +351,33 @@ def afg_corpus():
 
 
 def test_view_plans_match_the_item_loops():
-    """``plan_view``, ``solve_greedy`` and ``compute_thresholds`` give
-    the bytes of the item-by-item pass and the load-day loop they
-    replaced (``sim_reference``), on every budget of every view."""
+    """``plan_view`` and ``solve_greedy`` give the durations of the
+    item-by-item pass they replaced (``sim_reference``) on every budget
+    of every view. ``plan_view``'s stacked decode gives each budget the
+    bytes that decoding its whole steps alone gives, and its objective
+    is the bits ``psf`` scores those steps with on the averages view."""
     cells = marginal = disabled_marginal = 0
     for view, loads, tariff, budgets in afg_corpus():
-        avg, step_hours = daily_average(view), view.grid.step_hours
+        avg, grid = daily_average(view), view.grid
+        averages = np.repeat(avg.power > 0, grid.steps_per_day, axis=1)
         plans = plan_view(view, loads, tariff, budgets)
-        for budget, (thresholds, planned) in zip(budgets, plans):
+        for budget, (tplan, planned) in zip(budgets, plans):
             want = sim_reference.solve_greedy(avg, loads, tariff, budget)
             plan = solve_greedy(avg, loads, tariff, budget)
             assert plan.durations.tobytes() == want.durations.tobytes()
-            recharges = compute_recharges(want, avg, tariff)
-            want_plan = sim_reference.compute_thresholds(
-                want, recharges, avg, tariff, step_hours
-            )
-            got_plan = compute_thresholds(plan, recharges, avg, tariff, step_hours)
-            for got in (got_plan, thresholds):
-                assert got.thresholds.tobytes() == want_plan.thresholds.tobytes()
-                assert got.recharges.tobytes() == recharges.tobytes()
-            assert planned.hex() == greedy_psf(want, loads).hex()
+            steps = whole_steps(want.durations, grid)
+            [alone] = compute_thresholds(steps[None], avg, tariff, grid, [budget])
+            assert tplan.thresholds.tobytes() == alone.thresholds.tobytes()
+            assert tplan.recharges.tobytes() == alone.recharges.tobytes()
+            first = np.arange(grid.steps_per_day) < steps[..., None]
+            served = first.reshape(len(loads), -1).astype(np.int8)
+            _, value = psf(served, averages.astype(np.int8), loads)
+            assert planned.hex() == value.hex()
             cells += 1
             if fractional_entry(want) is not None:
                 k, d = fractional_entry(want)
                 marginal += 1
-                disabled_marginal += (
-                    want_plan.thresholds[k, d] == pinned_off(recharges)[d]
-                )
+                disabled_marginal += steps[k, d] == 0
+                if steps[k, d] == 0:
+                    assert tplan.thresholds[k, d] == pinned_off(tplan.recharges)[d]
     assert cells > 700 and marginal > 400 and disabled_marginal > 100

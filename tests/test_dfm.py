@@ -9,7 +9,7 @@ import pytest
 
 from milp_reference import build_dfm, extract_plan
 from prepaid_ems import dfm, sim
-from prepaid_ems.dfm import mid_band_thresholds, planned_recharges
+from prepaid_ems.dfm import planned_recharges
 from prepaid_ems.forecast import shuffle_days, to_limited
 from prepaid_ems.milp import SolveStatus
 from prepaid_ems.model import (
@@ -21,6 +21,7 @@ from prepaid_ems.model import (
     ThresholdPlan,
     TimeGrid,
     compute_budget,
+    mid_band_thresholds,
 )
 
 TARIFF = Tariff(0.001)

@@ -274,8 +274,8 @@ class TestEmitOutputs:
         assert (config.output_dir / "table2.csv").read_bytes() == (
             b"balance,detailed_AFG,detailed_DFM,detailed_OBM,"
             b"limited_AFG,limited_DFM,limited_OBM\r\n"
-            b"70%,6.33,11.2,11.2,6.33,4.78,6.33\r\n"
-            b"100%,0,-1.56,-1.56,0,-1.56,0\r\n"
+            b"70%,4.78,11.2,11.2,4.78,4.78,6.33\r\n"
+            b"100%,-1.56,-1.56,-1.56,-1.56,-1.56,0\r\n"
         )
         assert (config.output_dir / "table3.csv").read_bytes() == (
             b"balance,limited_AFG,limited_DFM,limited_OBM,BSL,days\r\n"
@@ -292,8 +292,8 @@ class TestEmitOutputs:
         assert not (config.output_dir / "table2.csv").exists()
         assert (config.output_dir / "table3.csv").read_bytes() == (
             b"balance,detailed_AFG,detailed_OBM\r\n"
-            b"70%,75.3 (15.8),85 (25.5)\r\n"
-            b"100%,100 (0),96.3 (-3.68)\r\n"
+            b"70%,85 (25.5),85 (25.5)\r\n"
+            b"100%,96.3 (-3.68),96.3 (-3.68)\r\n"
         )
 
     def test_shared_results_match_oracle_bundle(self, tmp_path, monkeypatch):
@@ -614,7 +614,7 @@ class TestEmitOutputs:
         [
             (
                 {"policies": ["BSL", "AFG", "DFM", "OBM"]},
-                "14800d94b579b2ed15b6911d5db9c0ddabbe89d6a7cc479ab19da744125ba6fd",
+                "178b1bc6200702088c9195ec15cc4ee73c4d6b913a880556f318e090d91ed03b",
             ),
             (
                 {
@@ -622,7 +622,7 @@ class TestEmitOutputs:
                     "horizon_days": 30,
                     "budget_fractions": [0.6, 0.9],
                 },
-                "17ab60714a1545073dc12640e99775bb6bc9d48696b2280162aa2a7c65c5b5b0",
+                "78b3af6efce7b15af7a1eefa5595fce4d82debc7c76d443fc4d4c2ff8ae1c970",
             ),
             (
                 {
@@ -631,7 +631,7 @@ class TestEmitOutputs:
                     "horizon_days": 3,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "588505697c3beafc3df58560929fdfc206af583cb31564a6f406ee749f7aca0b",
+                "6fe9d6c876bade3b297337dc4770c74291ea89dc6278a0f3f691c3b2faf57156",
             ),
             (
                 {
@@ -639,7 +639,7 @@ class TestEmitOutputs:
                     "horizon_days": 30,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "ce04ca67be0c62d88ce7396cd7d4f67f6040cbfba7e5fd6d763debffbd9ec448",
+                "faa81f17de6f9eed81ae48818c4653e7d28f8b9ae95bb5d45fa3c79f46ecffd3",
             ),
         ],
         ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy", "30d-15min-dfm"],

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import sim_reference
-from conftest import assert_sim_invariants, constant_series
-from prepaid_ems import afg, files, sim
+from conftest import afg_plan, assert_sim_invariants, constant_series
+from prepaid_ems import files, sim
 from prepaid_ems.milp.grid_search import CHUNK, solve_dfm_grid
 from prepaid_ems.model import (
+    BUDGET_MARGIN,
     Budget,
     DemandSeries,
     LoadSet,
@@ -32,27 +33,24 @@ from prepaid_ems.sim import (
 )
 
 
-def afg_plan(avg, loads, tariff, budget, step_hours):
-    plan = afg.solve_greedy(avg, loads, tariff, budget)
-    recharges = afg.compute_recharges(plan, avg, tariff)
-    return plan, afg.compute_thresholds(plan, recharges, avg, tariff, step_hours)
-
-
 class TestSimulateThresholds:
     def test_worked_closed_loop(self, two_loads, tariff):
-        # constant daily-average truth at 15-min steps: heater runs all 96
-        # steps, pump exactly 12 (3 h), wallet ends non-negative
-        avg = daily_average(
-            constant_series(TimeGrid(0.25, 96, 1), [100.0, 200.0])
-        )
+        # Constant daily-average truth at 15-min steps. The greedy plan
+        # gives the heater 24 h and the pump the 3 h that 3 $ less the
+        # heater's 2.4 $ buys at 0.2 $/h, less the margin m = 3e-9 $ held
+        # back: just under 12 steps, so the pump gets its 11 whole ones.
+        # The wallet pays 2.4 + 11 * 0.05 = 2.95 $ and ends at 0.05 $, and
+        # the PSF is 0.7 + 0.3 * 11 / 96 = 0.734375.
+        grid = TimeGrid(0.25, 96, 1)
+        truth = constant_series(grid, [100.0, 200.0])
         budget = Budget(3.0)
-        _, tplan = afg_plan(avg, two_loads, tariff, budget, 0.25)
-        truth = constant_series(TimeGrid(0.25, 96, 1), [100.0, 200.0])
+        _, tplan = afg_plan(daily_average(truth), two_loads, tariff, budget, grid)
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         assert result.actuation[0].sum() == 96
-        assert result.actuation[1].sum() == 12
-        assert result.final_real_balance >= 0.0
-        assert result.psf == pytest.approx(0.7375, abs=1e-6)
+        assert result.actuation[1].sum() == 11
+        assert result.final_real_balance >= BUDGET_MARGIN * budget.initial_balance
+        assert result.final_real_balance == pytest.approx(0.05, abs=1e-12)
+        assert result.psf == 0.734375
         assert_sim_invariants(result, truth, two_loads, tariff, budget)
 
     def test_zero_thresholds_full_recharge_serves_all(self, two_loads, tariff):
@@ -87,7 +85,7 @@ class TestSimulateThresholds:
         truth = constant_series(grid, [100.0, 200.0])
         budget = Budget(3.0)
         avg = daily_average(truth)
-        _, tplan = afg_plan(avg, two_loads, tariff, budget, grid.step_hours)
+        _, tplan = afg_plan(avg, two_loads, tariff, budget, grid)
         result = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
         on = result.actuation[1]
         first_off = int(np.argmin(on)) if 0 in on else len(on)
@@ -259,7 +257,7 @@ class TestInvariantsAcrossPolicies:
             baseline = simulate_baseline(truth, two_loads, tariff, budget)
             assert_sim_invariants(baseline, truth, two_loads, tariff, budget)
             avg = daily_average(truth)
-            _, tplan = afg_plan(avg, two_loads, tariff, budget, grid.step_hours)
+            _, tplan = afg_plan(avg, two_loads, tariff, budget, grid)
             threshold = simulate_thresholds(tplan, truth, two_loads, tariff, budget)
             assert_sim_invariants(threshold, truth, two_loads, tariff, budget)
             schedule = (rng.random(power.shape) < 0.5).astype(np.int8)
@@ -323,7 +321,7 @@ def random_threshold_plans(rng, truth, loads, tariff, budget):
     """An AFG plan, a grid-style plan and a random plan."""
     grid = truth.grid
     avg = daily_average(truth)
-    _, greedy = afg_plan(avg, loads, tariff, budget, grid.step_hours)
+    _, greedy = afg_plan(avg, loads, tariff, budget, grid)
     shape = (truth.num_loads, grid.num_days)
     recharge = budget.initial_balance / grid.num_days
     levels = np.array([0.0, recharge / 2, recharge, recharge + 1e-6])
