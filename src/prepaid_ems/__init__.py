@@ -10,8 +10,11 @@ forecast regimes:
   per load, solved exactly by a fractional-knapsack greedy pass.
 * ``DFM`` -- detailed-forecast MILP: optimizes per-day wallet
   thresholds against per-timestep demand forecasts, each day recharged
-  with what the plan spends that day as in AFG, solved exactly by a
-  dynamic program over per-day served counts.
+  with what the plan spends that day as in AFG, solved exactly: where
+  every load-day's demanded steps have one power, by OBM's count
+  search, and otherwise by a dynamic program over per-day served
+  counts. A sweep's OBM and DFM share one cache of count searches, so
+  a view that both plan is searched once.
 * ``OBM`` -- optimal benchmark MILP: directly schedules every load at
   every timestep. Under perfect detailed forecasts it bounds every plan
   that keeps the real balance at or above the budget's margin, which

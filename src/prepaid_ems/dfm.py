@@ -6,9 +6,27 @@ until its threshold trips and stays off after: a threshold plan comes
 down to one served count per load-day, the load serving the first n of
 its demanded steps that day. The solver searches those counts exactly.
 It is a multiple-choice knapsack over the days (Kellerer, Pferschy &
-Pisinger, *Knapsack Problems*, 2004; Pisinger, *EJOR* 83, 1995). A
-limited view is a view whose costs are constant within a load-day, so
-both views run the same code.
+Pisinger, *Knapsack Problems*, 2004; Pisinger, *EJOR* 83, 1995).
+
+**Flat views.** A view is flat when, in every load-day, the demanded
+steps have one power: every limited view is, and so is a detailed view
+of loads that run at one power (the synthetic households' rectangular
+profiles). There any n demanded steps of a load-day cost the same, so
+serving the first n restricts nothing, and DFM's knapsack is OBM's:
+any demanded steps within the budget, each worth its load's value
+(``prepaid_ems.mck``). Its count search finds how many steps each load
+serves, its n cheapest; every DFM count vector is a set of steps it
+could pick, so any n cheapest steps that make a prefix of each of the
+load's days are an optimal DFM count vector. DFM takes them cheapest
+first and, among steps of one cost, the first demanded step of every
+day before any day's second, and so on. That choice is worth the same
+on the view. Under a forecast that misplaces days it keeps a load's
+service spread over its equally priced days instead of packed into the
+earliest, which the shuffled forecasts reward. A flat view is solved
+there, with no day options and no work bound, by the search OBM builds
+for the same view when the sweep plans both (``known``). The dynamic
+program below solves the views whose load-days vary, such as noisy
+detailed demand.
 
 **Recharges.** Day d's recharge is what the plan spends on day d on
 its view, and day 0 also gets ``m``, the sliver of the budget that
@@ -51,9 +69,12 @@ falls below an incumbent: the value of a beam pass that keeps the
 best feasible (state, option) pair; ties go to the first in option
 order.
 
-**Decoding.** The counts become an actuation on the view, and each
-load-day's threshold goes mid-band on that actuation's virtual
-balances (``model.mid_band_thresholds``). That is the one decoder of
+**Decoding.** Either way, a budget's counts are scored as the dynamic
+program sums them: each day's ``n_k gamma_k / N_k`` over the loads in
+order, then the days in order. They become an actuation on the view,
+and each load-day's threshold goes mid-band on that actuation's virtual
+balances (``model.mid_band_thresholds``); all of a view's budgets are
+recharged and decoded as one stack. That is the one decoder of
 the threshold policies: AFG decodes its whole steps on its averages
 view with it, and the tests decode a solved threshold MILP with it.
 """
@@ -62,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from prepaid_ems.mck import chunked_runs, dantzig, ranked_table
+from prepaid_ems.mck import chunked_runs, dantzig, ranked_table, view_search
 from prepaid_ems.model import (
     BOUND_SLACK,
     BUDGET_MARGIN,
@@ -180,20 +201,14 @@ def _bound_tables(hulls) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def view_options(
-    view: DemandSeries, loads: LoadSet, tariff: Tariff, known: dict | None = None
+    view: DemandSeries, loads: LoadSet, tariff: Tariff, known: dict
 ) -> list[DayOptions]:
     """Every day's options on ``view``, for any budget. ``known`` maps
     each day built so far to its options, for views on one grid and
     tariff: a shuffled view repeats every day of its source. A day's
     work counts against ``WORK_BOUND`` whether it is built or known."""
-    if view.num_loads != len(loads):
-        raise ValueError(
-            f"series has {view.num_loads} loads, load set has {len(loads)}"
-        )
-    known = {} if known is None else known
     grid = view.grid
-    demanded = (view.power > 0).sum(axis=1)
-    values = np.where(demanded > 0, loads.gammas / np.maximum(demanded, 1), 0.0)
+    values = _values(view, loads)
     cost_factor = tariff.alpha * grid.step_hours
     cost = cost_factor * view.power
     n = grid.steps_per_day
@@ -249,14 +264,83 @@ def _search(days: list[DayOptions], capacity, tables, floor, beam, work):
 
 
 def planned_recharges(
-    served: np.ndarray, demand: DemandSeries, tariff: Tariff, budget: Budget
+    served: np.ndarray,
+    demand: DemandSeries,
+    tariff: Tariff,
+    budget: Budget | list[Budget],
 ) -> np.ndarray:
     """DFM's daily recharges for the actuation ``served[load, step]``:
     what it spends each day on ``demand``, day 0 also getting the
-    budget's margin."""
-    recharges = _step_costs(served, demand, tariff).sum(axis=1)
-    recharges[0] += BUDGET_MARGIN * budget.initial_balance
+    budget's margin; or a stack of them, for ``served[plan, load, step]``
+    and a list of one budget per plan."""
+    recharges = _step_costs(served, demand, tariff).sum(axis=-1)
+    balance = (
+        np.array([b.initial_balance for b in budget])
+        if np.ndim(served) == 3
+        else budget.initial_balance
+    )
+    recharges[..., 0] += BUDGET_MARGIN * balance
     return recharges
+
+
+def _values(view: DemandSeries, loads: LoadSet) -> np.ndarray:
+    """Each load's value per demanded step, ``gamma_k / N_k``."""
+    demanded = (view.power > 0).sum(axis=1)
+    return np.where(demanded > 0, loads.gammas / np.maximum(demanded, 1), 0.0)
+
+
+def _flat(view: DemandSeries) -> bool:
+    """Whether every load-day's demanded steps have one power."""
+    power = view.power.reshape(view.num_loads, view.grid.num_days, -1)
+    return bool(((power == 0) | (power == power.max(axis=2, keepdims=True))).all())
+
+
+def _count_search(view, loads, tariff, budgets, known) -> list[np.ndarray]:
+    """Each budget's counts ``[load, day]`` on the flat ``view``: how many
+    steps each load serves comes from the count search that OBM shares,
+    and which ones from a round of the days (see the module docstring)."""
+    _, _, search = view_search(view, loads, tariff, known)
+    n, days = view.grid.steps_per_day, view.grid.num_days
+    demanded = view.power > 0
+    place = np.cumsum(demanded.reshape(-1, days, n), axis=2).reshape(demanded.shape)
+    # Each load's demanded steps by power, then place in their day, then
+    # day: the cheapest first, and equal costs a step of each day at a time.
+    day_order = []
+    for power, on, places in zip(view.power, demanded, place):
+        t = np.flatnonzero(on)
+        day_order.append(t[np.lexsort((t, places[t], power[t]))] // n)
+    plans = []
+    for budget in budgets:
+        chosen = search.counts(effective_budget(budget))
+        by_day = [np.bincount(d[:c], minlength=days) for d, c in zip(day_order, chosen)]
+        plans.append(np.stack(by_day))
+    return plans
+
+
+def _dynamic_program(
+    view, loads, tariff, budgets, known
+) -> list[np.ndarray | DfmTooLarge]:
+    """Each budget's counts ``[load, day]`` on ``view`` from the dynamic
+    program over its day options; for a budget past ``WORK_BOUND``, the
+    :class:`DfmTooLarge` it raised."""
+    try:
+        days = view_options(view, loads, tariff, known)
+    except DfmTooLarge as exc:
+        return [exc.with_traceback(None)] * len(budgets)
+    tables = _bound_tables([day.hull for day in days])
+    work = sum(day.work for day in days)
+    slack = BOUND_SLACK * float(loads.gammas.sum())
+    plans = []
+    for budget in budgets:
+        problem = (days, effective_budget(budget), tables)
+        try:
+            incumbent, _, spent = _search(*problem, -np.inf, BEAM, work)
+            _, chosen, _ = _search(*problem, incumbent - slack, None, spent)
+        except DfmTooLarge as exc:
+            plans.append(exc.with_traceback(None))  # frees the search's frames
+            continue
+        plans.append(np.stack([day.counts[o] for day, o in zip(days, chosen)], axis=1))
+    return plans
 
 
 def plan_view(
@@ -268,30 +352,33 @@ def plan_view(
 ) -> list[tuple[ThresholdPlan, float] | DfmTooLarge]:
     """Optimal threshold plan on ``view`` within each budget, and its
     objective, the priority-weighted share of demanded steps served; for
-    a budget past ``WORK_BOUND``, the :class:`DfmTooLarge` it raised.
-    ``known`` keeps day options across views (:func:`view_options`)."""
-    try:
-        days = view_options(view, loads, tariff, known)
-    except DfmTooLarge as exc:
-        return [exc.with_traceback(None)] * len(budgets)
-    tables = _bound_tables([day.hull for day in days])
-    work = sum(day.work for day in days)
-    slack = BOUND_SLACK * float(loads.gammas.sum())
-    demanded = view.power.reshape(view.num_loads, len(days), -1) > 0
+    a budget past ``WORK_BOUND``, the :class:`DfmTooLarge` it raised. A
+    flat view takes the count search, any other the dynamic program.
+    ``known`` keeps day options (:func:`view_options`) and count searches
+    (``mck.view_search``) across views."""
+    if view.num_loads != len(loads):
+        raise ValueError(
+            f"series has {view.num_loads} loads, load set has {len(loads)}"
+        )
+    known = {} if known is None else known
+    solve = _count_search if _flat(view) else _dynamic_program
+    plans = solve(view, loads, tariff, budgets, known)
+    solved = [i for i, plan in enumerate(plans) if not isinstance(plan, DfmTooLarge)]
+    if not solved:
+        return plans
+    counts = np.stack([plans[i] for i in solved])  # [plan, load, day]
+    # A load-day serving n steps serves its first n demanded ones.
+    demanded = view.power.reshape(view.num_loads, view.grid.num_days, -1) > 0
     rank = np.cumsum(demanded, axis=2)
-    plans = []
-    for budget in budgets:
-        problem = (days, effective_budget(budget), tables)
-        try:
-            incumbent, _, spent = _search(*problem, -np.inf, BEAM, work)
-            objective, chosen, _ = _search(*problem, incumbent - slack, None, spent)
-        except DfmTooLarge as exc:
-            plans.append(exc.with_traceback(None))  # frees the search's frames
-            continue
-        counts = np.stack([day.counts[o] for day, o in zip(days, chosen)], axis=1)
-        # A load-day serving n steps serves its first n demanded ones.
-        served = (demanded & (rank <= counts[..., None])).reshape(view.num_loads, -1)
-        recharges = planned_recharges(served, view, tariff, budget)
-        thresholds = mid_band_thresholds(served, view, tariff, recharges)
-        plans.append((ThresholdPlan(thresholds, recharges), objective))
+    served = demanded & (rank <= counts[..., None])
+    served = served.reshape(len(solved), view.num_loads, -1)
+    recharges = planned_recharges(served, view, tariff, [budgets[i] for i in solved])
+    thresholds = mid_band_thresholds(served, view, tariff, recharges)
+    # Each day's value over the loads in order, then the days in order.
+    values, day_value = _values(view, loads), 0.0
+    for k in range(view.num_loads):
+        day_value = day_value + counts[:, k] * values[k]
+    objectives = np.cumsum(day_value, axis=1)[:, -1]
+    for i, *plan, objective in zip(solved, thresholds, recharges, objectives):
+        plans[i] = (ThresholdPlan(*plan), float(objective))
     return plans

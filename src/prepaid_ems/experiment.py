@@ -6,10 +6,12 @@ regime's forecast view once for every budget fraction, through the same
 ``plan_view`` call: AFG ranks the view's daily averages once and walks
 the ranking per budget; OBM builds the view's count-search tables once
 and searches them per budget; DFM builds the view's day options once
-and runs its dynamic program per budget. OBM and DFM reuse what they
-built for a view whose costs or days another view repeats. A DFM cell
-past the solver's work bound reads ``unsolved`` with the reason, the
-only note a cell can carry. Then all setpoints of the sweep are
+and runs its dynamic program per budget, or, on a flat view, runs
+OBM's count search. OBM and DFM share one cache of what they built: a
+view whose costs or days another view repeats reuses it, and a flat
+view that both policies plan is searched once. A DFM cell past the
+solver's work bound reads ``unsolved`` with the reason, the only note a
+cell can carry. Then all setpoints of the sweep are
 simulated against the true demand in two stacked simulator passes,
 each plan with its fraction's budget: one for the threshold plans (AFG,
 DFM), one for every fraction's unrationed baseline and the schedules
@@ -144,18 +146,20 @@ def _plan_cells(config, views, loads, tariff, budgets) -> list[list[tuple]]:
     cell, in sweep order. The plan is a ``ThresholdPlan`` (AFG, DFM), a
     schedule (OBM), or ``None`` for BSL and for a policy that found no
     plan. Each regime's view is planned once for every budget, and the
-    OBM and DFM planners keep what they built for the sweep's other
-    views."""
+    OBM and DFM planners keep what they built in one cache, for the
+    sweep's other views and for each other: a flat view that both plan
+    is searched once."""
+    known = {}
     planners = {
         "BSL": lambda *args: [(None, None)] * len(budgets),
         "AFG": afg.plan_view,
-        "OBM": partial(obm.plan_view, known={}),
+        "OBM": partial(obm.plan_view, known=known),
     }
     if "DFM" in config.policies:
         # Loaded on first use: a sweep without DFM does not load the solver.
         from prepaid_ems import dfm
 
-        planners["DFM"] = partial(dfm.plan_view, known={})
+        planners["DFM"] = partial(dfm.plan_view, known=known)
     planned = [[] for _ in budgets]
     for regime in config.regimes:
         for policy in config.policies:

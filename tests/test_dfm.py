@@ -1,15 +1,20 @@
 """The exact DFM solver against a brute-force oracle judged by the
 simulator, against HiGHS where HiGHS can be trusted, and on the edge
-of an empty wallet."""
+of an empty wallet. Flat cases (even seeds, limited views and every tie
+case) take the count search; the dynamic program is checked on them
+too, with every view sent to it."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from milp_reference import build_dfm, extract_plan
-from prepaid_ems import dfm, sim
+from prepaid_ems import dfm, mck, sim
+from prepaid_ems.config import from_dict
 from prepaid_ems.dfm import planned_recharges
+from prepaid_ems.experiment import run_experiment
 from prepaid_ems.forecast import shuffle_days, to_limited
 from prepaid_ems.milp import SolveStatus
 from prepaid_ems.model import (
@@ -141,14 +146,169 @@ def _check_against_brute_force(view, loads, budget):
     assert result.final_real_balance >= 0.0
 
 
+@pytest.fixture
+def dynamic_program(monkeypatch):
+    """Every view, flat or not, takes the dynamic program."""
+    monkeypatch.setattr(dfm, "_flat", lambda view: False)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_matches_brute_force(seed):
+    _check_against_brute_force(*_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dynamic_program_matches_brute_force(dynamic_program, seed):
     _check_against_brute_force(*_case(seed))
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_ties_match_brute_force(seed):
     _check_against_brute_force(*_tie_case(seed))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dynamic_program_ties_match_brute_force(dynamic_program, seed):
+    _check_against_brute_force(*_tie_case(seed))
+
+
+def _exact_value(served, view, loads):
+    """What the actuation ``served`` is worth on ``view``, as an exact
+    rational: the sum of ``n_k gamma_k / N_k``."""
+    demanded = (view.power > 0).sum(axis=1)
+    return sum(
+        Fraction(int(n)) * Fraction(float(gamma)) / int(m)
+        for n, gamma, m in zip(served.sum(axis=1), loads.gammas, demanded)
+        if m
+    )
+
+
+def test_flat_views_match_the_dynamic_program_exactly(monkeypatch):
+    """On every flat case of both corpora, at five budgets, the count
+    search's plan is worth exactly what the dynamic program's is. Tied
+    count vectors may differ, and with them the objective's float
+    rounding, but not its exact value; where the plans serve alike, the
+    objectives have the same bits."""
+    cases = [*map(_case, range(40)), *map(_tie_case, range(20))]
+    flat = [(view, loads) for view, loads, _ in cases if dfm._flat(view)]
+    assert len(flat) > 40
+    solved = []
+    for view, loads in flat:
+        budgets = [compute_budget(view, TARIFF, f) for f in (0.0, 0.3, 0.5, 0.7, 1.0)]
+        plans = dfm.plan_view(view, loads, TARIFF, budgets)
+        solved.append((view, loads, budgets, plans))
+    monkeypatch.setattr(dfm, "_flat", lambda view: False)
+    alike = 0
+    for view, loads, budgets, plans in solved:
+        programs = dfm.plan_view(view, loads, TARIFF, budgets)
+        for budget, (plan, objective), (program, program_objective) in zip(
+            budgets, plans, programs
+        ):
+            served, program_served = (
+                sim.simulate_thresholds(p, view, loads, TARIFF, budget).actuation
+                for p in (plan, program)
+            )
+            exact = _exact_value(served, view, loads)
+            assert exact == _exact_value(program_served, view, loads)
+            assert objective == pytest.approx(float(exact), abs=1e-12)
+            if np.array_equal(served, program_served):
+                assert objective.hex() == program_objective.hex()
+                alike += 1
+    assert alike > 100
+
+
+def test_one_uneven_load_day_takes_the_dynamic_program(monkeypatch):
+    """A view is flat when every load-day's demanded steps have one power,
+    as on every limited view; a flat view takes the count search, which
+    has no work bound. One load-day of two powers sends the view to the
+    dynamic program, past a work bound of 0."""
+    grid = TimeGrid(6.0, 4, 3)
+    power = np.tile([[250.0, 250.0, 0.0, 250.0], [100.0, 0.0, 100.0, 100.0]], 3)
+    power[1, 4:8] = 300.0  # another power on another day is still flat
+    uneven = power.copy()
+    uneven[1, 6] = 150.0
+    loads = LoadSet.from_pairs([("a", 0.6), ("b", 0.4)])
+    flat, uneven = DemandSeries(grid, power), DemandSeries(grid, uneven)
+    assert dfm._flat(flat) and not dfm._flat(uneven)
+    assert dfm._flat(to_limited(uneven))
+    budget = compute_budget(flat, TARIFF, 0.6)
+    monkeypatch.setattr(dfm, "WORK_BOUND", 0)
+    [(plan, objective)] = dfm.plan_view(flat, loads, TARIFF, [budget])
+    result = sim.simulate_thresholds(plan, flat, loads, TARIFF, budget)
+    assert result.psf == pytest.approx(objective, abs=1e-12)
+    [error] = dfm.plan_view(uneven, loads, TARIFF, [budget])
+    assert isinstance(error, dfm.DfmTooLarge)
+
+
+def test_flat_view_spreads_equal_costs_round_the_days():
+    """Steps of one cost are served a step of each day at a time: 6.6
+    steps' money for a load at one power over three days serves two
+    steps of each day, not the first six; a cheaper day goes first."""
+    grid = TimeGrid(6.0, 4, 3)
+    loads = LoadSet.from_pairs([("a", 1.0)])
+    power = np.full((1, 12), 250.0)
+    budget = compute_budget(DemandSeries(grid, power), TARIFF, 0.55)
+    spread = [[[1, 1, 0, 0]] * 3, [[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]]]
+    for day_2, want in zip([250.0, 200.0], spread):
+        power[0, 8:] = day_2
+        view = DemandSeries(grid, power)
+        [(plan, _)] = dfm.plan_view(view, loads, TARIFF, [budget])
+        result = sim.simulate_thresholds(plan, view, loads, TARIFF, budget)
+        assert result.actuation.reshape(3, 4).tolist() == want
+
+
+def test_a_sweep_searches_each_flat_view_once(monkeypatch):
+    """OBM and DFM share the sweep's count searches: with both, the sweep
+    builds and runs the searches that OBM alone does, one per flat view
+    (the shuffled views reuse their sources'), and DFM builds no day
+    options."""
+    built, searched = [], []
+
+    class Counted(mck.CountSearch):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+        def _search(self, capacity):
+            searched.append(capacity)
+            return super()._search(capacity)
+
+    def no_day_options(*args):
+        raise AssertionError("a flat view built day options")
+
+    monkeypatch.setattr(mck, "CountSearch", Counted)
+    monkeypatch.setattr(dfm, "view_options", no_day_options)
+    profile = {"on_probability": 1.0, "mean_on_hours": 6}
+    config = {
+        "loads": [{"name": "fridge", "gamma": 0.7}, {"name": "heater", "gamma": 0.3}],
+        "data": {
+            "synthetic": {
+                "seed": 5,
+                "profiles": {
+                    "fridge": {"rated_w": 160, **profile},
+                    "heater": {"rated_w": 1000, **profile},
+                },
+            }
+        },
+        "alpha_per_wh": 0.00016,
+        "step_minutes": 60,
+        "horizon_days": 3,
+        "budget_fractions": [0.7, 0.9],
+        "regimes": [
+            "perfect-detailed",
+            "perfect-limited",
+            "imperfect-detailed",
+            "imperfect-limited",
+        ],
+    }
+    counts = {}
+    for policies in (["OBM"], ["DFM", "OBM"]):
+        built.clear()
+        searched.clear()
+        results = run_experiment(from_dict({**config, "policies": policies}))
+        assert all(cell.status == "ok" for cell in results.cells)
+        counts[len(policies)] = (len(built), len(searched))
+    assert counts[2] == counts[1] == (2, 4)
 
 
 def _days(view, loads):
@@ -309,11 +469,22 @@ def test_view_plans_match_single_budget_solves(monkeypatch, work_bound):
     assert mixed > 0 if work_bound else mixed == 0
 
 
-@pytest.mark.parametrize("seed", [7, 13, 33])
-def test_chunks_do_not_change_the_plan(monkeypatch, seed):
+def _check_chunks(monkeypatch, seed):
     view, loads, budget = _case(seed)
     plan, objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     monkeypatch.setattr(dfm, "CHUNK", 5)
     chunked, chunked_objective = dfm.plan_view(view, loads, TARIFF, [budget])[0]
     assert chunked_objective == objective
     assert np.array_equal(chunked.thresholds, plan.thresholds)
+
+
+@pytest.mark.parametrize("seed", [7, 13, 33])
+def test_chunks_do_not_change_the_plan(monkeypatch, seed):
+    _check_chunks(monkeypatch, seed)
+
+
+@pytest.mark.parametrize("seed", [7, 13, 33])
+def test_dynamic_program_chunks_do_not_change_the_plan(
+    dynamic_program, monkeypatch, seed
+):
+    _check_chunks(monkeypatch, seed)

@@ -223,10 +223,18 @@ class TestRunExperiment:
 
     def test_unsolved_dfm_cell_does_not_abort(self, tmp_path, monkeypatch):
         # Past the DFM solver's work bound a cell reads "unsolved" with
-        # the reason, and the rest of the sweep runs.
+        # the reason, and the rest of the sweep runs. Noisy detailed views
+        # take the dynamic program; a flat view is never past the bound.
         monkeypatch.setattr(dfm, "WORK_BOUND", 100)
+        write_noisy_csv(tmp_path / "house.csv", days=4)
         config = from_dict(
-            base_config(policies=["BSL", "DFM"], horizon_days=4), tmp_path
+            base_config(
+                data={"csv": "house.csv"},
+                policies=["BSL", "DFM"],
+                horizon_days=4,
+                regimes=["perfect-detailed", "imperfect-detailed"],
+            ),
+            tmp_path,
         )
         results = run_experiment(config)
         dfm_cells = [c for c in results.cells if c.policy == "DFM"]
@@ -279,7 +287,7 @@ class TestEmitOutputs:
         )
         assert (config.output_dir / "table3.csv").read_bytes() == (
             b"balance,limited_AFG,limited_DFM,limited_OBM,BSL,days\r\n"
-            b"70%,79 (8.22),79 (8.22),79 (8.22),70.8,1\r\n"
+            b"70%,79 (8.22),77.4 (6.67),79 (8.22),70.8,1\r\n"
             b"100%,88 (-12),88 (-12),88 (-12),100,0\r\n"
         )
 
@@ -614,7 +622,7 @@ class TestEmitOutputs:
         [
             (
                 {"policies": ["BSL", "AFG", "DFM", "OBM"]},
-                "178b1bc6200702088c9195ec15cc4ee73c4d6b913a880556f318e090d91ed03b",
+                "c3a4b2ec01077a49a8744f8ebda73dc90a80e4d16cadaa9f5f3ee08e909bbc8a",
             ),
             (
                 {
@@ -631,7 +639,7 @@ class TestEmitOutputs:
                     "horizon_days": 3,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "6fe9d6c876bade3b297337dc4770c74291ea89dc6278a0f3f691c3b2faf57156",
+                "0aeca0b6ae52b521311f721a2c7cd586b147cde2adb4566aa26044714efd95fb",
             ),
             (
                 {
@@ -639,7 +647,7 @@ class TestEmitOutputs:
                     "horizon_days": 30,
                     "policies": ["BSL", "AFG", "DFM", "OBM"],
                 },
-                "faa81f17de6f9eed81ae48818c4653e7d28f8b9ae95bb5d45fa3c79f46ecffd3",
+                "40f4cb0304ea28d8feaf6cfd1669f82a75697ad883687a20bdd128bad71502d5",
             ),
         ],
         ids=["2d-60min-all-policies", "30d-15min", "csv-window-noisy", "30d-15min-dfm"],

@@ -33,7 +33,7 @@ from prepaid_ems.model import (
     compute_budget,
     effective_budget,
 )
-from prepaid_ems import obm
+from prepaid_ems import mck
 from prepaid_ems.obm import plan_view
 
 KINDS = ("flat", "tied", "quantised", "noisy")
@@ -434,11 +434,11 @@ def reference_plan(view, loads, tariff, budget):
     "pair_calls, frontier_cap",
     [
         pytest.param(
-            obm.PAIR_CALLS_BEFORE_FRONTIER,
-            obm.FRONTIER_CAP,
-            id=str(obm.PAIR_CALLS_BEFORE_FRONTIER),
+            mck.PAIR_CALLS_BEFORE_FRONTIER,
+            mck.FRONTIER_CAP,
+            id=str(mck.PAIR_CALLS_BEFORE_FRONTIER),
         ),
-        pytest.param(0, obm.FRONTIER_CAP, id="0"),
+        pytest.param(0, mck.FRONTIER_CAP, id="0"),
         pytest.param(0, 1, id="0-frontier_cap-1"),
     ],
 )
@@ -449,16 +449,16 @@ def test_view_plans_match_single_budget_solves(monkeypatch, pair_calls, frontier
     built as late as the sweep builds it, from the first pair call on,
     and never (past ``FRONTIER_CAP``, the search keeps the Dantzig
     bound)."""
-    monkeypatch.setattr(obm, "PAIR_CALLS_BEFORE_FRONTIER", pair_calls)
-    monkeypatch.setattr(obm, "FRONTIER_CAP", frontier_cap)
+    monkeypatch.setattr(mck, "PAIR_CALLS_BEFORE_FRONTIER", pair_calls)
+    monkeypatch.setattr(mck, "FRONTIER_CAP", frontier_cap)
     staircases = []
-    build = obm._pair_frontier
+    build = mck._pair_frontier
 
     def counted(*args):
         staircases.append(build(*args))
         return staircases[-1]
 
-    monkeypatch.setattr(obm, "_pair_frontier", counted)
+    monkeypatch.setattr(mck, "_pair_frontier", counted)
     cells = 0
     for _, group in itertools.groupby(identity_corpus(), key=lambda c: id(c[0])):
         group = list(group)
@@ -523,9 +523,9 @@ def test_pair_staircase_is_the_best_value_within_each_cap(seed):
         values.append(float(rng.integers(1, 5)) / 1000.0)
     costs.append(np.array([0.0005]))  # a third load, so the search keeps tables
     values.append(1.0)
-    search = obm._CountSearch(costs, values)
+    search = mck.CountSearch(costs, values)
     a, b = search.order[-2:]
-    frontier = obm._pair_frontier(
+    frontier = mck._pair_frontier(
         search.prefix[a],
         values[a],
         search.prefix[b],
@@ -535,7 +535,7 @@ def test_pair_staircase_is_the_best_value_within_each_cap(seed):
         search.slack,
     )
     caps = rng.uniform(0.0, search.prefix[a][-1] + search.prefix[b][-1], 200)
-    best, _ = obm._staircase(frontier, caps)
+    best, _ = mck._staircase(frontier, caps)
     for cap, got in zip(caps, best):
         na = np.arange(np.searchsorted(search.prefix[a], cap, side="right"))
         nb = np.searchsorted(search.prefix[b], cap - search.prefix[a][na], side="right")
